@@ -46,12 +46,14 @@ bench:
 # grid query or availability-index fast path at build time without the
 # cost of a real benchmark run. Leaves validated BENCH_journal.json,
 # BENCH_gateway.json, BENCH_geo.json and BENCH_engine.json in the repo
-# root (CI archives them as artifacts).
+# root (CI archives them as artifacts). The write-then-read benchmark
+# emits no report; its allocs/op at 10k and 100k people are the output.
 bench-smoke:
 	$(BENCH_ENV) $(GO) test -run='^$$' -bench='^BenchmarkJournalAppend$$' -benchtime=1x .
 	$(BENCH_ENV) $(GO) test -run='^$$' -bench='^BenchmarkGatewayProxyOverhead$$' -benchtime=1x ./internal/gateway
 	$(BENCH_ENV) $(GO) test -run='^$$' -bench='^BenchmarkGeoGrid$$' -benchtime=1x ./internal/geo
 	$(BENCH_ENV) $(GO) test -run='^$$' -bench='^BenchmarkSTGSelect$$' -benchtime=1x .
+	$(GO) test -run='^$$' -bench='^BenchmarkPlanActivityAfterWrite$$' -benchtime=1x .
 	$(MAKE) bench-check
 
 # Validate the emitted benchmark reports: parseable, named, positive

@@ -17,8 +17,13 @@ import (
 // PlanWithSmallestK). Results must be byte-identical under JSON
 // encoding: same members, same distances, same windows, same errors.
 // Repeat initiators deliberately re-hit the indexed planner's distance
-// labels, and interleaved graph edits exercise the invalidation paths;
-// any divergence reports the seed and prefix for replay.
+// labels, and interleaved graph edits exercise the invalidation paths.
+// Privacy policies are part of the stream — all three values, and
+// ShareFriends verdicts flipped by later Connect/Disconnect — and the
+// indexed planner keeps its index on under them, so on every prefix the
+// masked run rows it searches must equal the masked calendar rows the
+// plain planner walks. Any divergence reports the seed and prefix for
+// replay.
 func TestIndexedPlannerMatchesPlainPlanner(t *testing.T) {
 	for _, seed := range []int64{3, 11, 99, 2024} {
 		seed := seed
@@ -68,6 +73,9 @@ func TestIndexedPlannerMatchesPlainPlanner(t *testing.T) {
 				case 8:
 					x, y := float64(rng.Intn(1000)), float64(rng.Intn(1000))
 					both("SetLocation", func(pl *stgq.Planner) error { return pl.SetLocation(a, x, y) })
+				case 9:
+					pol := stgq.SharePolicy(rng.Intn(3))
+					both("SetSchedulePolicy", func(pl *stgq.Planner) error { return pl.SetSchedulePolicy(a, pol) })
 				default:
 					// No mutation this step: query back-to-back prefixes so
 					// the second query hits a warm label cache.
@@ -144,10 +152,12 @@ func diffJSON(t *testing.T, seed int64, step int, op string, plain, fast func() 
 }
 
 // TestIndexedPlannerMatchesPlainWithPolicies repeats the differential
-// check with privacy policies in play: the planner must withhold the
-// availability index whenever any SharePolicy is set (the index tracks
-// TRUE availability; the engine must see the masked view), so indexed
-// and plain planners must still agree query for query.
+// check on a fixed population with a ShareNone and a ShareFriends person
+// inside most balls. The index tracks TRUE availability and stays on
+// under policies: a query is handed the run rows of its ball's members,
+// with the all-busy run row in place of every member whose schedule the
+// initiator may not read — the same substitution the calendar view makes
+// — so indexed and plain planners must still agree query for query.
 func TestIndexedPlannerMatchesPlainWithPolicies(t *testing.T) {
 	const horizon = 16
 	rng := rand.New(rand.NewSource(77))

@@ -13,6 +13,7 @@ import (
 	"testing"
 
 	stgq "repro"
+	"repro/internal/dataset"
 	"repro/internal/obsv"
 )
 
@@ -125,6 +126,33 @@ func BenchmarkSTGSelect(b *testing.B) {
 			b.Logf("wrote %s", path)
 		}
 	})
+}
+
+// BenchmarkPlanActivityAfterWrite is the write → temporal read pair of the
+// write-heavy serving workloads, on the populations the repository's
+// benchmark uses: SetBusy on the initiator, then PlanActivity by the same
+// person. The read must cost what any other read costs — a view of the
+// initiator's ball — so allocs/op follow the ball's size, not the
+// population's. Each iteration moves to another person, so no distance
+// label is reused; the stride starts away from person 0, the generator's
+// biggest hub, so that a one-iteration smoke run times an ordinary ball.
+func BenchmarkPlanActivityAfterWrite(b *testing.B) {
+	for _, n := range []int{10_000, 100_000} {
+		b.Run(fmt.Sprint(n), func(b *testing.B) {
+			pl := stgq.FromDataset(dataset.Synthetic(n, 1, 2))
+			pl.EnableIndex()
+			horizon := pl.Horizon()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				p := stgq.PersonID((i + 1) * 7919 % n)
+				if err := pl.SetBusy(p, i%horizon, i%horizon+1); err != nil {
+					b.Fatal(err)
+				}
+				pl.PlanActivity(stgq.STGQuery{SGQuery: stgq.SGQuery{Initiator: p, P: 4, S: 2, K: 1}, M: 4}) //nolint:errcheck
+			}
+		})
+	}
 }
 
 func BenchmarkGSGSelect(b *testing.B) {

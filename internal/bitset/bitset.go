@@ -101,20 +101,6 @@ func (s *Set) CopyFrom(t *Set) {
 	copy(s.words, t.words)
 }
 
-// CopyFromPrefix overwrites the low t.Len() bits of s with the contents of
-// t and clears the rest; s's universe must be at least as large. This is a
-// word copy — O(len/64) — used to widen availability rows/columns without
-// re-setting bits one at a time.
-func (s *Set) CopyFromPrefix(t *Set) {
-	if s.n < t.n {
-		panic(fmt.Sprintf("bitset: prefix copy from %d into %d", t.n, s.n))
-	}
-	n := copy(s.words, t.words)
-	for i := n; i < len(s.words); i++ {
-		s.words[i] = 0
-	}
-}
-
 // Clear removes all elements.
 func (s *Set) Clear() {
 	for i := range s.words {

@@ -332,22 +332,3 @@ func BenchmarkAndCount(b *testing.B) {
 		s1.AndCount(s2)
 	}
 }
-
-func TestCopyFromPrefix(t *testing.T) {
-	src := FromIndices(70, 0, 63, 64, 69)
-	dst := New(200)
-	dst.Fill()
-	dst.CopyFromPrefix(src)
-	for i := 0; i < 200; i++ {
-		want := i == 0 || i == 63 || i == 64 || i == 69
-		if dst.Contains(i) != want {
-			t.Fatalf("bit %d = %v, want %v", i, !want, want)
-		}
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("prefix copy into a smaller set should panic")
-		}
-	}()
-	New(10).CopyFromPrefix(src)
-}

@@ -46,8 +46,9 @@ func buildUserRuns(bits *bitset.Set, horizon int, seq uint64) *userRuns {
 	return r
 }
 
-// Avail is an immutable point-in-time snapshot of every availability row.
-// It implements the pivot-run provider of repro/internal/core: queries
+// Avail is an immutable point-in-time snapshot of availability rows:
+// every user's (AvailSnapshot) or a chosen list's (AvailFor). It
+// implements the pivot-run provider of repro/internal/core: queries
 // capture it under the planner's read lock and keep using it after the
 // lock is released, exactly like the radius graph and calendar of the
 // same view.
@@ -55,13 +56,32 @@ type Avail struct {
 	rows []*userRuns
 }
 
-// AvailSnapshot captures the current availability rows. The returned
-// snapshot is immutable; the copy is one pointer per user.
+// AvailSnapshot captures the current availability rows of the whole
+// population. The returned snapshot is immutable; the copy is one pointer
+// per user.
 func (ix *Index) AvailSnapshot() Avail {
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
 	rows := make([]*userRuns, len(ix.rows))
 	copy(rows, ix.rows)
+	return Avail{rows: rows}
+}
+
+// AvailFor captures the current rows of the listed users only — snapshot
+// user i is users[i], mirroring schedule.Calendar.View — so a query pays
+// for its candidates, not for the population. A negative entry selects
+// the all-busy row: a schedule the viewer may not read has no runs.
+func (ix *Index) AvailFor(users []int) Avail {
+	ix.mu.RLock()
+	defer ix.mu.RUnlock()
+	rows := make([]*userRuns, len(users))
+	for i, u := range users {
+		if u < 0 {
+			rows[i] = ix.busy
+		} else {
+			rows[i] = ix.rows[u]
+		}
+	}
 	return Avail{rows: rows}
 }
 

@@ -16,15 +16,18 @@
 //   - Connect/Disconnect/AddPerson invalidate the distance labels (the
 //     graph changed) and leave every availability row untouched;
 //   - SetLocation and SetPolicy invalidate nothing: locations live in the
-//     planner's spatial grid and policies are applied as view-time
-//     masking, so the index only advances its sequence stamp.
+//     planner's spatial grid, and a policy decides per query which of the
+//     candidates' rows the initiator may read (AvailFor substitutes the
+//     all-busy row for the others — the index stays on under policies),
+//     so the index only advances its sequence stamp.
 //
 // Queries consume the index through two read-side surfaces: Avail (an
-// immutable snapshot implementing the pivot-run lookups of
-// repro/internal/core, Definition 4's per-pivot eligibility in O(1) per
-// vertex) and Label/StoreLabel (cached s-bounded distance vectors that
-// replace the per-query Bellman-Ford of radius-graph extraction for
-// repeat initiators — the "landmark" users of the workload).
+// immutable snapshot of the candidates' rows implementing the pivot-run
+// lookups of repro/internal/core, Definition 4's per-pivot eligibility
+// in O(1) per vertex) and Label/StoreLabel (cached s-bounded distance
+// vectors that replace the per-query Bellman-Ford of radius-graph
+// extraction for repeat initiators — the "landmark" users of the
+// workload).
 package index
 
 import (
@@ -41,6 +44,7 @@ type Index struct {
 	horizon int
 	seq     uint64 // sequence number of the last mutation applied
 	rows    []*userRuns
+	busy    *userRuns // the all-busy row AvailFor hands out for hidden schedules
 	labels  *labelCache
 }
 
@@ -52,6 +56,7 @@ func Build(cal *schedule.Calendar, seq uint64) *Index {
 		horizon: cal.Horizon(),
 		seq:     seq,
 		rows:    make([]*userRuns, cal.Users()),
+		busy:    buildUserRuns(newRow(cal.Horizon()), cal.Horizon(), seq),
 		labels:  newLabelCache(maxLabels),
 	}
 	for u := range ix.rows {

@@ -1,8 +1,9 @@
 // Package schedule implements the temporal substrate of the paper: per-user
 // availability calendars over discrete time slots (the paper uses 0.5-hour
-// slots, 48 per day), the pivot time slots of Lemma 4, the per-pivot search
-// windows of Definition 4, and the slot-column views needed by the
-// availability pruning of Lemma 5.
+// slots, 48 per day), the pivot time slots of Lemma 4 and the per-pivot search
+// windows of Definition 4. The calendar is row-major only: Lemma 5's per-slot
+// unavailability counters are kept by the search itself, over the candidates
+// of one pivot (core.prepPivot's unavail), not as population-wide columns here.
 //
 // Slots are 0-based in this package. The paper's 1-based pivot slots i·m
 // become 0-based indices t with (t+1) ≡ 0 (mod m).
@@ -26,14 +27,16 @@ var (
 )
 
 // Calendar stores the availability of a population of users over a horizon
-// of T slots. Availability is stored both row-major (one bitset per user,
-// for window tests) and column-major (one bitset per slot, for the
-// availability-pruning counts of Lemma 5).
+// of T slots, one bitset row per user.
+//
+// A calendar is edited in one of two ways, never both. Builders of a fresh
+// calendar (dataset generators, tests) use the in-place Set* methods. An
+// owner whose rows may be shared with readers — the planner's store, whose
+// queries keep Views after its lock is released — uses only AppendUser and
+// ReplaceRange, which swap row pointers and never touch a published row.
 type Calendar struct {
-	users   int
 	horizon int
 	rows    []*bitset.Set // rows[u].Contains(t) == user u available at slot t
-	cols    []*bitset.Set // cols[t].Contains(u) == user u available at slot t
 }
 
 // NewCalendar creates an all-busy calendar for the given number of users and
@@ -42,38 +45,65 @@ func NewCalendar(users, horizon int) *Calendar {
 	if users < 0 || horizon < 0 {
 		panic("schedule: negative dimensions")
 	}
-	c := &Calendar{users: users, horizon: horizon}
-	c.rows = make([]*bitset.Set, users)
+	c := &Calendar{horizon: horizon, rows: make([]*bitset.Set, users)}
 	for u := range c.rows {
 		c.rows[u] = bitset.New(horizon)
-	}
-	c.cols = make([]*bitset.Set, horizon)
-	for t := range c.cols {
-		c.cols[t] = bitset.New(users)
 	}
 	return c
 }
 
 // ExtendedClone returns a deep copy of c widened to at least the given
-// number of users; the extra users start all-busy. Rows and columns are
-// copied word-wise, so cloning is O(users·horizon/64) — cheap enough to
-// run on the first query after a mutation.
+// number of users; the extra users start all-busy. Rows are copied
+// word-wise, so cloning is O(users·horizon/64).
 func (c *Calendar) ExtendedClone(users int) *Calendar {
-	if users < c.users {
-		users = c.users
+	if users < len(c.rows) {
+		users = len(c.rows)
 	}
 	n := NewCalendar(users, c.horizon)
-	for u := 0; u < c.users; u++ {
-		n.rows[u].CopyFrom(c.rows[u])
-	}
-	for t := 0; t < c.horizon; t++ {
-		n.cols[t].CopyFromPrefix(c.cols[t])
+	for u, row := range c.rows {
+		n.rows[u].CopyFrom(row)
 	}
 	return n
 }
 
+// View returns a calendar whose user i is c's user users[i]; a negative
+// entry selects an all-busy row (a schedule the viewer may not read). Rows
+// are shared, not copied, and the view owns its row slice, so building one
+// costs O(len(users)) and later AppendUser/ReplaceRange calls on c leave it
+// as it was. A view is for reading: in-place edits would reach c's rows.
+func (c *Calendar) View(users []int) *Calendar {
+	v := &Calendar{horizon: c.horizon, rows: make([]*bitset.Set, len(users))}
+	var busy *bitset.Set
+	for i, u := range users {
+		if u < 0 {
+			if busy == nil {
+				busy = bitset.New(c.horizon)
+			}
+			v.rows[i] = busy
+			continue
+		}
+		c.checkUser(u)
+		v.rows[i] = c.rows[u]
+	}
+	return v
+}
+
+// AppendUser adds one all-busy user.
+func (c *Calendar) AppendUser() {
+	c.rows = append(c.rows, bitset.New(c.horizon))
+}
+
+// ReplaceRange is the copy-on-write form of SetRange: user u's row is
+// replaced by an edited copy, so views that captured the old row keep
+// reading it unchanged.
+func (c *Calendar) ReplaceRange(u, from, to int, available bool) {
+	c.checkUser(u)
+	c.rows[u] = c.rows[u].Clone()
+	c.SetRange(u, from, to, available)
+}
+
 // Users returns the number of users.
-func (c *Calendar) Users() int { return c.users }
+func (c *Calendar) Users() int { return len(c.rows) }
 
 // Horizon returns the number of slots.
 func (c *Calendar) Horizon() int { return c.horizon }
@@ -83,7 +113,6 @@ func (c *Calendar) SetAvailable(u, t int) {
 	c.checkUser(u)
 	c.checkSlot(t)
 	c.rows[u].Add(t)
-	c.cols[t].Add(u)
 }
 
 // SetBusy marks user u busy at slot t.
@@ -91,7 +120,6 @@ func (c *Calendar) SetBusy(u, t int) {
 	c.checkUser(u)
 	c.checkSlot(t)
 	c.rows[u].Remove(t)
-	c.cols[t].Remove(u)
 }
 
 // SetRange marks user u available (or busy) on every slot of [from, to).
@@ -111,7 +139,7 @@ func (c *Calendar) SetRange(u, from, to int, available bool) {
 
 // Available reports whether user u is available at slot t.
 func (c *Calendar) Available(u, t int) bool {
-	if u < 0 || u >= c.users || t < 0 || t >= c.horizon {
+	if u < 0 || u >= len(c.rows) || t < 0 || t >= c.horizon {
 		return false
 	}
 	return c.rows[u].Contains(t)
@@ -137,16 +165,9 @@ func (c *Calendar) Row(u int) *bitset.Set {
 	return c.rows[u]
 }
 
-// Col returns slot t's availability column over users (shared, do not
-// mutate).
-func (c *Calendar) Col(t int) *bitset.Set {
-	c.checkSlot(t)
-	return c.cols[t]
-}
-
 func (c *Calendar) checkUser(u int) {
-	if u < 0 || u >= c.users {
-		panic(fmt.Sprintf("%v: %d of %d", ErrUserRange, u, c.users))
+	if u < 0 || u >= len(c.rows) {
+		panic(fmt.Sprintf("%v: %d of %d", ErrUserRange, u, len(c.rows)))
 	}
 }
 
@@ -258,17 +279,6 @@ func (c *Calendar) CommonRun(users []int, w Window) (lo, hi int, ok bool) {
 		return 0, 0, false
 	}
 	return rlo + w.Lo, rhi + w.Lo, true
-}
-
-// UnavailableCount returns how many of the users in the given set are busy
-// at absolute slot t. Used by the availability pruning of Lemma 5, where the
-// set is VA over feasible-graph indices mapped to calendar users by the
-// caller.
-func (c *Calendar) UnavailableCount(users *bitset.Set, t int) int {
-	if t < 0 || t >= c.horizon {
-		return users.Count()
-	}
-	return users.AndNotCount(c.cols[t])
 }
 
 // FormatSlot renders an absolute slot index as "dayD hh:mm" assuming

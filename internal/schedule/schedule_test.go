@@ -4,8 +4,6 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
-
-	"repro/internal/bitset"
 )
 
 func TestSetAndQuery(t *testing.T) {
@@ -17,12 +15,12 @@ func TestSetAndQuery(t *testing.T) {
 	if !c.Available(1, 4) {
 		t.Error("Available after SetAvailable = false")
 	}
-	if !c.Col(4).Contains(1) || !c.Row(1).Contains(4) {
-		t.Error("row/column views out of sync")
+	if !c.Row(1).Contains(4) {
+		t.Error("Row does not show the slot Available reports")
 	}
 	c.SetBusy(1, 4)
-	if c.Available(1, 4) || c.Col(4).Contains(1) {
-		t.Error("SetBusy did not clear both views")
+	if c.Available(1, 4) || c.Row(1).Contains(4) {
+		t.Error("SetBusy did not clear the slot")
 	}
 	if c.Available(-1, 0) || c.Available(0, -1) || c.Available(3, 0) || c.Available(0, 10) {
 		t.Error("out-of-range Available should be false")
@@ -194,27 +192,6 @@ func TestCommonRunPivotBusy(t *testing.T) {
 	}
 }
 
-func TestUnavailableCount(t *testing.T) {
-	c := NewCalendar(4, 6)
-	c.SetAvailable(0, 3)
-	c.SetAvailable(2, 3)
-	set := bitset.FromIndices(4, 0, 1, 2, 3)
-	if got := c.UnavailableCount(set, 3); got != 2 {
-		t.Errorf("UnavailableCount = %d, want 2 (users 1 and 3)", got)
-	}
-	sub := bitset.FromIndices(4, 0, 2)
-	if got := c.UnavailableCount(sub, 3); got != 0 {
-		t.Errorf("UnavailableCount(sub) = %d, want 0", got)
-	}
-	// Out-of-horizon slots count everyone as unavailable.
-	if got := c.UnavailableCount(set, -1); got != 4 {
-		t.Errorf("UnavailableCount(t=-1) = %d, want 4", got)
-	}
-	if got := c.UnavailableCount(set, 6); got != 4 {
-		t.Errorf("UnavailableCount(t=6) = %d, want 4", got)
-	}
-}
-
 func TestFormatSlot(t *testing.T) {
 	cases := []struct {
 		slot int
@@ -306,15 +283,12 @@ func TestExtendedClone(t *testing.T) {
 			if n.Available(u, tt) != want {
 				t.Fatalf("clone(%d,%d) = %v, want %v", u, tt, !want, want)
 			}
-			if n.Col(tt).Contains(u) != want {
-				t.Fatalf("clone col(%d,%d) mismatch", tt, u)
-			}
 		}
 	}
 	// Mutating the clone must not touch the original.
 	n.SetBusy(0, 0)
 	n.SetAvailable(4, 50)
-	if !c.Available(0, 0) || c.Col(50).Contains(2) != c.Available(2, 50) {
+	if !c.Available(0, 0) || c.Users() != 3 {
 		t.Fatal("clone aliases original")
 	}
 	// Same-size clone round-trips.
@@ -322,4 +296,47 @@ func TestExtendedClone(t *testing.T) {
 	if same.Users() != 3 || !same.Row(1).Equal(c.Row(1)) {
 		t.Fatal("same-size clone wrong")
 	}
+}
+
+// TestViewSurvivesCopyOnWriteEdits pins the contract the planner's store
+// rests on: a View shares rows instead of copying them, yet AppendUser and
+// ReplaceRange on the viewed calendar never show through, because they swap
+// row pointers and leave every published row as it was.
+func TestViewSurvivesCopyOnWriteEdits(t *testing.T) {
+	c := NewCalendar(3, 70)
+	c.SetRange(0, 0, 70, true)
+	c.SetRange(2, 60, 66, true)
+	v := c.View([]int{2, -1, 0, -1})
+	if v.Users() != 4 || v.Horizon() != 70 {
+		t.Fatalf("view is %dx%d, want 4x70", v.Users(), v.Horizon())
+	}
+	if v.Row(0) != c.Row(2) || v.Row(2) != c.Row(0) {
+		t.Fatal("view copied rows it should share")
+	}
+	if !v.Row(1).Empty() || !v.Row(3).Empty() {
+		t.Fatal("negative entries must read all-busy")
+	}
+	want := v.ExtendedClone(0)
+
+	c.ReplaceRange(2, 62, 64, false)
+	c.ReplaceRange(0, 0, 70, false)
+	c.AppendUser()
+	if c.Users() != 4 || !c.Row(3).Empty() {
+		t.Fatalf("AppendUser: %d users, new row empty=%v", c.Users(), c.Row(3).Empty())
+	}
+	if c.Available(2, 62) || c.Available(2, 63) || !c.Available(2, 61) || !c.Available(2, 64) || c.Available(0, 5) {
+		t.Fatal("ReplaceRange did not edit the calendar it was called on")
+	}
+	for u := 0; u < want.Users(); u++ {
+		if !v.Row(u).Equal(want.Row(u)) {
+			t.Fatalf("view user %d changed under a copy-on-write edit", u)
+		}
+	}
+
+	defer func() {
+		if recover() == nil {
+			t.Fatal("View of a user the calendar does not have should panic")
+		}
+	}()
+	c.View([]int{4})
 }

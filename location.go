@@ -9,8 +9,6 @@ import (
 	"repro/internal/geo"
 	"repro/internal/schedule"
 	"repro/internal/socialgraph"
-
-	"repro/internal/dataset"
 )
 
 // Point is a location on the deployment's flat local plane, in meters
@@ -137,7 +135,7 @@ func (pl *Planner) PlanGeoActivity(q GSGQuery) (*GeoPlanResult, error) {
 	}
 	var calUser []int
 	if withCal {
-		calUser = dataset.CalUsers(rg)
+		calUser = calUsers(rg.N())
 	}
 	opts := q.options()
 	opts.Runs = runs
@@ -161,20 +159,7 @@ func (pl *Planner) PlanGeoActivity(q GSGQuery) (*GeoPlanResult, error) {
 // and social views are mutually consistent.
 func (pl *Planner) geoQueryView(initiator PersonID, s int, withCalendar bool, center geo.Point, radius float64) (*socialgraph.RadiusGraph, *schedule.Calendar, core.PivotRuns, []float64, error) {
 	pl.mu.RLock()
-	if !withCalendar || (!pl.calDirty && pl.cal != nil) {
-		rg, cal, runs, err := pl.viewRLocked(initiator, s, withCalendar)
-		var spat []float64
-		if err == nil {
-			spat = pl.spatialRLocked(rg, center, radius)
-		}
-		pl.mu.RUnlock()
-		return rg, cal, runs, spat, err
-	}
-	pl.mu.RUnlock()
-
-	pl.mu.Lock()
-	defer pl.mu.Unlock()
-	pl.calendarLocked()
+	defer pl.mu.RUnlock()
 	rg, cal, runs, err := pl.viewRLocked(initiator, s, withCalendar)
 	if err != nil {
 		return nil, nil, nil, nil, err

@@ -3,8 +3,6 @@ package stgq
 import (
 	"context"
 	"fmt"
-
-	"repro/internal/schedule"
 )
 
 // SharePolicy controls who may read a person's availability when answering
@@ -99,36 +97,14 @@ func (pl *Planner) SchedulePolicy(p PersonID) SharePolicy {
 	return pl.policies[p]
 }
 
-// visibleCalendarLocked returns the calendar as the initiator is allowed to
-// see it: rows hidden by privacy policies are blank (always busy). When no
-// policies are set the shared calendar is returned directly. The caller
-// must hold the write lock, or the read lock with a clean calendar cache;
-// the result is immutable.
-func (pl *Planner) visibleCalendarLocked(initiator PersonID) *schedule.Calendar {
-	base := pl.calendarLocked()
-	policies := pl.policies
-	if len(policies) == 0 {
-		return base
-	}
-	filtered := schedule.NewCalendar(base.Users(), base.Horizon())
-	for u := 0; u < base.Users(); u++ {
-		if !pl.scheduleVisible(policies, initiator, PersonID(u)) {
-			continue
-		}
-		row := base.Row(u)
-		for s := row.NextSet(0); s != -1; s = row.NextSet(s + 1) {
-			filtered.SetAvailable(u, s)
-		}
-	}
-	return filtered
-}
-
-// scheduleVisible decides whether viewer may read owner's schedule.
-func (pl *Planner) scheduleVisible(policies map[PersonID]SharePolicy, viewer, owner PersonID) bool {
+// scheduleVisible decides whether viewer may read owner's schedule. It
+// reads the policies and the graph, so the caller holds at least the read
+// lock and must not retain the answer past it.
+func (pl *Planner) scheduleVisible(viewer, owner PersonID) bool {
 	if viewer == owner {
 		return true
 	}
-	switch policies[owner] {
+	switch pl.policies[owner] {
 	case ShareNone:
 		return false
 	case ShareFriends:

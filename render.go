@@ -25,13 +25,14 @@ func (pl *Planner) AvailabilityGrid(people []PersonID, from, to int) string {
 	if from >= to || len(people) == 0 {
 		return ""
 	}
-	pl.mu.Lock()
-	cal := pl.calendarLocked()
-	pl.mu.Unlock()
+	// Names and rows are read in place, so the read lock is held for the
+	// whole (small) render rather than for a capture.
+	pl.mu.RLock()
+	defer pl.mu.RUnlock()
 
 	nameW := 8
 	for _, p := range people {
-		if n := len(pl.displayName(p)); n+2 > nameW {
+		if n := len(pl.displayNameRLocked(p)); n+2 > nameW {
 			nameW = n + 2
 		}
 	}
@@ -56,12 +57,12 @@ func (pl *Planner) AvailabilityGrid(people []PersonID, from, to int) string {
 	b.WriteByte('\n')
 
 	for _, p := range people {
-		if int(p) < 0 || int(p) >= cal.Users() {
+		if int(p) < 0 || int(p) >= pl.cal.Users() {
 			continue
 		}
-		fmt.Fprintf(&b, "%-*s", nameW, pl.displayName(p))
+		fmt.Fprintf(&b, "%-*s", nameW, pl.displayNameRLocked(p))
 		for s := from; s < to; s++ {
-			if cal.Available(int(p), s) {
+			if pl.cal.Available(int(p), s) {
 				b.WriteRune('█')
 			} else {
 				b.WriteRune('·')
@@ -72,8 +73,9 @@ func (pl *Planner) AvailabilityGrid(people []PersonID, from, to int) string {
 	return b.String()
 }
 
-func (pl *Planner) displayName(p PersonID) string {
-	if n := pl.Name(p); n != "" {
+// displayNameRLocked needs at least the read lock held.
+func (pl *Planner) displayNameRLocked(p PersonID) string {
+	if n := pl.g.Label(int(p)); n != "" {
 		return n
 	}
 	return fmt.Sprintf("#%d", int(p))

@@ -209,29 +209,26 @@ type MutationHook func(ctx context.Context, m Mutation) (wait func() error)
 //
 // A Planner is safe for concurrent use: queries may run in parallel with
 // each other and with mutations (AddPerson, Connect, Disconnect,
-// SetAvailable, SetBusy). Mutations serialize briefly on an internal lock;
-// queries capture an immutable view (radius graph + calendar) under the
-// lock and run the expensive search outside it.
+// SetAvailable, SetBusy, SetSchedulePolicy, SetLocation). Only mutations
+// take the write lock, briefly; every read — queries, Export, rendering —
+// shares the read lock, and a query holds it just long enough to capture
+// an immutable view sized to the s-hop ball (the radius graph and its
+// members' calendar rows) before running the expensive search unlocked.
+//
+// cal is the one availability store: one row per person, in step with the
+// graph (cal.Users() == g.NumVertices()). Its rows are replaced, never
+// edited in place, which is what lets a view share them without copying.
 type Planner struct {
 	mu        sync.RWMutex
 	g         *socialgraph.Graph
 	horizon   int
-	base      *schedule.Calendar // dataset-loaded availability, nil when empty-born
-	cal       *schedule.Calendar // lazily built; immutable once materialized
-	calDirty  bool
-	avail     []availRange
+	cal       *schedule.Calendar
 	community []int // dataset-loaded community assignments, for Export
 	policies  map[PersonID]SharePolicy
 	locations map[PersonID]geo.Point
 	grid      *geo.Grid // spatial index over locations; lazily created
 	idx       *index.Index
 	hook      MutationHook
-}
-
-type availRange struct {
-	person   PersonID
-	from, to int
-	free     bool
 }
 
 // NewPlanner creates a Planner with the given schedule horizon in time
@@ -241,7 +238,7 @@ func NewPlanner(horizonSlots int) *Planner {
 	if horizonSlots < 0 {
 		horizonSlots = 0
 	}
-	return &Planner{g: socialgraph.New(), horizon: horizonSlots, calDirty: true}
+	return &Planner{g: socialgraph.New(), horizon: horizonSlots, cal: schedule.NewCalendar(0, horizonSlots)}
 }
 
 // SlotsPerDay is the paper's calendar granularity (48 half-hour slots).
@@ -319,9 +316,9 @@ func applyIndex(ix *index.Index, m Mutation) {
 		// distance labels; only the stamp advances.
 		ix.Advance()
 	case MutSetPolicy:
-		// Policies mask the *visible* calendar; the index tracks true
-		// availability and the planner withholds it while any policy is
-		// set, so only the stamp advances.
+		// The index tracks true availability; a policy decides, per query,
+		// which of the ball's rows the initiator is handed (viewRLocked),
+		// so no row changes and only the stamp advances.
 		ix.Advance()
 	}
 }
@@ -343,7 +340,7 @@ func (pl *Planner) EnableIndex() { pl.EnableIndexAt(0) }
 func (pl *Planner) EnableIndexAt(seq uint64) {
 	pl.mu.Lock()
 	defer pl.mu.Unlock()
-	pl.idx = index.Build(pl.calendarLocked(), seq)
+	pl.idx = index.Build(pl.cal, seq)
 }
 
 // IndexEnabled reports whether the incremental query index is active.
@@ -391,7 +388,7 @@ func (pl *Planner) AddPersonCtx(ctx context.Context, name string) (PersonID, err
 		// Disambiguate silently; the original name remains reachable.
 		id, _ = pl.g.AddVertex("")
 	}
-	pl.calDirty = true
+	pl.cal.AppendUser()
 	wait := pl.notifyLocked(ctx, Mutation{Op: MutAddPerson, Name: name, Person: PersonID(id)})
 	pl.mu.Unlock()
 	if wait != nil {
@@ -520,8 +517,7 @@ func (pl *Planner) setRange(ctx context.Context, p PersonID, from, to int, free 
 		pl.mu.Unlock()
 		return fmt.Errorf("%w: slot range [%d,%d) outside horizon %d", ErrBadQuery, from, to, pl.horizon)
 	}
-	pl.avail = append(pl.avail, availRange{p, from, to, free})
-	pl.calDirty = true
+	pl.cal.ReplaceRange(int(p), from, to, free)
 	op := MutSetBusy
 	if free {
 		op = MutSetAvailable
@@ -534,39 +530,15 @@ func (pl *Planner) setRange(ctx context.Context, p PersonID, from, to int, free 
 	return nil
 }
 
-// calendarLocked materializes the availability calendar. The caller must
-// hold the write lock, or the read lock when the cache is known clean
-// (the function then only reads). The returned calendar is never mutated
-// afterwards (rebuilds allocate a fresh one), so queries may keep using it
-// after the lock is released.
-func (pl *Planner) calendarLocked() *schedule.Calendar {
-	if !pl.calDirty && pl.cal != nil {
-		return pl.cal
-	}
-	var cal *schedule.Calendar
-	if pl.base != nil {
-		// People loaded from a dataset/snapshot keep their imported
-		// schedules underneath any later SetAvailable/SetBusy edits;
-		// the word-wise clone keeps the rebuild cheap.
-		cal = pl.base.ExtendedClone(pl.g.NumVertices())
-	} else {
-		cal = schedule.NewCalendar(pl.g.NumVertices(), pl.horizon)
-	}
-	for _, a := range pl.avail {
-		cal.SetRange(int(a.person), a.from, a.to, a.free)
-	}
-	pl.cal = cal
-	pl.calDirty = false
-	return cal
-}
-
 // FromDataset wraps a generated dataset (see cmd/stgqgen and
-// internal/dataset) in a Planner. The dataset's calendar becomes the base
-// layer: later SetAvailable/SetBusy calls edit on top of it. Privacy
-// policies recorded in the dataset (a durable store's snapshot) are
-// restored; unknown policy values fall back to ShareAll. Locations are
-// restored into the spatial index; people without one stay unlocated
-// (excluded from geo-social queries).
+// internal/dataset) in a Planner. The planner adopts the dataset's graph
+// and starts from its calendar without ever writing to it: the store
+// shares d.Cal's rows, and a later SetAvailable/SetBusy replaces the row
+// it edits. People the dataset's calendar does not cover start all-busy,
+// like anyone added later. Privacy policies recorded in the dataset (a
+// durable store's snapshot) are restored; unknown policy values fall back
+// to ShareAll. Locations are restored into the spatial index; people
+// without one stay unlocated (excluded from geo-social queries).
 func FromDataset(d *dataset.Dataset) *Planner {
 	var policies map[PersonID]SharePolicy
 	for v, pol := range d.Policies {
@@ -579,12 +551,14 @@ func FromDataset(d *dataset.Dataset) *Planner {
 		}
 		policies[PersonID(v)] = sp
 	}
+	users := calUsers(d.Graph.NumVertices())
+	for u := d.Cal.Users(); u < len(users); u++ {
+		users[u] = -1
+	}
 	pl := &Planner{
 		g:         d.Graph,
 		horizon:   d.Cal.Horizon(),
-		base:      d.Cal,
-		cal:       d.Cal,
-		calDirty:  false,
+		cal:       d.Cal.View(users),
 		community: d.Community,
 		policies:  policies,
 	}
@@ -595,27 +569,19 @@ func FromDataset(d *dataset.Dataset) *Planner {
 }
 
 // Export returns a consistent point-in-time copy of the planner's state as
-// a dataset (graph deep-copied, calendar materialized), suitable for
-// serialization with dataset.Save and for round-tripping through
-// FromDataset. If onLocked is non-nil it runs while the planner lock is
-// still held, letting callers capture state that must be consistent with
-// the exported copy — the journal store uses it to pin the snapshot's
-// sequence number. Privacy policies are part of the export, so a durable
-// store's snapshots preserve them across compaction.
-//
-// Export also folds the accumulated SetAvailable/SetBusy edits into the
-// base calendar: the materialized calendar becomes the new base layer and
-// the edit log restarts empty, so a long-lived planner whose snapshots
-// run periodically rebuilds its calendar from a bounded number of edits
-// instead of an ever-growing log.
+// a dataset (graph and calendar deep-copied), suitable for serialization
+// with dataset.Save and for round-tripping through FromDataset. If
+// onLocked is non-nil it runs while the planner's read lock is still
+// held — no mutation can land, but other readers may run beside it —
+// letting callers capture state that must be consistent with the exported
+// copy; the journal store uses it to pin the snapshot's sequence number.
+// Privacy policies are part of the export, so a durable store's snapshots
+// preserve them across compaction.
 func (pl *Planner) Export(onLocked func()) *dataset.Dataset {
-	pl.mu.Lock()
-	// Clone the calendar too: handing out the live cache would let a
+	pl.mu.RLock()
+	// Clone the calendar too: handing out the store's rows would let a
 	// caller's SetRange edit the planner behind its lock.
-	materialized := pl.calendarLocked()
-	pl.base = materialized // fold: edits up to here are in the cache
-	pl.avail = nil
-	cal := materialized.ExtendedClone(0)
+	cal := pl.cal.ExtendedClone(0)
 	g := pl.g.Clone()
 	n := pl.g.NumVertices()
 	community := make([]int, n)
@@ -637,7 +603,7 @@ func (pl *Planner) Export(onLocked func()) *dataset.Dataset {
 	if onLocked != nil {
 		onLocked()
 	}
-	pl.mu.Unlock()
+	pl.mu.RUnlock()
 	days := 0
 	if schedule.SlotsPerDay > 0 {
 		days = (pl.horizon + schedule.SlotsPerDay - 1) / schedule.SlotsPerDay
@@ -645,32 +611,25 @@ func (pl *Planner) Export(onLocked func()) *dataset.Dataset {
 	return &dataset.Dataset{Graph: g, Cal: cal, Community: community, Days: days, Policies: policies, Locations: locations}
 }
 
-// queryView captures everything a query needs under one lock acquisition:
-// the feasible radius graph and, when withCalendar is set, the
-// initiator-visible calendar. Both are immutable, so the search itself
-// runs without holding any lock. Extraction and masking only read planner
-// state, so concurrent queries share a read lock; the write lock is taken
-// only when the calendar cache must be (re)materialized.
+// queryView captures everything a query needs under one read-lock
+// acquisition: the feasible radius graph and, when withCalendar is set,
+// the initiator-visible calendar. Both are immutable, so the search itself
+// runs without holding any lock, and nothing here writes planner state,
+// so concurrent queries share the lock.
 func (pl *Planner) queryView(initiator PersonID, s int, withCalendar bool) (*socialgraph.RadiusGraph, *schedule.Calendar, core.PivotRuns, error) {
 	pl.mu.RLock()
-	if !withCalendar || (!pl.calDirty && pl.cal != nil) {
-		rg, cal, runs, err := pl.viewRLocked(initiator, s, withCalendar)
-		pl.mu.RUnlock()
-		return rg, cal, runs, err
-	}
-	pl.mu.RUnlock()
-
-	pl.mu.Lock()
-	defer pl.mu.Unlock()
-	pl.calendarLocked()
+	defer pl.mu.RUnlock()
 	return pl.viewRLocked(initiator, s, withCalendar)
 }
 
-// viewRLocked builds the immutable query view. The caller holds at least
-// the read lock, and when withCalendar is set the calendar cache is
-// already materialized. The returned PivotRuns provider (nil when the
-// index is disabled or privacy masking is in play) is a snapshot captured
-// under the same lock as the calendar, so the two always agree.
+// viewRLocked builds the immutable query view; the caller holds at least
+// the read lock. The calendar holds the radius graph's members only —
+// user i is vertex i, so the engine's vertex → calendar-user mapping is
+// calUsers(rg.N()) — and shares the store's rows except for members whose
+// SharePolicy hides their schedule from the initiator, who get an all-busy
+// row. The PivotRuns provider (nil when the index is disabled) is the same
+// selection of the index's run rows, captured under the same lock, so the
+// two always agree.
 func (pl *Planner) viewRLocked(initiator PersonID, s int, withCalendar bool) (*socialgraph.RadiusGraph, *schedule.Calendar, core.PivotRuns, error) {
 	if int(initiator) < 0 || int(initiator) >= pl.g.NumVertices() {
 		return nil, nil, nil, fmt.Errorf("%w: person %d", ErrPersonNotFound, initiator)
@@ -682,18 +641,33 @@ func (pl *Planner) viewRLocked(initiator PersonID, s int, withCalendar bool) (*s
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	var cal *schedule.Calendar
-	var runs core.PivotRuns
-	if withCalendar {
-		cal = pl.visibleCalendarLocked(initiator)
-		// Privacy masking blanks hidden rows in the visible calendar; the
-		// index tracks true availability, so masked views fall back to
-		// row walks rather than leak an invisible schedule's runs.
-		if pl.idx != nil && len(pl.policies) == 0 {
-			runs = pl.idx.AvailSnapshot()
+	if !withCalendar {
+		return rg, nil, nil, nil
+	}
+	// members[v] is the store row of vertex v, or -1 (all-busy, to View
+	// and AvailFor alike) when the initiator may not read it.
+	members := make([]int, rg.N())
+	for v, person := range rg.Orig {
+		members[v] = person
+		if !pl.scheduleVisible(initiator, PersonID(person)) {
+			members[v] = -1
 		}
 	}
-	return rg, cal, runs, nil
+	var runs core.PivotRuns
+	if pl.idx != nil {
+		runs = pl.idx.AvailFor(members)
+	}
+	return rg, pl.cal.View(members), runs, nil
+}
+
+// calUsers is the vertex → calendar-user mapping of a query view (see
+// viewRLocked): the identity over n users.
+func calUsers(n int) []int {
+	users := make([]int, n)
+	for i := range users {
+		users[i] = i
+	}
+	return users
 }
 
 // radiusGraphRLocked extracts the feasible graph for one query, serving
@@ -750,7 +724,7 @@ func (pl *Planner) PlanActivity(q STGQuery) (*PlanResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	calUser := dataset.CalUsers(rg)
+	calUser := calUsers(rg.N())
 	opts := q.options()
 	opts.Runs = runs
 	var (
@@ -789,7 +763,7 @@ func (pl *Planner) PlanManually(q STGQuery) (*ManualPlan, error) {
 	if err != nil {
 		return nil, err
 	}
-	res, err := coordinate.PCArrange(rg, cal, dataset.CalUsers(rg), q.P, q.M)
+	res, err := coordinate.PCArrange(rg, cal, calUsers(rg.N()), q.P, q.M)
 	if err != nil {
 		return nil, err
 	}
@@ -815,7 +789,7 @@ func (pl *Planner) PlanWithSmallestK(q STGQuery, targetDistance float64) (int, *
 	}
 	opts := q.options()
 	opts.Runs = runs
-	res, err := coordinate.STGArrange(rg, cal, dataset.CalUsers(rg), q.P, q.M, targetDistance, q.P-1, opts)
+	res, err := coordinate.STGArrange(rg, cal, calUsers(rg.N()), q.P, q.M, targetDistance, q.P-1, opts)
 	if err != nil {
 		return 0, nil, err
 	}

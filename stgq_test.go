@@ -413,59 +413,6 @@ func TestExportRoundTrip(t *testing.T) {
 	}
 }
 
-// TestExportFoldsAvailEdits pins Export's calendar folding: a planner
-// that exported mid-stream (folding its edit log into the base calendar)
-// must stay slot-for-slot identical to one that accumulated every edit —
-// including for edits and people arriving after the fold.
-func TestExportFoldsAvailEdits(t *testing.T) {
-	folded, idsF := examplePlanner(t)
-	plain, idsP := examplePlanner(t)
-
-	mutate := func(pl *stgq.Planner, ids map[string]stgq.PersonID, round int) {
-		if err := pl.SetBusy(ids["v2"], round%3, round%3+2); err != nil {
-			t.Fatal(err)
-		}
-		if err := pl.SetAvailable(ids["v8"], 1, 5); err != nil {
-			t.Fatal(err)
-		}
-		id := pl.MustAddPerson("")
-		if err := pl.Connect(ids["v7"], id, 3); err != nil {
-			t.Fatal(err)
-		}
-		if err := pl.SetAvailable(id, 0, 6); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for round := 0; round < 3; round++ {
-		mutate(folded, idsF, round)
-		mutate(plain, idsP, round)
-		folded.Export(nil) // fold point; plain never exports until the end
-	}
-	dsF := folded.Export(nil)
-	dsP := plain.Export(nil)
-	if dsF.Cal.Users() != dsP.Cal.Users() || dsF.Cal.Horizon() != dsP.Cal.Horizon() {
-		t.Fatalf("calendar shape diverged: %dx%d vs %dx%d",
-			dsF.Cal.Users(), dsF.Cal.Horizon(), dsP.Cal.Users(), dsP.Cal.Horizon())
-	}
-	for u := 0; u < dsF.Cal.Users(); u++ {
-		for s := 0; s < dsF.Cal.Horizon(); s++ {
-			if dsF.Cal.Available(u, s) != dsP.Cal.Available(u, s) {
-				t.Fatalf("user %d slot %d: folded %v, plain %v",
-					u, s, dsF.Cal.Available(u, s), dsP.Cal.Available(u, s))
-			}
-		}
-	}
-	q := stgq.STGQuery{SGQuery: stgq.SGQuery{Initiator: idsF["v7"], P: 4, S: 1, K: 1}, M: 2}
-	want, errW := plain.PlanActivity(q)
-	got, errG := folded.PlanActivity(q)
-	if (errG == nil) != (errW == nil) {
-		t.Fatalf("query errors diverged: %v vs %v", errG, errW)
-	}
-	if errG == nil && (got.TotalDistance != want.TotalDistance || got.Window != want.Window) {
-		t.Fatalf("folded planner answers differently: %+v vs %+v", got, want)
-	}
-}
-
 // TestConcurrentMutationsAndQueries exercises the planner's internal
 // synchronization: parallel writers and readers must be race-free and
 // every query must see a consistent snapshot (run under -race).
