@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: check build test vet lint fmt-check fmt bench bench-smoke bench-check bench-regress bench-rebaseline load-smoke race e2e-failover e2e-ryw e2e-geo docs-check
+.PHONY: check build test vet lint fmt-check fmt bench bench-smoke bench-ab bench-check bench-regress bench-rebaseline load-smoke race e2e-failover e2e-ryw e2e-geo docs-check
 
 # Benchmark reports (BENCH_journal.json, BENCH_gateway.json) land in the
 # repo root regardless of each test binary's working directory; the
@@ -46,15 +46,27 @@ bench:
 # grid query or availability-index fast path at build time without the
 # cost of a real benchmark run. Leaves validated BENCH_journal.json,
 # BENCH_gateway.json, BENCH_geo.json and BENCH_engine.json in the repo
-# root (CI archives them as artifacts). The write-then-read benchmark
-# emits no report; its allocs/op at 10k and 100k people are the output.
+# root (CI archives them as artifacts). The write-then-read and the
+# radius-graph extraction benchmarks emit no report: their output is
+# allocs/op and B/op at 100k people, which must follow the s-hop ball.
 bench-smoke:
 	$(BENCH_ENV) $(GO) test -run='^$$' -bench='^BenchmarkJournalAppend$$' -benchtime=1x .
 	$(BENCH_ENV) $(GO) test -run='^$$' -bench='^BenchmarkGatewayProxyOverhead$$' -benchtime=1x ./internal/gateway
 	$(BENCH_ENV) $(GO) test -run='^$$' -bench='^BenchmarkGeoGrid$$' -benchtime=1x ./internal/geo
 	$(BENCH_ENV) $(GO) test -run='^$$' -bench='^BenchmarkSTGSelect$$' -benchtime=1x .
 	$(GO) test -run='^$$' -bench='^BenchmarkPlanActivityAfterWrite$$' -benchtime=1x .
+	$(GO) test -run='^$$' -bench='^BenchmarkExtractRadiusGraph$$' -benchtime=1x -benchmem ./internal/socialgraph
 	$(MAKE) bench-check
+
+# The repository's benchmark (BENCHMARK.json) as alternating parent/change
+# pairs judged by `stgqbench compare` — how a speed claim is measured:
+#   make bench-ab PARENT=<rev> WORKLOAD=read_cold_100k PAIRS=5
+# compares the working tree against PARENT (default: the last commit).
+PARENT ?= HEAD
+WORKLOAD ?= read_cold_100k
+PAIRS ?= 5
+bench-ab:
+	bash scripts/bench-ab.sh $(PARENT) $(WORKLOAD) $(PAIRS)
 
 # Validate the emitted benchmark reports: parseable, named, positive
 # ns/op, at least one populated histogram each.

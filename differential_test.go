@@ -76,6 +76,16 @@ func TestIndexedPlannerMatchesPlainPlanner(t *testing.T) {
 				case 9:
 					pol := stgq.SharePolicy(rng.Intn(3))
 					both("SetSchedulePolicy", func(pl *stgq.Planner) error { return pl.SetSchedulePolicy(a, pol) })
+				case 10:
+					// A newcomer mid-stream: the indexed planner keeps its
+					// labels across it (nobody's ball holds a person without
+					// friendships) and must go on answering like the plain one.
+					name := fmt.Sprintf("p%d", n)
+					n++
+					both("AddPerson", func(pl *stgq.Planner) error {
+						_, err := pl.AddPerson(name)
+						return err
+					})
 				default:
 					// No mutation this step: query back-to-back prefixes so
 					// the second query hits a warm label cache.

@@ -30,6 +30,25 @@ func New(n int) *Set {
 	return &Set{words: make([]uint64, (n+wordBits-1)/wordBits), n: n}
 }
 
+// NewSlab returns count empty Sets over the universe [0, n) whose word
+// vectors are carved from one allocation: a radius graph's neighbor sets
+// are built together and die together, so they need not be count separate
+// objects.
+func NewSlab(count, n int) []*Set {
+	if count < 0 || n < 0 {
+		panic("bitset: negative length")
+	}
+	w := (n + wordBits - 1) / wordBits
+	words := make([]uint64, count*w)
+	sets := make([]Set, count)
+	out := make([]*Set, count)
+	for i := range sets {
+		sets[i] = Set{words: words[i*w : (i+1)*w : (i+1)*w], n: n}
+		out[i] = &sets[i]
+	}
+	return out
+}
+
 // FromIndices returns a Set over [0, n) with the given indices set.
 func FromIndices(n int, idx ...int) *Set {
 	s := New(n)

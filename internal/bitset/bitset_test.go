@@ -332,3 +332,34 @@ func BenchmarkAndCount(b *testing.B) {
 		s1.AndCount(s2)
 	}
 }
+
+// TestNewSlabSetsAreIndependent: the sets share one allocation but not
+// one bit — each covers its own words, and none can grow into the next.
+func TestNewSlabSetsAreIndependent(t *testing.T) {
+	for _, n := range []int{0, 1, 63, 64, 65, 130} {
+		sets := NewSlab(5, n)
+		if len(sets) != 5 {
+			t.Fatalf("n=%d: %d sets, want 5", n, len(sets))
+		}
+		for i, s := range sets {
+			if s.Len() != n || !s.Empty() {
+				t.Fatalf("n=%d: set %d has length %d, empty %v", n, i, s.Len(), s.Empty())
+			}
+			if cap(s.words) != len(s.words) {
+				t.Fatalf("n=%d: set %d can grow into its neighbor (len %d cap %d)", n, i, len(s.words), cap(s.words))
+			}
+		}
+		if n == 0 {
+			continue
+		}
+		sets[2].Fill()
+		for i, s := range sets {
+			if want := map[bool]int{true: n, false: 0}[i == 2]; s.Count() != want {
+				t.Fatalf("n=%d: after filling set 2, set %d holds %d bits, want %d", n, i, s.Count(), want)
+			}
+		}
+	}
+	if len(NewSlab(0, 10)) != 0 {
+		t.Fatal("NewSlab(0, n) should be empty")
+	}
+}

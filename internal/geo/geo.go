@@ -25,6 +25,12 @@
 // O(1) incremental updates beat an R-tree's rebalancing on the mutation
 // path — and location mutations (MutSetLocation) arrive continuously.
 // An R-tree is deferred until profiling demands it.
+//
+// The planner does not keep a Grid: a geo-social query already knows its
+// few hundred candidates (the initiator's s-hop ball) and tests each one's
+// location with Point.DistanceTo, which is cheaper than asking a region
+// for its thousands of occupants. The Grid serves callers that start from
+// a region; its queries are bounded by the population whatever the radius.
 package geo
 
 import (
@@ -186,19 +192,37 @@ func (g *Grid) removeFromCell(key cellKey, id int) {
 // precisely those a brute-force scan over all locations would keep.
 // Order is unspecified. A non-positive radius returns only members at
 // exactly center (radius 0) or nothing (negative).
+//
+// The work is bounded by the population, not by the radius: a bounding
+// square spanning more cells than are occupied is answered by walking the
+// occupied cells, so a caller-chosen radius cannot buy an unbounded loop.
 func (g *Grid) WithinRadius(center Point, radius float64, dst []int) []int {
 	if radius < 0 || len(g.loc) == 0 {
+		return dst
+	}
+	keep := func(members []int) {
+		for _, id := range members {
+			if g.loc[id].DistanceTo(center) <= radius {
+				dst = append(dst, id)
+			}
+		}
+	}
+	// The span is counted in floats: for a huge radius the cell
+	// coordinates themselves overflow int (and a non-finite count must
+	// take the bounded walk, hence the negated comparison).
+	spanX := math.Floor((center.X+radius)/g.cell) - math.Floor((center.X-radius)/g.cell) + 1
+	spanY := math.Floor((center.Y+radius)/g.cell) - math.Floor((center.Y-radius)/g.cell) + 1
+	if !(spanX*spanY <= float64(len(g.cells))) {
+		for _, members := range g.cells {
+			keep(members)
+		}
 		return dst
 	}
 	lo := g.keyOf(Point{X: center.X - radius, Y: center.Y - radius})
 	hi := g.keyOf(Point{X: center.X + radius, Y: center.Y + radius})
 	for cx := lo.cx; cx <= hi.cx; cx++ {
 		for cy := lo.cy; cy <= hi.cy; cy++ {
-			for _, id := range g.cells[cellKey{cx, cy}] {
-				if g.loc[id].DistanceTo(center) <= radius {
-					dst = append(dst, id)
-				}
-			}
+			keep(g.cells[cellKey{cx, cy}])
 		}
 	}
 	return dst

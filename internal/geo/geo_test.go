@@ -85,6 +85,9 @@ func TestNewGridPanicsOnBadCellSize(t *testing.T) {
 // scan returns precisely the brute-force Euclidean filter's set, for
 // many random populations, centers, radii and cell sizes (including
 // negative coordinates, which exercise the floor-based cell mapping).
+// Every third trial asks for a huge radius — a bounding square of up to
+// ~10^300 cells, whose coordinates overflow int — which must come back
+// from a walk of the occupied cells, not of the coordinate range.
 func TestWithinRadiusMatchesBruteForce(t *testing.T) {
 	r := rand.New(rand.NewSource(42))
 	for _, cell := range []float64{25, 100, 1000} {
@@ -98,6 +101,9 @@ func TestWithinRadiusMatchesBruteForce(t *testing.T) {
 		for trial := 0; trial < 50; trial++ {
 			center := Point{X: (r.Float64() - 0.5) * 4000, Y: (r.Float64() - 0.5) * 4000}
 			radius := r.Float64() * 1500
+			if trial%3 == 2 {
+				radius = []float64{1e9, math.MaxFloat64 / 4}[trial%2]
+			}
 			var want []int
 			for id, p := range pts {
 				if p.DistanceTo(center) <= radius {

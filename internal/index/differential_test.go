@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/schedule"
+	"repro/internal/socialgraph"
 )
 
 // TestIncrementalMatchesRebuildEveryPrefix is the index half of the
@@ -104,20 +105,22 @@ func TestSnapshotImmuneToLaterMutations(t *testing.T) {
 }
 
 // TestLabelInvalidationPerMutationType pins the "precise invalidation"
-// contract: availability, location, and policy mutations preserve
-// cached distance labels; graph mutations (and AddPerson) drop them.
+// contract: availability, location and policy mutations preserve cached
+// distance labels, and so does AddPerson (a label lists a ball's members,
+// and a newcomer without friendships is in nobody's ball); friendship
+// edits drop them.
 func TestLabelInvalidationPerMutationType(t *testing.T) {
 	cal := schedule.NewCalendar(3, 8)
 	ix := Build(cal, 0)
-	dist := []float64{0, 1, 2}
+	ball := socialgraph.Ball{IDs: []int{1, 0, 2}, Dist: []float64{0, 1, 2}}
 
-	store := func() { ix.StoreLabel(1, 2, dist) }
+	store := func() { ix.StoreLabel(1, 2, ball) }
 	wantKept := func(op string) {
 		t.Helper()
 		if got, ok := ix.Label(1, 2); !ok {
 			t.Fatalf("%s dropped the label; it invalidates nothing label-related", op)
-		} else if &got[0] != &dist[0] {
-			t.Fatalf("%s returned a different label slice", op)
+		} else if &got.IDs[0] != &ball.IDs[0] || &got.Dist[0] != &ball.Dist[0] {
+			t.Fatalf("%s returned a different label", op)
 		}
 	}
 	wantDropped := func(op string) {
@@ -132,6 +135,8 @@ func TestLabelInvalidationPerMutationType(t *testing.T) {
 	wantKept("SetRange")
 	ix.Advance()
 	wantKept("Advance")
+	ix.AddPerson()
+	wantKept("AddPerson")
 
 	store()
 	ix.Connect()
@@ -139,9 +144,6 @@ func TestLabelInvalidationPerMutationType(t *testing.T) {
 	store()
 	ix.Disconnect()
 	wantDropped("Disconnect")
-	store()
-	ix.AddPerson()
-	wantDropped("AddPerson")
 }
 
 // TestLabelCacheFIFOEviction pins the bounded-memory contract: the
@@ -150,7 +152,7 @@ func TestLabelCacheFIFOEviction(t *testing.T) {
 	cal := schedule.NewCalendar(maxLabels+10, 4)
 	ix := Build(cal, 0)
 	for u := 0; u < maxLabels+10; u++ {
-		ix.StoreLabel(u, 1, []float64{float64(u)})
+		ix.StoreLabel(u, 1, socialgraph.Ball{IDs: []int{u}, Dist: []float64{0}})
 	}
 	if got := ix.Labels(); got != maxLabels {
 		t.Fatalf("cache holds %d labels, cap is %d", got, maxLabels)

@@ -13,10 +13,13 @@
 //     user's availability row — copy-on-write, so published rows stay
 //     immutable for lock-free readers — and leaves every distance label
 //     untouched (schedules do not move people on the social graph);
-//   - Connect/Disconnect/AddPerson invalidate the distance labels (the
-//     graph changed) and leave every availability row untouched;
+//   - Connect/Disconnect invalidate the distance labels (the edge set
+//     changed) and leave every availability row untouched;
+//   - AddPerson appends one all-busy row and keeps the labels: a label
+//     lists the members of a ball, and a person with no friendships yet
+//     is in nobody's;
 //   - SetLocation and SetPolicy invalidate nothing: locations live in the
-//     planner's spatial grid, and a policy decides per query which of the
+//     planner's own location map, and a policy decides per query which of the
 //     candidates' rows the initiator may read (AvailFor substitutes the
 //     all-busy row for the others — the index stays on under policies),
 //     so the index only advances its sequence stamp.
@@ -24,9 +27,10 @@
 // Queries consume the index through two read-side surfaces: Avail (an
 // immutable snapshot of the candidates' rows implementing the pivot-run
 // lookups of repro/internal/core, Definition 4's per-pivot eligibility
-// in O(1) per vertex) and Label/StoreLabel (cached s-bounded distance
-// vectors that replace the per-query Bellman-Ford of radius-graph
-// extraction for repeat initiators — the "landmark" users of the
+// in O(1) per vertex) and Label/StoreLabel (cached balls — the members
+// within s edges of an initiator and their s-bounded distances, 16 bytes
+// per member — that replace the per-query Bellman-Ford of radius-graph
+// extraction for repeat initiators, the "landmark" users of the
 // workload).
 package index
 
@@ -81,14 +85,13 @@ func (ix *Index) Users() int {
 }
 
 // AddPerson appends an empty (fully busy) availability row for a newly
-// registered person and drops the distance labels: the distance vectors
-// cached so far are one vertex short.
+// registered person. Distance labels survive: each lists the members of
+// one ball, and the newcomer, having no friendships, is in none of them.
 func (ix *Index) AddPerson() {
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
 	ix.seq++
 	ix.rows = append(ix.rows, buildUserRuns(newRow(ix.horizon), ix.horizon, ix.seq))
-	ix.labels.invalidate()
 }
 
 // SetRange applies one availability edit: person's slots [from, to)

@@ -13,9 +13,9 @@ var (
 	mLabelHits = obsv.NewCounter("stgq_index_label_hits_total",
 		"Distance-label cache hits: radius-graph extractions served without a Bellman-Ford pass.")
 	mLabelMisses = obsv.NewCounter("stgq_index_label_misses_total",
-		"Distance-label cache misses: extractions that ran the full s-bounded shortest-path pass.")
+		"Distance-label cache misses: extractions that ran the s-bounded distance pass over their ball.")
 	mLabelInvalidations = obsv.NewCounter("stgq_index_label_invalidations_total",
-		"Distance labels dropped by graph mutations (Connect/Disconnect/AddPerson).")
+		"Distance labels dropped by friendship edits (Connect/Disconnect).")
 	mLabelEvictions = obsv.NewCounter("stgq_index_label_evictions_total",
 		"Distance labels evicted by the FIFO capacity bound.")
 )

@@ -4,13 +4,25 @@
 // extraction of Section 3.2.1 — the dynamic program for the i-edge minimum
 // distance (Definition 1) that keeps exactly the candidate attendees
 // reachable from the initiator within s edges.
+//
+// Definition 1 is hop-bounded: d^i(v,q) is the cheapest path of at most i
+// edges, computed from the d^{i-1} values alone. Ball runs that recurrence
+// over a frontier — each round relaxes only the edges of vertices improved
+// in the round before, so a query pays for the few hundred vertices of its
+// ball rather than for the population — and keeps the recurrence's round
+// barrier: a round never reads a distance written in the same round. That
+// is what separates it from Dijkstra's algorithm, which would find cheaper
+// paths of more than s edges and admit people the query's social radius
+// excludes. RadiusGraphOf then builds the feasible graph over the ball.
 package socialgraph
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
+	"sync"
 
 	"repro/internal/bitset"
 )
@@ -239,50 +251,128 @@ func (g *Graph) Neighbors(v int, fn func(u int, dist float64)) {
 	}
 }
 
-// EdgeMinDistances runs the dynamic program of Definition 1 and returns, for
-// every vertex v, the s-edge minimum distance d^s(v,q): the total distance of
-// the minimum-distance path from q to v using at most s edges (Inf when no
-// such path exists).
+// Ball is the sparse result of the distance pass of Definition 1: the
+// vertices with d^s(v,q) < ∞ and their s-edge minimum distances, sorted by
+// ascending (distance, id). Edge distances are positive, so the initiator
+// (distance 0) is always entry 0. It is what the planner's label cache
+// keeps per initiator: 16 bytes per ball member, whatever the population.
+type Ball struct {
+	// IDs holds the original graph ids of the reached vertices.
+	IDs []int
+	// Dist[i] is the s-edge minimum distance from IDs[i] to the initiator.
+	Dist []float64
+}
+
+// reach is one frontier entry: a vertex and the distance it held when the
+// round that improved it ended.
+type reach struct {
+	v int
+	d float64
+}
+
+// scratch is the N-sized working memory of one extraction. Between uses
+// every dist entry is Inf and every mark entry is 0; an extraction writes
+// only the entries of vertices it reaches and restores exactly those, so
+// borrowing it costs the ball, not the population.
+type scratch struct {
+	dist []float64
+	// mark is the round in which a vertex last joined the frontier during
+	// the distance pass, and its feasible-graph index + 1 while a
+	// RadiusGraph is being built.
+	mark        []int32
+	touched     []int // vertices whose dist was written
+	front, next []reach
+	adj         []int // the feasible graph's Adj lists, back to back
+}
+
+var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
+
+// borrowScratch returns a clean scratch covering n vertices. One pooled
+// from before the graph grew is too short: it is clean, so it is simply
+// replaced.
+func borrowScratch(n int) *scratch {
+	sc := scratchPool.Get().(*scratch)
+	if len(sc.dist) < n {
+		sc.dist = make([]float64, n)
+		for i := range sc.dist {
+			sc.dist[i] = Inf
+		}
+		sc.mark = make([]int32, n)
+	}
+	return sc
+}
+
+// Ball runs the dynamic program of Definition 1 from initiator q and
+// returns the vertices within s edges with their s-edge minimum distance
+// d^s(v,q): the total distance of the minimum-distance path from q to v
+// using at most s edges.
 //
 //	d^0(q,q) = 0, d^0(v,q) = ∞,
 //	d^i(v,q) = min( d^{i-1}(v,q), min_{u ∈ N_v} d^{i-1}(u,q) + c(u,v) ).
 //
-// This is a bounded-hop Bellman-Ford: O(s·|E|).
-func (g *Graph) EdgeMinDistances(q, s int) ([]float64, error) {
+// This is a bounded-hop Bellman-Ford run over a frontier: round i relaxes
+// only the edges of the vertices whose distance improved in round i−1 (a
+// vertex that did not improve already offered its neighbors the same sum
+// in an earlier round), so the cost is the edges of the ball, not O(s·|E|).
+// The round barrier of the recurrence stays: round i reads the distances
+// as they stood when round i−1 ended (the frontier carries that snapshot),
+// never one written in round i. Relaxing from a fresher value, as Dijkstra
+// does, would extend a path by two edges in one round and admit vertices
+// farther than s edges away.
+func (g *Graph) Ball(q, s int) (Ball, error) {
 	n := len(g.adj)
 	if q < 0 || q >= n {
-		return nil, fmt.Errorf("%w: id %d", ErrVertexNotFound, q)
+		return Ball{}, fmt.Errorf("%w: id %d", ErrVertexNotFound, q)
 	}
 	if s < 0 {
-		return nil, fmt.Errorf("socialgraph: negative radius %d", s)
+		return Ball{}, fmt.Errorf("socialgraph: negative radius %d", s)
 	}
-	cur := make([]float64, n)
-	next := make([]float64, n)
-	for i := range cur {
-		cur[i] = Inf
-	}
-	cur[q] = 0
-	for i := 0; i < s; i++ {
-		copy(next, cur)
-		changed := false
-		for v := 0; v < n; v++ {
-			if math.IsInf(cur[v], 1) {
-				continue
-			}
-			base := cur[v]
-			for _, e := range g.adj[v] {
-				if d := base + e.dist; d < next[e.to] {
-					next[e.to] = d
-					changed = true
+	sc := borrowScratch(n)
+	sc.dist[q] = 0
+	sc.touched = append(sc.touched[:0], q)
+	front := append(sc.front[:0], reach{q, 0})
+	next := sc.next[:0]
+	// Distances converge within n−1 rounds, so the round counter fits mark.
+	for round := int32(1); int(round) <= s && len(front) > 0; round++ {
+		next = next[:0]
+		for _, f := range front {
+			for _, e := range g.adj[f.v] {
+				d := f.d + e.dist
+				if d >= sc.dist[e.to] {
+					continue
 				}
+				if sc.mark[e.to] == 0 { // first reached (q, never improved, keeps 0)
+					sc.touched = append(sc.touched, e.to)
+				}
+				if sc.mark[e.to] != round {
+					sc.mark[e.to] = round
+					next = append(next, reach{v: e.to})
+				}
+				sc.dist[e.to] = d
 			}
 		}
-		cur, next = next, cur
-		if !changed {
-			break
+		for i := range next {
+			next[i].d = sc.dist[next[i].v]
 		}
+		front, next = next, front
 	}
-	return cur, nil
+	sc.front, sc.next = front, next
+
+	b := Ball{IDs: append([]int(nil), sc.touched...), Dist: make([]float64, len(sc.touched))}
+	slices.SortFunc(b.IDs, func(u, v int) int {
+		if c := cmp.Compare(sc.dist[u], sc.dist[v]); c != 0 {
+			return c
+		}
+		return cmp.Compare(u, v)
+	})
+	for i, v := range b.IDs {
+		b.Dist[i] = sc.dist[v]
+	}
+	for _, v := range sc.touched {
+		sc.dist[v], sc.mark[v] = Inf, 0
+	}
+	scratchPool.Put(sc)
+	return b, nil
 }
 
 // RadiusGraph is the feasible graph G_F of Section 3.2.1: the subgraph
@@ -309,68 +399,59 @@ type RadiusGraph struct {
 // ascending social distance (ties by original id), which is the access order
 // SGSelect wants.
 func (g *Graph) ExtractRadiusGraph(q, s int) (*RadiusGraph, error) {
-	dist, err := g.EdgeMinDistances(q, s)
+	b, err := g.Ball(q, s)
 	if err != nil {
 		return nil, err
 	}
-	return g.ExtractRadiusGraphWithDistances(q, dist), nil
+	return g.RadiusGraphOf(b), nil
 }
 
-// ExtractRadiusGraphWithDistances builds the feasible graph for initiator
-// q from an already-computed s-bounded distance vector — one returned by
-// EdgeMinDistances(q, s) against the current graph, possibly cached by an
-// incremental index (repro/internal/index). It performs no shortest-path
-// work of its own: handing it a vector from a different initiator or a
-// stale graph produces a garbage feasible graph, so callers own that
-// consistency (the planner computes and caches vectors under one lock).
-// q must be a valid vertex and dist must have one entry per vertex.
-func (g *Graph) ExtractRadiusGraphWithDistances(q int, dist []float64) *RadiusGraph {
-	type vd struct {
-		id int
-		d  float64
-	}
-	var keep []vd
-	for v, d := range dist {
-		if v != q && !math.IsInf(d, 1) {
-			keep = append(keep, vd{v, d})
-		}
-	}
-	sort.Slice(keep, func(i, j int) bool {
-		if keep[i].d != keep[j].d {
-			return keep[i].d < keep[j].d
-		}
-		return keep[i].id < keep[j].id
-	})
-
-	n := len(keep) + 1
+// RadiusGraphOf builds the feasible graph over a ball returned by Ball
+// against the current graph — possibly one cached by an incremental index
+// (repro/internal/index). It performs no shortest-path work of its own and
+// shares b's slices, which must not be mutated afterwards: handing it a
+// ball computed before a later edge edit produces a garbage feasible
+// graph, so callers own that consistency (the planner computes and caches
+// balls under one lock).
+func (g *Graph) RadiusGraphOf(b Ball) *RadiusGraph {
+	n := len(b.IDs)
 	rg := &RadiusGraph{
-		Orig:   make([]int, n),
-		Dist:   make([]float64, n),
-		Nbr:    make([]*bitset.Set, n),
+		Orig:   b.IDs,
+		Dist:   b.Dist,
+		Nbr:    bitset.NewSlab(n, n),
 		Adj:    make([][]int, n),
 		Labels: make([]string, n),
 	}
-	index := make(map[int]int, n)
-	rg.Orig[0], rg.Dist[0] = q, 0
-	rg.Labels[0] = g.Label(q)
-	index[q] = 0
-	for i, kv := range keep {
-		rg.Orig[i+1] = kv.id
-		rg.Dist[i+1] = kv.d
-		rg.Labels[i+1] = g.Label(kv.id)
-		index[kv.id] = i + 1
+	sc := borrowScratch(len(g.adj))
+	for i, v := range b.IDs {
+		sc.mark[v] = int32(i + 1)
+		rg.Labels[i] = g.labels[v]
 	}
-	for i := 0; i < n; i++ {
-		rg.Nbr[i] = bitset.New(n)
-	}
-	for i := 0; i < n; i++ {
-		for _, e := range g.adj[rg.Orig[i]] {
-			if j, ok := index[e.to]; ok {
+	// The Adj lists are gathered in pooled memory and then carved from one
+	// exactly-sized array; until then Adj[i] only remembers its length.
+	adj := sc.adj[:0]
+	for i, v := range b.IDs {
+		lo := len(adj)
+		for _, e := range g.adj[v] {
+			if j := int(sc.mark[e.to]) - 1; j >= 0 {
 				rg.Nbr[i].Add(j)
-				rg.Adj[i] = append(rg.Adj[i], j)
+				adj = append(adj, j)
 			}
 		}
+		rg.Adj[i] = adj[lo:]
 	}
+	sc.adj = adj
+	adj = slices.Clone(adj)
+	lo := 0
+	for i := range rg.Adj {
+		hi := lo + len(rg.Adj[i])
+		rg.Adj[i] = adj[lo:hi:hi]
+		lo = hi
+	}
+	for _, v := range b.IDs {
+		sc.mark[v] = 0
+	}
+	scratchPool.Put(sc)
 	return rg
 }
 

@@ -2,8 +2,11 @@ package socialgraph
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
+	"sort"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -124,23 +127,20 @@ func TestEdgeMinDistancesChain(t *testing.T) {
 	g.MustAddEdge(b, c, 1)
 	g.MustAddEdge(q, c, 10)
 
-	d1, err := g.EdgeMinDistances(q, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	d1 := hopDistances(t, g, q, 1)
 	if d1[a] != 1 || !math.IsInf(d1[b], 1) || d1[c] != 10 {
 		t.Errorf("s=1: got a=%v b=%v c=%v", d1[a], d1[b], d1[c])
 	}
-	d2, _ := g.EdgeMinDistances(q, 2)
+	d2 := hopDistances(t, g, q, 2)
 	if d2[b] != 2 || d2[c] != 10 {
 		t.Errorf("s=2: got b=%v c=%v, want 2, 10", d2[b], d2[c])
 	}
 	// With 3 edges the chain beats the shortcut.
-	d3, _ := g.EdgeMinDistances(q, 3)
+	d3 := hopDistances(t, g, q, 3)
 	if d3[c] != 3 {
 		t.Errorf("s=3: c=%v, want 3", d3[c])
 	}
-	d0, _ := g.EdgeMinDistances(q, 0)
+	d0 := hopDistances(t, g, q, 0)
 	if d0[q] != 0 || !math.IsInf(d0[a], 1) {
 		t.Errorf("s=0: q=%v a=%v", d0[q], d0[a])
 	}
@@ -149,11 +149,14 @@ func TestEdgeMinDistancesChain(t *testing.T) {
 func TestEdgeMinDistancesErrors(t *testing.T) {
 	g := New()
 	g.MustAddVertex("q")
-	if _, err := g.EdgeMinDistances(5, 1); err == nil {
-		t.Error("unknown initiator should fail")
+	if _, err := g.Ball(5, 1); !errors.Is(err, ErrVertexNotFound) {
+		t.Errorf("unknown initiator: %v, want ErrVertexNotFound", err)
 	}
-	if _, err := g.EdgeMinDistances(0, -1); err == nil {
+	if _, err := g.Ball(0, -1); err == nil {
 		t.Error("negative radius should fail")
+	}
+	if _, err := g.ExtractRadiusGraph(5, 1); !errors.Is(err, ErrVertexNotFound) {
+		t.Errorf("extract from unknown initiator: %v, want ErrVertexNotFound", err)
 	}
 }
 
@@ -171,8 +174,8 @@ func TestHopConstrainedVsUnconstrained(t *testing.T) {
 	g.MustAddEdge(m1, m2, 1)
 	g.MustAddEdge(m2, x, 1)
 
-	d1, _ := g.EdgeMinDistances(q, 1)
-	d3, _ := g.EdgeMinDistances(q, 3)
+	d1 := hopDistances(t, g, q, 1)
+	d3 := hopDistances(t, g, q, 3)
 	if d1[x] != 100 {
 		t.Errorf("s=1 distance to x = %v, want 100", d1[x])
 	}
@@ -356,10 +359,7 @@ func TestQuickEdgeMinDistances(t *testing.T) {
 		g := randomGraph(r, n, 0.4)
 		q := r.Intn(n)
 		s := 1 + r.Intn(3)
-		dp, err := g.EdgeMinDistances(q, s)
-		if err != nil {
-			return false
-		}
+		dp := hopDistances(t, g, q, s)
 		for v := 0; v < n; v++ {
 			want := bruteForceHopDistance(g, q, v, s)
 			if dp[v] != want && !(math.IsInf(dp[v], 1) && math.IsInf(want, 1)) {
@@ -462,5 +462,314 @@ func TestClone(t *testing.T) {
 	}
 	if id, err := g.VertexByLabel("a"); err != nil || id != 0 {
 		t.Fatalf("original label index: %v %v", id, err)
+	}
+}
+
+// EdgeMinDistances is the dense dynamic program of Definition 1 exactly as
+// Graph.ExtractRadiusGraph ran it before the frontier pass replaced it:
+// two N-vectors, every vertex swept in every round. It is kept, verbatim,
+// as the oracle the frontier pass is compared against.
+func (g *Graph) EdgeMinDistances(q, s int) ([]float64, error) {
+	n := len(g.adj)
+	if q < 0 || q >= n {
+		return nil, fmt.Errorf("%w: id %d", ErrVertexNotFound, q)
+	}
+	if s < 0 {
+		return nil, fmt.Errorf("socialgraph: negative radius %d", s)
+	}
+	cur := make([]float64, n)
+	next := make([]float64, n)
+	for i := range cur {
+		cur[i] = Inf
+	}
+	cur[q] = 0
+	for i := 0; i < s; i++ {
+		copy(next, cur)
+		changed := false
+		for v := 0; v < n; v++ {
+			if math.IsInf(cur[v], 1) {
+				continue
+			}
+			base := cur[v]
+			for _, e := range g.adj[v] {
+				if d := base + e.dist; d < next[e.to] {
+					next[e.to] = d
+					changed = true
+				}
+			}
+		}
+		cur, next = next, cur
+		if !changed {
+			break
+		}
+	}
+	return cur, nil
+}
+
+// ExtractRadiusGraphWithDistances is the other half of the oracle: the
+// feasible graph built from a dense distance vector by an N-scan and a map
+// index, verbatim from before the change.
+func (g *Graph) ExtractRadiusGraphWithDistances(q int, dist []float64) *RadiusGraph {
+	type vd struct {
+		id int
+		d  float64
+	}
+	var keep []vd
+	for v, d := range dist {
+		if v != q && !math.IsInf(d, 1) {
+			keep = append(keep, vd{v, d})
+		}
+	}
+	sort.Slice(keep, func(i, j int) bool {
+		if keep[i].d != keep[j].d {
+			return keep[i].d < keep[j].d
+		}
+		return keep[i].id < keep[j].id
+	})
+
+	n := len(keep) + 1
+	rg := &RadiusGraph{
+		Orig:   make([]int, n),
+		Dist:   make([]float64, n),
+		Nbr:    make([]*bitset.Set, n),
+		Adj:    make([][]int, n),
+		Labels: make([]string, n),
+	}
+	index := make(map[int]int, n)
+	rg.Orig[0], rg.Dist[0] = q, 0
+	rg.Labels[0] = g.Label(q)
+	index[q] = 0
+	for i, kv := range keep {
+		rg.Orig[i+1] = kv.id
+		rg.Dist[i+1] = kv.d
+		rg.Labels[i+1] = g.Label(kv.id)
+		index[kv.id] = i + 1
+	}
+	for i := 0; i < n; i++ {
+		rg.Nbr[i] = bitset.New(n)
+	}
+	for i := 0; i < n; i++ {
+		for _, e := range g.adj[rg.Orig[i]] {
+			if j, ok := index[e.to]; ok {
+				rg.Nbr[i].Add(j)
+				rg.Adj[i] = append(rg.Adj[i], j)
+			}
+		}
+	}
+	return rg
+}
+
+// hopDistances runs the production distance pass, spreads its sparse
+// result over an N-vector (Inf = outside the ball) and holds it against
+// the dense oracle before handing it to the caller's own assertions.
+func hopDistances(t testing.TB, g *Graph, q, s int) []float64 {
+	t.Helper()
+	b, err := g.Ball(q, s)
+	if err != nil {
+		t.Fatalf("Ball(%d, %d): %v", q, s, err)
+	}
+	dense := make([]float64, g.NumVertices())
+	for i := range dense {
+		dense[i] = Inf
+	}
+	for i, v := range b.IDs {
+		dense[v] = b.Dist[i]
+	}
+	want, err := g.EdgeMinDistances(q, s)
+	if err != nil {
+		t.Fatalf("oracle(%d, %d): %v", q, s, err)
+	}
+	for v := range want {
+		if dense[v] != want[v] {
+			t.Fatalf("q=%d s=%d: d(%d) = %v, dense oracle says %v", q, s, v, dense[v], want[v])
+		}
+	}
+	return dense
+}
+
+// diffRadiusGraphs reports the first field in which two feasible graphs
+// differ, or "" when they are identical.
+func diffRadiusGraphs(got, want *RadiusGraph) string {
+	if got.N() != want.N() {
+		return fmt.Sprintf("%d vertices, want %d", got.N(), want.N())
+	}
+	for i := 0; i < want.N(); i++ {
+		switch {
+		case got.Orig[i] != want.Orig[i]:
+			return fmt.Sprintf("Orig[%d] = %d, want %d", i, got.Orig[i], want.Orig[i])
+		case got.Dist[i] != want.Dist[i]:
+			return fmt.Sprintf("Dist[%d] = %v, want %v", i, got.Dist[i], want.Dist[i])
+		case got.Labels[i] != want.Labels[i]:
+			return fmt.Sprintf("Labels[%d] = %q, want %q", i, got.Labels[i], want.Labels[i])
+		case !got.Nbr[i].Equal(want.Nbr[i]):
+			return fmt.Sprintf("Nbr[%d] = %v, want %v", i, got.Nbr[i], want.Nbr[i])
+		case fmt.Sprint(got.Adj[i]) != fmt.Sprint(want.Adj[i]):
+			return fmt.Sprintf("Adj[%d] = %v, want %v", i, got.Adj[i], want.Adj[i])
+		}
+	}
+	return ""
+}
+
+// oracleGraph is the feasible graph the dense path builds.
+func oracleGraph(t testing.TB, g *Graph, q, s int) *RadiusGraph {
+	t.Helper()
+	dist, err := g.EdgeMinDistances(q, s)
+	if err != nil {
+		t.Fatalf("oracle(%d, %d): %v", q, s, err)
+	}
+	return g.ExtractRadiusGraphWithDistances(q, dist)
+}
+
+// messyGraph is a labeled random graph with the shapes the frontier pass
+// could get wrong: isolated vertices, several components, equal distances
+// (small integer weights, so the id tie-break decides the order) and
+// edges re-added with a different weight (AddEdge keeps the minimum).
+func messyGraph(r *rand.Rand, n int) *Graph {
+	g := New()
+	for v := 0; v < n; v++ {
+		label := ""
+		if r.Intn(3) > 0 {
+			label = fmt.Sprintf("p%d", v)
+		}
+		g.MustAddVertex(label)
+	}
+	connected := n - r.Intn(n/4+1) // the tail stays isolated
+	pEdge := 0.05 + 0.3*r.Float64()
+	for u := 0; u < connected; u++ {
+		for v := u + 1; v < connected; v++ {
+			if r.Float64() < pEdge {
+				g.MustAddEdge(u, v, float64(1+r.Intn(6)))
+				if r.Intn(4) == 0 {
+					g.MustAddEdge(v, u, float64(1+r.Intn(6)))
+				}
+			}
+		}
+	}
+	return g
+}
+
+// TestExtractMatchesDenseOracle is the differential the frontier pass
+// rests on: every field of the feasible graph equals the dense path's,
+// for every initiator and s = 0…4 on seeded random graphs.
+func TestExtractMatchesDenseOracle(t *testing.T) {
+	for seed := int64(1); seed <= 40; seed++ {
+		r := rand.New(rand.NewSource(seed))
+		g := messyGraph(r, 2+r.Intn(40))
+		for q := 0; q < g.NumVertices(); q++ {
+			for s := 0; s <= 4; s++ {
+				got, err := g.ExtractRadiusGraph(q, s)
+				if err != nil {
+					t.Fatalf("seed %d q=%d s=%d: %v", seed, q, s, err)
+				}
+				if d := diffRadiusGraphs(got, oracleGraph(t, g, q, s)); d != "" {
+					t.Fatalf("seed %d q=%d s=%d: %s", seed, q, s, d)
+				}
+			}
+		}
+	}
+}
+
+// TestRoundBarrier pins the hop bound of Definition 1. On the chain
+// q–a–b–c (1 each) with a direct q–b edge of 10, round 2 improves b to 2
+// through a; c must still be offered b's round-1 value (10), because the
+// path q–a–b–c has three edges. A pass that relaxed from the value written
+// in the same round would report d(c) = 3 at s = 2 — and, with the q–b
+// edge gone, would put c in a ball it is three hops away from.
+func TestRoundBarrier(t *testing.T) {
+	build := func(shortcut bool) (*Graph, [4]int) {
+		g := New()
+		var v [4]int
+		for i, name := range []string{"q", "a", "b", "c"} {
+			v[i] = g.MustAddVertex(name)
+		}
+		g.MustAddEdge(v[0], v[1], 1)
+		g.MustAddEdge(v[1], v[2], 1)
+		g.MustAddEdge(v[2], v[3], 1)
+		if shortcut {
+			g.MustAddEdge(v[0], v[2], 10)
+		}
+		return g, v
+	}
+
+	g, v := build(true)
+	d := hopDistances(t, g, v[0], 2)
+	if d[v[2]] != 2 || d[v[3]] != 11 {
+		t.Fatalf("s=2 with the q–b edge: d(b)=%v d(c)=%v, want 2 and 11", d[v[2]], d[v[3]])
+	}
+
+	g, v = build(false)
+	rg, err := g.ExtractRadiusGraph(v[0], 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fmt.Sprint(rg.Labels) != "[q a b]" {
+		t.Fatalf("s=2 without the q–b edge: ball %v, want [q a b] (c is three edges away)", rg.Labels)
+	}
+}
+
+// TestConcurrentExtraction runs 8 goroutines extracting different
+// initiators from one graph (run it under -race): the pooled scratch is
+// never shared between two extractions in flight and never comes back
+// dirty — a leftover distance or mark from another initiator, or from the
+// failed out-of-range calls in between, would break the oracle comparison.
+func TestConcurrentExtraction(t *testing.T) {
+	g := messyGraph(rand.New(rand.NewSource(99)), 120)
+	n := g.NumVertices()
+	var want [][3]*RadiusGraph
+	for q := 0; q < n; q++ {
+		want = append(want, [3]*RadiusGraph{oracleGraph(t, g, q, 1), oracleGraph(t, g, q, 2), oracleGraph(t, g, q, 3)})
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < 8; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for round := 0; round < 20; round++ {
+				for q := w; q < n; q += 8 {
+					s := 1 + (q+round)%3
+					got, err := g.ExtractRadiusGraph(q, s)
+					if err != nil {
+						t.Errorf("worker %d q=%d s=%d: %v", w, q, s, err)
+						return
+					}
+					if d := diffRadiusGraphs(got, want[q][s-1]); d != "" {
+						t.Errorf("worker %d q=%d s=%d: %s", w, q, s, d)
+						return
+					}
+					if _, err := g.ExtractRadiusGraph(n+q, s); err == nil {
+						t.Errorf("worker %d: out-of-range initiator %d accepted", w, n+q)
+						return
+					}
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+}
+
+// TestExtractionAfterGraphGrowth: a scratch pooled while the graph had
+// fewer vertices is too short for the grown graph and must be replaced,
+// not indexed past its end.
+func TestExtractionAfterGraphGrowth(t *testing.T) {
+	g := New()
+	g.AddVertices(3)
+	g.MustAddEdge(0, 1, 2)
+	g.MustAddEdge(1, 2, 2)
+	for q := 0; q < 3; q++ { // leave 3-vertex scratch in the pool
+		if _, err := g.ExtractRadiusGraph(q, 2); err != nil {
+			t.Fatal(err)
+		}
+	}
+	first := g.AddVertices(500)
+	g.MustAddEdge(2, first+499, 1)
+	g.MustAddEdge(first+499, first+250, 1)
+	for _, q := range []int{0, 2, first + 250, first + 499, first + 7} {
+		got, err := g.ExtractRadiusGraph(q, 3)
+		if err != nil {
+			t.Fatalf("q=%d: %v", q, err)
+		}
+		if d := diffRadiusGraphs(got, oracleGraph(t, g, q, 3)); d != "" {
+			t.Fatalf("q=%d after growth: %s", q, d)
+		}
 	}
 }

@@ -16,9 +16,11 @@ import (
 // mapping geographic coordinates onto it).
 type Point = geo.Point
 
-// DefaultGridCellSize is the spatial-index cell size in meters. 250 m
-// wins the geo package's cell-size sweep for clustered city-scale
-// populations at walkable query radii (see BenchmarkGeoGrid).
+// DefaultGridCellSize is the cell size in meters for a geo.Grid over a
+// deployment's locations. 250 m wins the geo package's cell-size sweep for
+// clustered city-scale populations at walkable query radii (see
+// BenchmarkGeoGrid). The planner itself keeps no grid: a geo-social query
+// tests the locations of its ball's members, not a region's occupants.
 const DefaultGridCellSize = 250
 
 // SetLocation records person p's current location on the flat local
@@ -50,16 +52,13 @@ func (pl *Planner) SetLocationCtx(ctx context.Context, p PersonID, x, y float64)
 	return nil
 }
 
-// setLocationLocked updates the location map and the spatial index; the
-// caller holds the write lock (or owns the planner exclusively, as
-// FromDataset does).
+// setLocationLocked updates the location map; the caller holds the write
+// lock (or owns the planner exclusively, as FromDataset does).
 func (pl *Planner) setLocationLocked(p PersonID, pt geo.Point) {
 	if pl.locations == nil {
 		pl.locations = make(map[PersonID]geo.Point)
-		pl.grid = geo.NewGrid(DefaultGridCellSize)
 	}
 	pl.locations[p] = pt
-	pl.grid.Move(int(p), pt)
 }
 
 // Location returns person p's last recorded location, and whether one is
@@ -110,11 +109,11 @@ type GeoPlanResult struct {
 	PivotSlot int
 }
 
-// PlanGeoActivity answers a geo-social group query: candidate attendees
-// are pruned through the spatial index first (grid cells overlapping the
-// radius, then an exact distance check), and the branch-and-bound runs
-// with the combined social + spatial cost. With M ≥ 1 the temporal
-// machinery of PlanActivity applies on top.
+// PlanGeoActivity answers a geo-social group query: the members of the
+// initiator's s-hop ball who stand outside the radius (or have no
+// location) are pruned first, and the branch-and-bound runs with the
+// combined social + spatial cost. With M ≥ 1 the temporal machinery of
+// PlanActivity applies on top.
 func (pl *Planner) PlanGeoActivity(q GSGQuery) (*GeoPlanResult, error) {
 	if q.Algorithm != AlgDefault {
 		return nil, fmt.Errorf("%w: geo-social queries support only the default algorithm", ErrBadQuery)
@@ -168,27 +167,18 @@ func (pl *Planner) geoQueryView(initiator PersonID, s int, withCalendar bool, ce
 }
 
 // spatialRLocked builds the spatial-distance vector for a radius graph:
-// the grid index is queried once for the ids inside the radius (cell
-// scan over the bounding box, exact distance check — identical to a
-// brute-force filter by the grid's contract), then radius-graph vertices
-// are mapped through their original ids. The caller holds at least the
-// read lock.
+// each member's own location is tested against the radius (inclusive, the
+// predicate geo.Grid.WithinRadius applies), so the cost is the ball's size
+// whatever the radius and however many people stand inside it. The caller
+// holds at least the read lock.
 func (pl *Planner) spatialRLocked(rg *socialgraph.RadiusGraph, center geo.Point, radius float64) []float64 {
 	spat := make([]float64, rg.N())
-	for i := range spat {
-		spat[i] = -1
-	}
-	if pl.grid == nil {
-		return spat
-	}
-	in := make(map[int]float64)
-	for _, id := range pl.grid.WithinRadius(center, radius, nil) {
-		pt, _ := pl.grid.Location(id)
-		in[id] = pt.DistanceTo(center)
-	}
-	for v := 0; v < rg.N(); v++ {
-		if d, ok := in[rg.Orig[v]]; ok {
-			spat[v] = d
+	for v, person := range rg.Orig {
+		spat[v] = -1
+		if pt, ok := pl.locations[PersonID(person)]; ok {
+			if d := pt.DistanceTo(center); d <= radius {
+				spat[v] = d
+			}
 		}
 	}
 	return spat

@@ -214,6 +214,10 @@ type MutationHook func(ctx context.Context, m Mutation) (wait func() error)
 // shares the read lock, and a query holds it just long enough to capture
 // an immutable view sized to the s-hop ball (the radius graph and its
 // members' calendar rows) before running the expensive search unlocked.
+// Every step of that capture costs the ball, not the population: the
+// radius graph comes from a frontier pass over reached vertices (or from a
+// cached label listing them), the calendar and run rows are picked per
+// member, and a geo-social query tests each member's own location.
 //
 // cal is the one availability store: one row per person, in step with the
 // graph (cal.Users() == g.NumVertices()). Its rows are replaced, never
@@ -226,7 +230,6 @@ type Planner struct {
 	community []int // dataset-loaded community assignments, for Export
 	policies  map[PersonID]SharePolicy
 	locations map[PersonID]geo.Point
-	grid      *geo.Grid // spatial index over locations; lazily created
 	idx       *index.Index
 	hook      MutationHook
 }
@@ -671,24 +674,25 @@ func calUsers(n int) []int {
 }
 
 // radiusGraphRLocked extracts the feasible graph for one query, serving
-// the s-bounded distance vector from the index's landmark labels when one
-// is cached (graph mutations drop the labels, so a present entry is
-// always current) and caching the vector it computed on a miss. The
-// caller holds at least the read lock, which serializes the lookup
+// the initiator's ball (members and s-bounded distances) from the index's
+// landmark labels when one is cached — friendship edits drop the labels,
+// so a present entry is always current — and caching the ball it computed
+// on a miss. Either way the cost follows the ball, not the population.
+// The caller holds at least the read lock, which serializes the lookup
 // against graph mutations and index invalidation alike.
 func (pl *Planner) radiusGraphRLocked(q, s int) (*socialgraph.RadiusGraph, error) {
 	if pl.idx == nil {
 		return pl.g.ExtractRadiusGraph(q, s)
 	}
-	if dist, ok := pl.idx.Label(q, s); ok {
-		return pl.g.ExtractRadiusGraphWithDistances(q, dist), nil
+	ball, ok := pl.idx.Label(q, s)
+	if !ok {
+		var err error
+		if ball, err = pl.g.Ball(q, s); err != nil {
+			return nil, err
+		}
+		pl.idx.StoreLabel(q, s, ball)
 	}
-	dist, err := pl.g.EdgeMinDistances(q, s)
-	if err != nil {
-		return nil, err
-	}
-	pl.idx.StoreLabel(q, s, dist)
-	return pl.g.ExtractRadiusGraphWithDistances(q, dist), nil
+	return pl.g.RadiusGraphOf(ball), nil
 }
 
 // FindGroup answers a social group query.
