@@ -23,7 +23,6 @@ import (
 	"repro/internal/experiments"
 	"repro/internal/ipmodel"
 	"repro/internal/journal"
-	"repro/internal/obsv"
 	"repro/internal/socialgraph"
 )
 
@@ -432,15 +431,6 @@ func BenchmarkJournalAppend(b *testing.B) {
 		b.StopTimer()
 		syncs, _, _ := log.Counters()
 		b.ReportMetric(float64(syncs)/float64(b.N), "fsyncs/op")
-		// With STGQ_BENCH_OUT set (make bench / bench-smoke), leave the
-		// run's numbers plus the journal histogram snapshot on disk as
-		// BENCH_journal.json for the benchcheck validator and CI artifact.
-		nsPerOp := float64(b.Elapsed().Nanoseconds()) / float64(b.N)
-		if path, err := obsv.EmitBench("journal", "BenchmarkJournalAppend/group-commit-concurrent", nsPerOp, "stgq_journal_"); err != nil {
-			b.Fatalf("emit bench report: %v", err)
-		} else if path != "" {
-			b.Logf("wrote %s", path)
-		}
 	})
 }
 

@@ -2,9 +2,7 @@
 // the same repeated-query workload against a planner with the incremental
 // index disabled (every query recomputes availability runs and distance
 // labels from scratch) and enabled (runs answered O(1) from the index,
-// labels served from the warm cache). The indexed STGSelect series also
-// leaves BENCH_engine.json behind for benchcheck and the perf-trajectory
-// baselines in bench/baseline.
+// labels served from the warm cache).
 package stgq_test
 
 import (
@@ -14,7 +12,6 @@ import (
 
 	stgq "repro"
 	"repro/internal/dataset"
-	"repro/internal/obsv"
 )
 
 // enginePlanner builds a deterministic mid-size population: a connected
@@ -104,27 +101,6 @@ func BenchmarkSGSelect(b *testing.B) {
 func BenchmarkSTGSelect(b *testing.B) {
 	benchIndexedVsRecompute(b, func(pl *stgq.Planner, q stgq.STGQuery) {
 		pl.PlanActivity(q) //nolint:errcheck
-	})
-	// Leave the indexed series' numbers plus the engine histogram snapshot
-	// on disk as BENCH_engine.json (STGQ_BENCH_OUT set by make bench /
-	// bench-smoke) for the benchcheck validator and the committed baseline.
-	b.Run("emit", func(b *testing.B) {
-		pl := enginePlanner(true)
-		qs := engineQueries()
-		for _, q := range qs[:8] {
-			pl.PlanActivity(q) //nolint:errcheck — warm the label cache, as above
-		}
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			pl.PlanActivity(qs[i%len(qs)]) //nolint:errcheck
-		}
-		b.StopTimer()
-		nsPerOp := float64(b.Elapsed().Nanoseconds()) / float64(b.N)
-		if path, err := obsv.EmitBench("engine", "BenchmarkSTGSelect/indexed", nsPerOp, "stgq_engine_"); err != nil {
-			b.Fatalf("emit bench report: %v", err)
-		} else if path != "" {
-			b.Logf("wrote %s", path)
-		}
 	})
 }
 

@@ -243,8 +243,7 @@ func cacheEntryFrom(p *proxied, url string) *cacheEntry {
 }
 
 // serveCached relays a cache entry to the client, marked with
-// CacheHeader so clients (and the load harness) can observe the fast
-// path.
+// CacheHeader so clients can observe the fast path.
 func serveCached(w http.ResponseWriter, r *http.Request, e *cacheEntry, how string) {
 	w.Header().Set(CacheHeader, how)
 	relay(w, r, e.resp, e.url)

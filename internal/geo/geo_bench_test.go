@@ -6,15 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/geo"
-	"repro/internal/obsv"
 )
-
-// gridQuerySeconds records per-query grid scan latency so the emitted
-// BENCH_geo.json carries a populated stgq_geo_ histogram for benchcheck.
-var gridQuerySeconds = obsv.NewHistogram(
-	"stgq_geo_grid_query_seconds",
-	"Latency of grid WithinRadius queries during the geo benchmarks.",
-	nil)
 
 // BenchmarkGeoGrid sweeps the grid cell size for a fixed clustered
 // population and query radius: small cells scan many near-empty cells,
@@ -53,19 +45,6 @@ func BenchmarkGeoGrid(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				center := pts[qr.Intn(len(pts))]
 				dst = g.WithinRadius(center, radius, dst[:0])
-			}
-			b.StopTimer()
-			nsPerOp := float64(b.Elapsed().Nanoseconds()) / float64(b.N)
-			gridQuerySeconds.Observe(nsPerOp / 1e9)
-			// The 250 m cell is the committed default; its number is the
-			// headline in BENCH_geo.json (make bench-smoke), the rest of
-			// the sweep lives in -bench output.
-			if cell == 250 {
-				if path, err := obsv.EmitBench("geo", "BenchmarkGeoGrid/"+name, nsPerOp, "stgq_geo_"); err != nil {
-					b.Fatalf("emit bench report: %v", err)
-				} else if path != "" {
-					b.Logf("wrote %s", path)
-				}
 			}
 		})
 	}

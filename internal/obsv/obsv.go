@@ -2,8 +2,8 @@
 // atomic counters and gauges, fixed-bucket latency histograms with
 // p50/p99/p999 estimation, and a registry that renders everything in two
 // forms — Prometheus text exposition (GET /metrics on stgqd and stgqgw)
-// and a flat, JSON-friendly Snapshot used by the BENCH_*.json perf
-// trajectory that `make bench` / `make bench-smoke` emit.
+// and a flat, JSON-friendly Snapshot that the daemons' GET /status
+// summaries are built from.
 //
 // # Design
 //

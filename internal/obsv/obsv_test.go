@@ -5,8 +5,6 @@ import (
 	"encoding/json"
 	"math"
 	"net/http/httptest"
-	"os"
-	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -178,48 +176,8 @@ func TestSnapshotAndPrefix(t *testing.T) {
 	if hs.Count != 1 || len(hs.Buckets) != 2 || hs.Buckets[1].LE != "+Inf" {
 		t.Fatalf("histogram snapshot = %+v", hs)
 	}
-	// Snapshots must round-trip through JSON (the BENCH_*.json contract).
+	// Snapshots must round-trip through JSON (the /status contract).
 	if _, err := json.Marshal(snap); err != nil {
 		t.Fatalf("snapshot marshal: %v", err)
-	}
-}
-
-func TestEmitBench(t *testing.T) {
-	dir := t.TempDir()
-	t.Setenv(BenchOutEnv, dir)
-	t.Setenv(BenchTSEnv, "2026-01-02T03:04:05Z")
-	// EmitBench snapshots the Default registry; seed a metric there with
-	// a name unique to this test.
-	h := NewHistogram("emitbench_test_seconds", "", nil)
-	h.Observe(0.001)
-
-	path, err := EmitBench("emitbench_test", "BenchmarkEmit", 1234.5, "emitbench_test_")
-	if err != nil {
-		t.Fatalf("EmitBench: %v", err)
-	}
-	if path != filepath.Join(dir, "BENCH_emitbench_test.json") {
-		t.Fatalf("path = %q", path)
-	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatalf("read report: %v", err)
-	}
-	var rep BenchReport
-	if err := json.Unmarshal(data, &rep); err != nil {
-		t.Fatalf("unmarshal report: %v", err)
-	}
-	if rep.Benchmark != "BenchmarkEmit" || rep.NsPerOp != 1234.5 ||
-		rep.Timestamp != "2026-01-02T03:04:05Z" {
-		t.Fatalf("report header = %+v", rep)
-	}
-	if rep.Metrics["emitbench_test_seconds"].Count != 1 {
-		t.Fatalf("report metrics = %+v", rep.Metrics)
-	}
-
-	// Unset env: no-op.
-	t.Setenv(BenchOutEnv, "")
-	path, err = EmitBench("x", "y", 1, "")
-	if err != nil || path != "" {
-		t.Fatalf("no-op EmitBench = %q, %v", path, err)
 	}
 }

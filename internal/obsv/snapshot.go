@@ -1,11 +1,6 @@
 package obsv
 
-import (
-	"encoding/json"
-	"os"
-	"path/filepath"
-	"strings"
-)
+import "strings"
 
 // Bucket is one cumulative histogram bucket in a Snapshot. LE is a
 // string because the final bucket's bound is +Inf, which JSON numbers
@@ -55,52 +50,3 @@ func (r *Registry) TakeSnapshot(prefix string) map[string]Snapshot {
 
 // TakeSnapshot returns the Default registry's snapshot for prefix.
 func TakeSnapshot(prefix string) map[string]Snapshot { return Default.TakeSnapshot(prefix) }
-
-// BenchReport is the schema of the BENCH_*.json files `make bench` and
-// `make bench-smoke` leave in the repo root: one benchmark's headline
-// number plus the metric snapshots it populated, forming the repo's
-// perf trajectory (one file per area, overwritten per run, diffed
-// across PRs).
-type BenchReport struct {
-	// Benchmark is the Go benchmark that produced the report.
-	Benchmark string `json:"benchmark"`
-	// NsPerOp is the headline nanoseconds-per-operation figure.
-	NsPerOp float64 `json:"ns_per_op"`
-	// Timestamp is the run time (RFC 3339), passed in via BenchTSEnv so
-	// reports are reproducible under test.
-	Timestamp string `json:"timestamp,omitempty"`
-	// Metrics maps metric names to their snapshots at benchmark end.
-	Metrics map[string]Snapshot `json:"metrics"`
-}
-
-// BenchOutEnv names the directory BENCH_*.json reports are written to;
-// when unset, EmitBench is a no-op (so plain `go test -bench` stays
-// side-effect free — only the make targets set it).
-const BenchOutEnv = "STGQ_BENCH_OUT"
-
-// BenchTSEnv optionally carries the RFC 3339 timestamp stamped into
-// reports; the Makefile sets it once per run so both files agree.
-const BenchTSEnv = "STGQ_BENCH_TS"
-
-// EmitBench writes BENCH_<area>.json into the BenchOutEnv directory:
-// the named benchmark's ns/op plus the Default registry's snapshot
-// filtered to prefix. It is a no-op when BenchOutEnv is unset and
-// returns the path written (or "").
-func EmitBench(area, benchmark string, nsPerOp float64, prefix string) (string, error) {
-	dir := os.Getenv(BenchOutEnv)
-	if dir == "" {
-		return "", nil
-	}
-	rep := BenchReport{
-		Benchmark: benchmark,
-		NsPerOp:   nsPerOp,
-		Timestamp: os.Getenv(BenchTSEnv),
-		Metrics:   TakeSnapshot(prefix),
-	}
-	data, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		return "", err
-	}
-	path := filepath.Join(dir, "BENCH_"+area+".json")
-	return path, os.WriteFile(path, append(data, '\n'), 0o644)
-}

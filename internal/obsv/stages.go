@@ -4,10 +4,10 @@ package obsv
 // context through every layer it crosses (gateway → service → journal),
 // each layer recording how long its own stages took. The service and
 // gateway render the collected entries into the X-STGQ-Server-Timing
-// response header (standard Server-Timing syntax), which the stgqload
-// harness parses to attribute end-to-end latency — gateway routing,
-// backend engine time, journal enqueue/fsync/ack — instead of reporting
-// one opaque number. See docs/operations.md ("Load testing & capacity").
+// response header (standard Server-Timing syntax), so a client can
+// attribute end-to-end latency — gateway routing, backend engine time,
+// journal enqueue/fsync/ack — instead of seeing one opaque number. See
+// docs/operations.md ("Per-stage timing").
 
 import (
 	"context"

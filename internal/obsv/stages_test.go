@@ -83,7 +83,7 @@ func TestStagesContext(t *testing.T) {
 }
 
 // TestQuantileClamp is the regression table for the low-count estimation
-// bug: BENCH_journal.json showed p50=0.00375s for a single 0.00275s
+// bug: the journal histogram showed p50=0.00375s for a single 0.00275s
 // observation — a quantile estimate must never exceed the observed sum
 // when count==1.
 func TestQuantileClamp(t *testing.T) {

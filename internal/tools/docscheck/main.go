@@ -36,10 +36,8 @@ var checkedPackages = []string{
 	"internal/index",
 	"internal/replica",
 	"internal/journal",
-	"internal/loadgen",
 	"internal/obsv",
 	"internal/service",
-	"internal/tools/benchcheck",
 	"internal/tools/docscheck",
 	"internal/tools/stgqcheck",
 }

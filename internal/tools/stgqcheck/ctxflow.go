@@ -27,7 +27,6 @@ var ctxFlowDirs = []string{
 	"internal/replica",
 	"internal/service",
 	"internal/journal",
-	"internal/loadgen",
 }
 
 // ctxlessHTTPFuncs are package-level net/http helpers with no context
