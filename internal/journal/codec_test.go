@@ -1,6 +1,7 @@
 package journal
 
 import (
+	"encoding/hex"
 	"reflect"
 	"testing"
 
@@ -96,5 +97,26 @@ func TestCodecBoundsGiantLength(t *testing.T) {
 	recs, consumed := scanFrames(data)
 	if len(recs) != 0 || consumed != 0 {
 		t.Fatalf("giant length: %d records, %d consumed", len(recs), consumed)
+	}
+}
+
+// TestCodecGoldenBytes pins the on-disk encoding of every mutation op:
+// journals written by earlier builds must keep replaying, and followers
+// decode the same frames, so any change here is a format break.
+func TestCodecGoldenBytes(t *testing.T) {
+	// One frame per sample record: u32 length, u32 CRC-32C, then the
+	// payload (version 1, op, seq, the op's fields).
+	const want = "" +
+		"080000001b4f8f440101010003616e61" + // add-person 0 "ana"
+		"050000005b79ebfc0101020100" + // add-person 1 ""
+		"0d000000106d9a3f01020300010000000000803140" + // connect 0-1 17.5
+		"060000007ec9c3da01040401242c" + // set-available 1 [36,44)
+		"060000007514caf6010505000030" + // set-busy 0 [0,48)
+		"05000000c0fe52dd0103060100" + // disconnect 1-0
+		"05000000f6741f2c0106070101" + // set-policy 1 friends
+		"14000000d3a08a4e010708010000000000ce92c000000000a070c040" // set-location 1 (-1203.5, 8417.25)
+	data, _ := encodeAll(t, sampleRecords())
+	if got := hex.EncodeToString(data); got != want {
+		t.Fatalf("encoded sample records changed:\n got %s\nwant %s", got, want)
 	}
 }

@@ -3,8 +3,10 @@ package service
 import (
 	"bytes"
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"testing"
 	"time"
 
@@ -45,16 +47,40 @@ func TestWriteSeqHeaderOnMutations(t *testing.T) {
 	inmem := httptest.NewServer(New(14))
 	defer inmem.Close()
 
+	// Every mutation route acknowledges with its exact body and the
+	// write's own sequence number (one record per mutation).
+	for i, tc := range []struct{ method, path, body, want string }{
+		{"POST", "/people", `{"name":"ana"}`, `{"id":0}`},
+		{"POST", "/people", `{"name":"bo"}`, `{"id":1}`},
+		{"POST", "/friendships", `{"a":0,"b":1,"distance":2.5}`, `{}`},
+		{"DELETE", "/friendships", `{"a":1,"b":0}`, `{}`},
+		{"POST", "/availability", `{"person":1,"from":2,"to":9,"available":true}`, `{}`},
+		{"POST", "/availability", `{"person":1,"from":3,"to":4}`, `{}`},
+		{"POST", "/policies", `{"person":0,"policy":"none"}`, `{}`},
+		{"POST", "/people/1/location", `{"x":-0,"y":5}`, `{}`},
+	} {
+		req, err := http.NewRequest(tc.method, durable.URL+tc.path, bytes.NewReader([]byte(tc.body)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != http.StatusOK || string(got) != tc.want {
+			t.Fatalf("%s %s: %d %s, want 200 %s", tc.method, tc.path, resp.StatusCode, got, tc.want)
+		}
+		if got, want := resp.Header.Get(WriteSeqHeader), strconv.Itoa(i+1); got != want {
+			t.Fatalf("%s %s: %s = %q, want %q", tc.method, tc.path, WriteSeqHeader, got, want)
+		}
+	}
 	body, _ := json.Marshal(AddPersonRequest{Name: "ana"})
-	resp, err := http.Post(durable.URL+"/people", "application/json", bytes.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if got := resp.Header.Get(WriteSeqHeader); got != "1" {
-		t.Fatalf("durable mutation %s = %q, want \"1\"", WriteSeqHeader, got)
-	}
-	resp, err = http.Post(inmem.URL+"/people", "application/json", bytes.NewReader(body))
+	resp, err := http.Post(inmem.URL+"/people", "application/json", bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
 
@@ -179,17 +181,60 @@ func TestErrorMapping(t *testing.T) {
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("unknown field: status %d, want 400", resp.StatusCode)
 	}
-	// Friendship with an unknown person → 404 (consistent with the
-	// package doc: unknown people 404).
-	code = post(t, ts, "/friendships", FriendshipRequest{A: 0, B: 99, Distance: 2}, nil)
-	if code != http.StatusNotFound {
-		t.Errorf("bad friendship: status %d, want 404", code)
+	// Every mutation route, in order against the Figure 3 state: the
+	// exact status and body of a success, a malformed body, an unknown
+	// person and an invalid field.
+	for _, tc := range []struct {
+		method, path, body string
+		status             int
+		want               string
+	}{
+		{"POST", "/people", `{"name":"zed"}`, http.StatusOK, `{"id":6}`},
+		{"POST", "/people", `{nope`, http.StatusBadRequest, `{"error":"bad request: invalid character 'n' looking for beginning of object key string"}`},
+		{"POST", "/people", `{"name":7}`, http.StatusBadRequest, `{"error":"bad request: json: cannot unmarshal number into Go struct field AddPersonRequest.name of type string"}`},
+		{"POST", "/friendships", `{"a":0,"b":6,"distance":3}`, http.StatusOK, `{}`},
+		{"POST", "/friendships", `{nope`, http.StatusBadRequest, `{"error":"bad request: invalid character 'n' looking for beginning of object key string"}`},
+		{"POST", "/friendships", `{"a":0,"b":99,"distance":3}`, http.StatusNotFound, `{"error":"stgq: person not found: socialgraph: vertex not found: id 99"}`},
+		{"POST", "/friendships", `{"a":2,"b":2,"distance":3}`, http.StatusBadRequest, `{"error":"socialgraph: self loops are not allowed"}`},
+		{"POST", "/friendships", `{"a":0,"b":6,"distance":-1}`, http.StatusBadRequest, `{"error":"socialgraph: social distance must be positive: -1"}`},
+		{"DELETE", "/friendships", `{"a":0,"b":6}`, http.StatusOK, `{}`},
+		{"DELETE", "/friendships", `{nope`, http.StatusBadRequest, `{"error":"bad request: invalid character 'n' looking for beginning of object key string"}`},
+		{"DELETE", "/friendships", `{"a":99,"b":0}`, http.StatusNotFound, `{"error":"stgq: person not found: socialgraph: vertex not found: id 99"}`},
+		{"DELETE", "/friendships", `{"a":2,"b":2}`, http.StatusNotFound, `{"error":"stgq: not friends: socialgraph: edge not found: (2,2)"}`},
+		{"POST", "/availability", `{"person":6,"from":1,"to":5,"available":true}`, http.StatusOK, `{}`},
+		{"POST", "/availability", `{"person":6,"from":2,"to":3}`, http.StatusOK, `{}`},
+		{"POST", "/availability", `{nope`, http.StatusBadRequest, `{"error":"bad request: invalid character 'n' looking for beginning of object key string"}`},
+		{"POST", "/availability", `{"person":99,"from":1,"to":5,"available":true}`, http.StatusNotFound, `{"error":"stgq: person not found: person 99"}`},
+		{"POST", "/availability", `{"person":6,"from":5,"to":1,"available":true}`, http.StatusBadRequest, `{"error":"core: bad query parameters: slot range [5,1) outside horizon 7"}`},
+		{"POST", "/availability", `{"person":6,"from":0,"to":8}`, http.StatusBadRequest, `{"error":"core: bad query parameters: slot range [0,8) outside horizon 7"}`},
+		{"POST", "/policies", `{"person":6,"policy":"friends"}`, http.StatusOK, `{}`},
+		{"POST", "/policies", `{nope`, http.StatusBadRequest, `{"error":"bad request: invalid character 'n' looking for beginning of object key string"}`},
+		{"POST", "/policies", `{"person":99,"policy":"none"}`, http.StatusNotFound, `{"error":"stgq: person not found: person 99"}`},
+		{"POST", "/policies", `{"person":6,"policy":"everyone"}`, http.StatusBadRequest, `{"error":"core: bad query parameters: unknown policy \"everyone\""}`},
+		{"POST", "/people/6/location", `{"x":-0,"y":5}`, http.StatusOK, `{}`},
+		{"POST", "/people/6/location", `{nope`, http.StatusBadRequest, `{"error":"bad request: invalid character 'n' looking for beginning of object key string"}`},
+		{"POST", "/people/99/location", `{"x":1,"y":2}`, http.StatusNotFound, `{"error":"stgq: person not found: person 99"}`},
+		{"POST", "/people/6/location", `{"x":1e999,"y":2}`, http.StatusBadRequest, `{"error":"bad request: json: cannot unmarshal number 1e999 into Go struct field LocationRequest.x of type float64"}`},
+		{"POST", "/people/six/location", `{"x":1,"y":2}`, http.StatusBadRequest, `{"error":"bad request: person id: strconv.Atoi: parsing \"six\": invalid syntax"}`},
+	} {
+		req, err := http.NewRequest(tc.method, ts.URL+tc.path, bytes.NewReader([]byte(tc.body)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := strings.TrimSuffix(string(body), "\n"); resp.StatusCode != tc.status || got != tc.want {
+			t.Errorf("%s %s %s: %d %s, want %d %s", tc.method, tc.path, tc.body, resp.StatusCode, got, tc.status, tc.want)
+		}
 	}
-	// Availability out of range → 400.
-	code = post(t, ts, "/availability", AvailabilityRequest{Person: ids["v7"], From: -2, To: 3, Available: true}, nil)
-	if code != http.StatusBadRequest {
-		t.Errorf("bad availability: status %d, want 400", code)
-	}
+
 	// Wrong method → 405 from ServeMux.
 	resp, err = http.Get(ts.URL + "/people")
 	if err != nil {
