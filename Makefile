@@ -19,7 +19,7 @@ vet:
 	$(GO) vet ./...
 
 # Static-analysis gate: go vet plus stgqcheck, the project-invariant
-# analyzers (mutation wiring, lock-vs-I/O, epoch-qualified seq ordering,
+# analyzers (lock-vs-I/O, epoch-qualified seq ordering,
 # context propagation, metric naming). See docs/development.md.
 lint: vet
 	$(GO) run ./internal/tools/stgqcheck

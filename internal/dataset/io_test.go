@@ -2,6 +2,7 @@ package dataset
 
 import (
 	"bytes"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -28,6 +29,22 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	}
 	if len(got.Policies) != 2 || got.Policies[3] != 1 || got.Policies[17] != 2 {
 		t.Fatalf("policies lost in round trip: %v", got.Policies)
+	}
+	// Save and Load carry every field: each exported field is set in the
+	// fixture and comes back deeply equal, so a field added to Dataset
+	// without serialization fails here.
+	ov, gv := reflect.ValueOf(orig).Elem(), reflect.ValueOf(got).Elem()
+	for i := 0; i < ov.NumField(); i++ {
+		name := ov.Type().Field(i).Name
+		if !ov.Type().Field(i).IsExported() {
+			continue
+		}
+		if ov.Field(i).IsZero() {
+			t.Fatalf("fixture leaves Dataset.%s zero", name)
+		}
+		if !reflect.DeepEqual(gv.Field(i).Interface(), ov.Field(i).Interface()) {
+			t.Fatalf("Dataset.%s differs after Save/Load", name)
+		}
 	}
 	for v := 0; v < orig.Graph.NumVertices(); v++ {
 		if !got.Cal.Row(v).Equal(orig.Cal.Row(v)) {

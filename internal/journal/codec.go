@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"math"
+	"reflect"
 
 	stgq "repro"
 )
@@ -17,8 +18,9 @@ import (
 //	    u8      codec version (currently 1)
 //	    u8      mutation op
 //	    uvarint sequence number
-//	    op-specific fields (uvarints; distance as 8 fixed bytes;
-//	    name as uvarint length + bytes)
+//	    the op's fields in stgq.MutationOp.Fields order: uvarint for
+//	    ints, 8 fixed bytes for floats, uvarint length + bytes for the
+//	    name
 //
 // A reader that finds fewer bytes than a full header, a length beyond the
 // segment, or a CRC mismatch at the end of the final segment is looking at
@@ -35,37 +37,83 @@ const (
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
+// wireFields[op] holds the Mutation struct-field indices of op's wire
+// fields, in order: the mutation table's field list (op.Fields), resolved
+// once.
+var wireFields = func() (idx [256][]int) {
+	t := reflect.TypeFor[stgq.Mutation]()
+	for op := range idx {
+		for _, name := range stgq.MutationOp(op).Fields() {
+			f, ok := t.FieldByName(name)
+			if !ok || f.Type.Kind() != reflect.Int && f.Type.Kind() != reflect.Float64 && f.Type.Kind() != reflect.String {
+				panic("journal: no wire encoding for stgq.Mutation field " + name)
+			}
+			idx[op] = append(idx[op], f.Index[0])
+		}
+	}
+	return idx
+}()
+
+// Frame errors are preallocated: recovery probes every byte offset of a
+// damaged tail for a valid frame (containsValidFrame).
+var (
+	errTornFrame = fmt.Errorf("%w: incomplete frame", ErrCorrupt)
+	errFrameCRC  = fmt.Errorf("%w: frame CRC mismatch", ErrCorrupt)
+)
+
+// EncodeFrame returns rec as one CRC frame, byte for byte what a journal
+// segment stores. Replication ships records in this form.
+func EncodeFrame(rec Record) ([]byte, error) { return appendFrame(nil, rec) }
+
+// DecodeFrame parses a frame made by EncodeFrame, checking its length
+// and CRC; any damage is an ErrCorrupt error.
+func DecodeFrame(frame []byte) (Record, error) {
+	rec, n, err := readFrame(frame)
+	if err == nil && n != len(frame) {
+		err = fmt.Errorf("%w: %d bytes after the frame", ErrCorrupt, len(frame)-n)
+	}
+	return rec, err
+}
+
+// readFrame decodes the frame at the start of data and returns its
+// record and size. An error means data does not start with a complete,
+// CRC-valid frame of a known op.
+func readFrame(data []byte) (Record, int, error) {
+	if len(data) < headerSize {
+		return Record{}, 0, errTornFrame
+	}
+	length := int(binary.LittleEndian.Uint32(data))
+	if length > maxPayload || headerSize+length > len(data) {
+		return Record{}, 0, errTornFrame
+	}
+	payload := data[headerSize : headerSize+length]
+	if crc32.Checksum(payload, castagnoli) != binary.LittleEndian.Uint32(data[4:]) {
+		return Record{}, 0, errFrameCRC
+	}
+	rec, err := decodePayload(payload)
+	return rec, headerSize + length, err
+}
+
 // appendFrame encodes rec as a framed record appended to dst.
 func appendFrame(dst []byte, rec Record) ([]byte, error) {
+	fields := wireFields[rec.Mut.Op]
+	if fields == nil {
+		return nil, fmt.Errorf("journal: cannot encode op %v", rec.Mut.Op)
+	}
 	payload := make([]byte, 0, 32+len(rec.Mut.Name))
 	payload = append(payload, codecVersion, byte(rec.Mut.Op))
 	payload = binary.AppendUvarint(payload, rec.Seq)
-	m := rec.Mut
-	switch m.Op {
-	case stgq.MutAddPerson:
-		payload = binary.AppendUvarint(payload, uint64(m.Person))
-		payload = binary.AppendUvarint(payload, uint64(len(m.Name)))
-		payload = append(payload, m.Name...)
-	case stgq.MutConnect:
-		payload = binary.AppendUvarint(payload, uint64(m.A))
-		payload = binary.AppendUvarint(payload, uint64(m.B))
-		payload = binary.LittleEndian.AppendUint64(payload, math.Float64bits(m.Distance))
-	case stgq.MutDisconnect:
-		payload = binary.AppendUvarint(payload, uint64(m.A))
-		payload = binary.AppendUvarint(payload, uint64(m.B))
-	case stgq.MutSetAvailable, stgq.MutSetBusy:
-		payload = binary.AppendUvarint(payload, uint64(m.Person))
-		payload = binary.AppendUvarint(payload, uint64(m.From))
-		payload = binary.AppendUvarint(payload, uint64(m.To))
-	case stgq.MutSetPolicy:
-		payload = binary.AppendUvarint(payload, uint64(m.Person))
-		payload = binary.AppendUvarint(payload, uint64(m.Policy))
-	case stgq.MutSetLocation:
-		payload = binary.AppendUvarint(payload, uint64(m.Person))
-		payload = binary.LittleEndian.AppendUint64(payload, math.Float64bits(m.X))
-		payload = binary.LittleEndian.AppendUint64(payload, math.Float64bits(m.Y))
-	default:
-		return nil, fmt.Errorf("journal: cannot encode op %v", m.Op)
+	m := reflect.ValueOf(&rec.Mut).Elem()
+	for _, i := range fields {
+		switch f := m.Field(i); f.Kind() {
+		case reflect.Int:
+			payload = binary.AppendUvarint(payload, uint64(f.Int()))
+		case reflect.Float64:
+			payload = binary.LittleEndian.AppendUint64(payload, math.Float64bits(f.Float()))
+		case reflect.String:
+			payload = binary.AppendUvarint(payload, uint64(f.Len()))
+			payload = append(payload, f.String()...)
+		}
 	}
 	if len(payload) > maxPayload {
 		return nil, fmt.Errorf("journal: record too large (%d bytes)", len(payload))
@@ -84,6 +132,10 @@ func decodePayload(payload []byte) (Record, error) {
 		return Record{}, fmt.Errorf("%w: unknown codec version %d", ErrCorrupt, payload[0])
 	}
 	op := stgq.MutationOp(payload[1])
+	fields := wireFields[op]
+	if fields == nil {
+		return Record{}, fmt.Errorf("%w: unknown op %d", ErrCorrupt, op)
+	}
 	buf := payload[2:]
 	next := func() (uint64, error) {
 		v, n := binary.Uvarint(buf)
@@ -98,84 +150,32 @@ func decodePayload(payload []byte) (Record, error) {
 		return Record{}, err
 	}
 	rec := Record{Seq: seq, Mut: stgq.Mutation{Op: op}}
-	switch op {
-	case stgq.MutAddPerson:
-		id, err := next()
-		if err != nil {
-			return Record{}, err
+	m := reflect.ValueOf(&rec.Mut).Elem()
+	for _, i := range fields {
+		switch f := m.Field(i); f.Kind() {
+		case reflect.Int:
+			v, err := next()
+			if err != nil {
+				return Record{}, err
+			}
+			f.SetInt(int64(v))
+		case reflect.Float64:
+			if len(buf) < 8 {
+				return Record{}, fmt.Errorf("%w: truncated %s", ErrCorrupt, m.Type().Field(i).Name)
+			}
+			f.SetFloat(math.Float64frombits(binary.LittleEndian.Uint64(buf)))
+			buf = buf[8:]
+		case reflect.String:
+			n, err := next()
+			if err != nil {
+				return Record{}, err
+			}
+			if n > uint64(len(buf)) {
+				return Record{}, fmt.Errorf("%w: %s length %d exceeds payload", ErrCorrupt, m.Type().Field(i).Name, n)
+			}
+			f.SetString(string(buf[:n]))
+			buf = buf[n:]
 		}
-		nameLen, err := next()
-		if err != nil {
-			return Record{}, err
-		}
-		if nameLen > uint64(len(buf)) {
-			return Record{}, fmt.Errorf("%w: name length %d exceeds payload", ErrCorrupt, nameLen)
-		}
-		rec.Mut.Person = stgq.PersonID(id)
-		rec.Mut.Name = string(buf[:nameLen])
-	case stgq.MutConnect:
-		a, err := next()
-		if err != nil {
-			return Record{}, err
-		}
-		b, err := next()
-		if err != nil {
-			return Record{}, err
-		}
-		if len(buf) < 8 {
-			return Record{}, fmt.Errorf("%w: truncated distance", ErrCorrupt)
-		}
-		rec.Mut.A, rec.Mut.B = stgq.PersonID(a), stgq.PersonID(b)
-		rec.Mut.Distance = math.Float64frombits(binary.LittleEndian.Uint64(buf))
-	case stgq.MutDisconnect:
-		a, err := next()
-		if err != nil {
-			return Record{}, err
-		}
-		b, err := next()
-		if err != nil {
-			return Record{}, err
-		}
-		rec.Mut.A, rec.Mut.B = stgq.PersonID(a), stgq.PersonID(b)
-	case stgq.MutSetAvailable, stgq.MutSetBusy:
-		p, err := next()
-		if err != nil {
-			return Record{}, err
-		}
-		from, err := next()
-		if err != nil {
-			return Record{}, err
-		}
-		to, err := next()
-		if err != nil {
-			return Record{}, err
-		}
-		rec.Mut.Person = stgq.PersonID(p)
-		rec.Mut.From, rec.Mut.To = int(from), int(to)
-	case stgq.MutSetPolicy:
-		p, err := next()
-		if err != nil {
-			return Record{}, err
-		}
-		pol, err := next()
-		if err != nil {
-			return Record{}, err
-		}
-		rec.Mut.Person = stgq.PersonID(p)
-		rec.Mut.Policy = stgq.SharePolicy(pol)
-	case stgq.MutSetLocation:
-		p, err := next()
-		if err != nil {
-			return Record{}, err
-		}
-		if len(buf) < 16 {
-			return Record{}, fmt.Errorf("%w: truncated location", ErrCorrupt)
-		}
-		rec.Mut.Person = stgq.PersonID(p)
-		rec.Mut.X = math.Float64frombits(binary.LittleEndian.Uint64(buf))
-		rec.Mut.Y = math.Float64frombits(binary.LittleEndian.Uint64(buf[8:]))
-	default:
-		return Record{}, fmt.Errorf("%w: unknown op %d", ErrCorrupt, op)
 	}
 	return rec, nil
 }
@@ -187,17 +187,8 @@ func decodePayload(payload []byte) (Record, error) {
 // must abort recovery, not be silently truncated away). A false positive
 // needs a 1-in-2^32 CRC coincidence inside garbage.
 func containsValidFrame(data []byte) bool {
-	for off := 0; off+headerSize <= len(data); off++ {
-		length := int(binary.LittleEndian.Uint32(data[off:]))
-		if length > maxPayload || off+headerSize+length > len(data) {
-			continue
-		}
-		sum := binary.LittleEndian.Uint32(data[off+4:])
-		payload := data[off+headerSize : off+headerSize+length]
-		if crc32.Checksum(payload, castagnoli) != sum {
-			continue
-		}
-		if _, err := decodePayload(payload); err == nil {
+	for off := range data {
+		if _, _, err := readFrame(data[off:]); err == nil {
 			return true
 		}
 	}
@@ -219,28 +210,13 @@ func scanFrames(data []byte) (recs []Record, consumed int) {
 // always counts exactly the returned frames' bytes.
 func scanFramesLimit(data []byte, maxSeq uint64, maxCount int) (recs []Record, consumed int) {
 	off := 0
-	for off+headerSize <= len(data) {
-		if maxCount > 0 && len(recs) >= maxCount {
-			break
-		}
-		length := int(binary.LittleEndian.Uint32(data[off:]))
-		if length > maxPayload || off+headerSize+length > len(data) {
-			break
-		}
-		sum := binary.LittleEndian.Uint32(data[off+4:])
-		payload := data[off+headerSize : off+headerSize+length]
-		if crc32.Checksum(payload, castagnoli) != sum {
-			break
-		}
-		rec, err := decodePayload(payload)
-		if err != nil {
-			break
-		}
-		if rec.Seq > maxSeq {
+	for maxCount <= 0 || len(recs) < maxCount {
+		rec, n, err := readFrame(data[off:])
+		if err != nil || rec.Seq > maxSeq {
 			break
 		}
 		recs = append(recs, rec)
-		off += headerSize + length
+		off += n
 	}
 	return recs, off
 }

@@ -2,6 +2,7 @@ package journal
 
 import (
 	"encoding/hex"
+	"errors"
 	"reflect"
 	"testing"
 
@@ -45,6 +46,69 @@ func TestCodecRoundTrip(t *testing.T) {
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("round trip mismatch:\n got %+v\nwant %+v", got, want)
+	}
+}
+
+// TestCodecCarriesEveryListedField walks the mutation table: for every
+// op, a mutation with every field set survives a frame round trip with
+// exactly its listed fields (stgq.MutationOp.Fields) and every other
+// field zero.
+func TestCodecCarriesEveryListedField(t *testing.T) {
+	full := stgq.Mutation{Name: "ana", Person: 3, A: 4, B: 5, Distance: 2.5,
+		From: 6, To: 7, Policy: stgq.ShareNone, X: -1.25, Y: 8.5}
+	fv := reflect.ValueOf(full)
+	for i := 1; i < fv.NumField(); i++ { // field 0 is Op
+		if fv.Field(i).IsZero() {
+			t.Fatalf("fixture leaves Mutation.%s zero", fv.Type().Field(i).Name)
+		}
+	}
+	ops := 0
+	for op := stgq.MutationOp(1); op.Fields() != nil; op++ {
+		ops++
+		in, want := full, stgq.Mutation{Op: op}
+		in.Op = op
+		wv := reflect.ValueOf(&want).Elem()
+		for _, name := range op.Fields() {
+			wv.FieldByName(name).Set(fv.FieldByName(name))
+		}
+		frame, err := EncodeFrame(Record{Seq: 9, Mut: in})
+		if err != nil {
+			t.Fatalf("%v: %v", op, err)
+		}
+		got, err := DecodeFrame(frame)
+		if err != nil {
+			t.Fatalf("%v: %v", op, err)
+		}
+		if got != (Record{Seq: 9, Mut: want}) {
+			t.Fatalf("%v round trip:\n got %+v\nwant %+v", op, got.Mut, want)
+		}
+	}
+	if ops < 7 {
+		t.Fatalf("mutation table lists %d ops, want the seven Mut* kinds", ops)
+	}
+	for op := ops + 1; op < 256; op++ {
+		if stgq.MutationOp(op).Fields() != nil {
+			t.Fatalf("mutation table has a hole before op %d", op)
+		}
+	}
+}
+
+// TestDecodeFrameRejectsDamage: a replicated frame that is cut short,
+// carries trailing bytes or fails its CRC is an ErrCorrupt, never a
+// record.
+func TestDecodeFrameRejectsDamage(t *testing.T) {
+	frame, _ := encodeAll(t, sampleRecords()[2:3])
+	flipped := append([]byte(nil), frame...)
+	flipped[len(flipped)-1] ^= 1
+	for name, data := range map[string][]byte{
+		"empty":    nil,
+		"short":    frame[:len(frame)-1],
+		"trailing": append(append([]byte(nil), frame...), 0),
+		"bit flip": flipped,
+	} {
+		if rec, err := DecodeFrame(data); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("%s: decoded %+v, err %v; want ErrCorrupt", name, rec, err)
+		}
 	}
 }
 

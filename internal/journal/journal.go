@@ -1,7 +1,6 @@
 // Package journal is the durable event-journal persistence subsystem of
-// the planner service. It records every Planner mutation (AddPerson,
-// Connect, Disconnect, SetAvailable, SetBusy, SetSchedulePolicy) as a
-// typed, versioned record
+// the planner service. It records every Planner mutation (each
+// stgq.Mutation that Planner.Apply commits) as a typed, versioned record
 // in a write-ahead journal, folds the journal into periodic snapshots that
 // reuse the internal/dataset serialization, and rebuilds the Planner on
 // startup from the latest snapshot plus the journal tail.

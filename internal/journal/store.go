@@ -206,7 +206,8 @@ func Open(dir string, opts Options) (*Store, error) {
 	s.lastSnap.Store(snapSeq)
 
 	// 2. Replay the journal tail on top of it.
-	segs, lastSeq, truncated, replayed, err := replayDir(dir, snapSeq, s.pl)
+	//stgqcheck:ignore ctxflow replay runs before the mutation hook is installed, so nothing observes this context
+	segs, lastSeq, truncated, replayed, err := replayDir(context.Background(), dir, snapSeq, s.pl)
 	if err != nil {
 		return nil, err
 	}
@@ -272,7 +273,7 @@ func (s *Store) snapshotLoop() {
 // replayDir scans dir's segments in order and applies every record with
 // Seq > afterSeq to pl. It truncates a torn tail on the final segment and
 // verifies the sequence numbers are gapless.
-func replayDir(dir string, afterSeq uint64, pl *stgq.Planner) (segs []segmentInfo, lastSeq uint64, truncated int64, replayed int, err error) {
+func replayDir(ctx context.Context, dir string, afterSeq uint64, pl *stgq.Planner) (segs []segmentInfo, lastSeq uint64, truncated int64, replayed int, err error) {
 	segs, err = listSegments(dir)
 	if err != nil {
 		return nil, 0, 0, 0, fmt.Errorf("journal: %w", err)
@@ -316,7 +317,7 @@ func replayDir(dir string, afterSeq uint64, pl *stgq.Planner) (segs []segmentInf
 					ErrCorrupt, prev, rec.Seq, segs[i].path, afterSeq)
 			}
 			prev = rec.Seq
-			if err := apply(pl, rec); err != nil {
+			if err := Apply(ctx, pl, rec); err != nil {
 				return nil, 0, 0, 0, err
 			}
 			replayed++
@@ -325,53 +326,23 @@ func replayDir(dir string, afterSeq uint64, pl *stgq.Planner) (segs []segmentInf
 	return segs, prev, truncated, replayed, nil
 }
 
-// apply replays one journaled mutation into the planner. The planner's
-// mutation hook must not be installed yet.
-func apply(pl *stgq.Planner, rec Record) error {
-	m := rec.Mut
-	switch m.Op {
-	case stgq.MutAddPerson:
-		id, err := pl.AddPerson(m.Name)
-		if err != nil {
-			return fmt.Errorf("journal: replay seq %d: %w", rec.Seq, err)
-		}
-		if id != m.Person {
-			return fmt.Errorf("%w: replay seq %d assigned person %d, journal says %d",
-				ErrCorrupt, rec.Seq, id, m.Person)
-		}
-		return nil
-	case stgq.MutConnect:
-		if err := pl.Connect(m.A, m.B, m.Distance); err != nil {
-			return fmt.Errorf("journal: replay seq %d: %w", rec.Seq, err)
-		}
-		return nil
-	case stgq.MutDisconnect:
-		if err := pl.Disconnect(m.A, m.B); err != nil {
-			return fmt.Errorf("journal: replay seq %d: %w", rec.Seq, err)
-		}
-		return nil
-	case stgq.MutSetAvailable:
-		if err := pl.SetAvailable(m.Person, m.From, m.To); err != nil {
-			return fmt.Errorf("journal: replay seq %d: %w", rec.Seq, err)
-		}
-		return nil
-	case stgq.MutSetBusy:
-		if err := pl.SetBusy(m.Person, m.From, m.To); err != nil {
-			return fmt.Errorf("journal: replay seq %d: %w", rec.Seq, err)
-		}
-		return nil
-	case stgq.MutSetPolicy:
-		if err := pl.SetSchedulePolicy(m.Person, m.Policy); err != nil {
-			return fmt.Errorf("journal: replay seq %d: %w", rec.Seq, err)
-		}
-		return nil
-	case stgq.MutSetLocation:
-		if err := pl.SetLocation(m.Person, m.X, m.Y); err != nil {
-			return fmt.Errorf("journal: replay seq %d: %w", rec.Seq, err)
-		}
-		return nil
+// Apply replays one journaled mutation into pl through Planner.Apply and
+// checks that the planner reaches the state the record describes: that
+// AddPerson assigns the id the journal recorded. Recovery uses it before
+// any mutation hook is installed; a replication follower uses it with
+// its own store's hook installed, so the applied record is re-journaled
+// locally and the error reports a failed local commit. ctx reaches the
+// hook.
+func Apply(ctx context.Context, pl *stgq.Planner, rec Record) error {
+	got, err := pl.Apply(ctx, rec.Mut)
+	if err != nil {
+		return fmt.Errorf("journal: replay seq %d: %w", rec.Seq, err)
 	}
-	return fmt.Errorf("%w: replay seq %d: unknown op %d", ErrCorrupt, rec.Seq, m.Op)
+	if got.Person != rec.Mut.Person {
+		return fmt.Errorf("%w: replay seq %d assigned person %d, journal says %d",
+			ErrCorrupt, rec.Seq, got.Person, rec.Mut.Person)
+	}
+	return nil
 }
 
 // onMutation is the planner's MutationHook: it assigns the next sequence

@@ -1,6 +1,7 @@
 package journal
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -102,7 +103,7 @@ func applyAll(t *testing.T, muts []stgq.Mutation, n, horizon int) *stgq.Planner 
 	t.Helper()
 	pl := stgq.NewPlanner(horizon)
 	for i := 0; i < n; i++ {
-		if err := apply(pl, Record{Seq: uint64(i + 1), Mut: muts[i]}); err != nil {
+		if err := Apply(context.Background(), pl, Record{Seq: uint64(i + 1), Mut: muts[i]}); err != nil {
 			t.Fatalf("reference apply %d: %v", i, err)
 		}
 	}
@@ -187,7 +188,7 @@ func TestCrashRecoveryRandomTruncation(t *testing.T) {
 				t.Fatal(err)
 			}
 			for i, m := range muts {
-				if err := apply(s.pl, Record{Mut: m}); err != nil {
+				if err := Apply(context.Background(), s.pl, Record{Mut: m}); err != nil {
 					t.Fatalf("mutation %d: %v", i, err)
 				}
 			}
@@ -246,7 +247,7 @@ func TestCleanRestartReplaysNothingAfterSnapshot(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, m := range muts {
-		if err := apply(s.pl, Record{Mut: m}); err != nil {
+		if err := Apply(context.Background(), s.pl, Record{Mut: m}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -287,7 +288,7 @@ func TestSnapshotCompactionRetiresSegments(t *testing.T) {
 	}
 	pl := s.Planner()
 	for i, m := range muts {
-		if err := apply(pl, Record{Mut: m}); err != nil {
+		if err := Apply(context.Background(), pl, Record{Mut: m}); err != nil {
 			t.Fatalf("mutation %d: %v", i, err)
 		}
 	}
@@ -410,7 +411,7 @@ func TestCorruptMiddleSegmentAborts(t *testing.T) {
 	}
 	r := rand.New(rand.NewSource(3))
 	for _, m := range genMutations(r, 80, horizon) {
-		if err := apply(s.pl, Record{Mut: m}); err != nil {
+		if err := Apply(context.Background(), s.pl, Record{Mut: m}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -452,7 +453,7 @@ func TestCorruptMiddleOfFinalSegmentAborts(t *testing.T) {
 	}
 	r := rand.New(rand.NewSource(5))
 	for _, m := range genMutations(r, 40, horizon) {
-		if err := apply(s.pl, Record{Mut: m}); err != nil {
+		if err := Apply(context.Background(), s.pl, Record{Mut: m}); err != nil {
 			t.Fatal(err)
 		}
 	}

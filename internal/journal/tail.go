@@ -8,8 +8,6 @@ import (
 	"io"
 	"os"
 	"sync"
-
-	stgq "repro"
 )
 
 // This file is the tailing/subscription seam of the journal: everything a
@@ -23,15 +21,6 @@ import (
 // retired their segments. The caller must restart from the latest snapshot
 // (see ReplicationSnapshot).
 var ErrCompacted = errors.New("journal: records compacted into a snapshot")
-
-// Apply replays one journaled mutation into pl, verifying that the planner
-// reaches the state the record describes (e.g. that AddPerson assigns the
-// id the journal recorded). It is the same code path recovery uses; a
-// replication follower uses it to apply the leader's records to its own
-// planner — with the follower's own mutation hook installed, the applied
-// record is re-journaled locally and the error reports a failed local
-// commit.
-func Apply(pl *stgq.Planner, rec Record) error { return apply(pl, rec) }
 
 // LastSeq returns the highest sequence number assigned so far (records
 // with that number may still be waiting for group commit).

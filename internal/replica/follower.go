@@ -506,7 +506,7 @@ func (f *Follower) streamOnce(ctx context.Context) error {
 				f.noteLeaderSeq(msg.Seq)
 			case kindRecord:
 				mFramesIn.With("record").Inc()
-				if err := f.applyWire(msg); err != nil {
+				if err := f.applyFrame(ctx, msg.Frame); err != nil {
 					return err
 				}
 			case kindError:
@@ -540,12 +540,17 @@ func (f *Follower) adoptEpoch(epoch, startSeq uint64) error {
 	return nil
 }
 
-// applyWire applies one record frame to the follower's planner (and,
+// applyFrame applies one record frame to the follower's planner (and,
 // through the store's mutation hook, its own journal). Records at or
 // below the applied position — duplicates after a reconnect — are
-// skipped; a gap or a divergent apply forces a snapshot bootstrap on the
-// next connect.
-func (f *Follower) applyWire(msg wireMsg) error {
+// skipped; a frame that does not decode, a gap or a divergent apply
+// forces a snapshot bootstrap on the next connect.
+func (f *Follower) applyFrame(ctx context.Context, frame []byte) error {
+	rec, err := journal.DecodeFrame(frame)
+	if err != nil {
+		f.forceBootstrap.Store(true)
+		return fmt.Errorf("replica: record frame: %w", err)
+	}
 	f.ingestMu.Lock()
 	defer f.ingestMu.Unlock()
 	if f.sealed.Load() {
@@ -553,33 +558,33 @@ func (f *Follower) applyWire(msg wireMsg) error {
 	}
 	st := f.store()
 	applied := st.LastSeq()
-	if msg.Seq <= applied {
+	if rec.Seq <= applied {
 		return nil
 	}
-	if msg.Seq != applied+1 {
-		return fmt.Errorf("replica: sequence gap: applied %d, leader sent %d", applied, msg.Seq)
+	if rec.Seq != applied+1 {
+		return fmt.Errorf("replica: sequence gap: applied %d, leader sent %d", applied, rec.Seq)
 	}
 	applyStart := time.Now()
-	if err := journal.Apply(st.Planner(), fromWire(msg)); err != nil {
+	if err := journal.Apply(ctx, st.Planner(), rec); err != nil {
 		// Divergence from the leader's history (or a local journal
 		// failure mid-apply): the local state can no longer be trusted
 		// to be a prefix, so rebuild from a leader snapshot.
 		f.forceBootstrap.Store(true)
 		return err
 	}
-	if got := st.LastSeq(); got != msg.Seq {
+	if got := st.LastSeq(); got != rec.Seq {
 		f.forceBootstrap.Store(true)
-		return fmt.Errorf("replica: local store assigned seq %d for leader record %d", got, msg.Seq)
+		return fmt.Errorf("replica: local store assigned seq %d for leader record %d", got, rec.Seq)
 	}
 	mApplySeconds.ObserveSince(applyStart)
-	if stgq.MutationOp(msg.Op) == stgq.MutSetLocation {
+	if rec.Mut.Op == stgq.MutSetLocation {
 		// Re-read rather than increment: a move relocates an already-
 		// located person, so the count tracks coverage, not record volume.
 		f.located.Store(uint64(st.Planner().NumLocated()))
 	}
-	f.applied.Store(msg.Seq)
+	f.applied.Store(rec.Seq)
 	f.appliedCh.Broadcast()
-	f.noteLeaderSeq(msg.Seq)
+	f.noteLeaderSeq(rec.Seq)
 	return nil
 }
 

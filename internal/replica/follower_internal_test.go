@@ -1,10 +1,16 @@
 package replica
 
 import (
+	"context"
+	"encoding/base64"
+	"encoding/json"
+	"errors"
 	"testing"
 	"time"
 
+	stgq "repro"
 	"repro/internal/dataset"
+	"repro/internal/journal"
 )
 
 // TestResetFromSnapshotTogglesBootstrapping pins the health contract of
@@ -110,5 +116,59 @@ func TestBackoffNormalization(t *testing.T) {
 				t.Fatalf("invariant broken: max %v < min %v", f.cfg.MaxBackoff, f.cfg.MinBackoff)
 			}
 		})
+	}
+}
+
+// TestFollowerRejectsBadRecordFrames: a record message whose journal
+// frame is missing (including the mirror-field shape older leaders sent)
+// or damaged is rejected before it reaches the planner, and the follower
+// re-bootstraps on its next connect instead of applying a zero-value
+// mutation.
+func TestFollowerRejectsBadRecordFrames(t *testing.T) {
+	good, err := journal.EncodeFrame(journal.Record{Seq: 1, Mut: stgq.Mutation{Op: stgq.MutAddPerson, Name: "ana"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	flipped := append([]byte(nil), good...)
+	flipped[len(flipped)-1] ^= 0x20
+	for name, raw := range map[string]string{
+		"no frame":      `{"k":"r"}`,
+		"mirror fields": `{"k":"r","seq":1,"op":1,"name":"ana"}`,
+		"truncated":     `{"k":"r","frame":"` + base64.StdEncoding.EncodeToString(good[:len(good)-2]) + `"}`,
+		"bit flip":      `{"k":"r","frame":"` + base64.StdEncoding.EncodeToString(flipped) + `"}`,
+	} {
+		t.Run(name, func(t *testing.T) {
+			f, err := NewFollower(Config{LeaderURL: "http://leader.invalid:8080", Dir: t.TempDir()})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer f.Close()
+			f.forceBootstrap.Store(false) // a fresh follower starts with one pending
+			var msg wireMsg
+			if err := json.Unmarshal([]byte(raw), &msg); err != nil {
+				t.Fatal(err)
+			}
+			if err := f.applyFrame(context.Background(), msg.Frame); !errors.Is(err, journal.ErrCorrupt) {
+				t.Fatalf("applyFrame = %v, want ErrCorrupt", err)
+			}
+			if !f.forceBootstrap.Load() {
+				t.Fatal("a bad frame did not force a bootstrap")
+			}
+			if st := f.Status(); st.AppliedSeq != 0 || f.Planner().NumPeople() != 0 {
+				t.Fatalf("bad frame applied: seq %d, %d people", st.AppliedSeq, f.Planner().NumPeople())
+			}
+		})
+	}
+	// The intact frame applies.
+	f, err := NewFollower(Config{LeaderURL: "http://leader.invalid:8080", Dir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	if err := f.applyFrame(context.Background(), good); err != nil {
+		t.Fatal(err)
+	}
+	if got := f.Planner().Name(0); got != "ana" || f.Status().AppliedSeq != 1 {
+		t.Fatalf("good frame: name %q, status %+v", got, f.Status())
 	}
 }

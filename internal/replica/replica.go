@@ -45,7 +45,7 @@
 //
 //	→ GET /replication/stream?after=<seq>[&bootstrap=1]
 //	← {"k":"records","after":<seq>,"seq":<leaderDurable>,"epoch":<e>}  header, then
-//	← {"k":"r","seq":125,"op":2,"a":3,"b":9,"d":4.5}        record frames
+//	← {"k":"r","frame":"<base64 journal frame>"}            records
 //	← {"k":"hb","seq":<leaderDurable>,"epoch":<e>}          idle heartbeats
 //
 // or, when the position is compacted (or a bootstrap is forced):
@@ -87,11 +87,6 @@
 // the moment it comes back.
 package replica
 
-import (
-	stgq "repro"
-	"repro/internal/journal"
-)
-
 // Frame kinds of the ndjson stream.
 const (
 	kindRecords   = "records"  // header: record frames follow
@@ -103,12 +98,13 @@ const (
 
 // wireMsg is one ndjson frame — a union of the header, record, heartbeat
 // and error shapes (the dataset frame of a snapshot stream is raw dataset
-// JSON instead). Zero-valued fields round-trip through omitempty safely:
-// person 0 and distance 0 decode back to their zero values.
+// JSON instead). A record travels as the journal frame it was committed
+// as, so the follower decodes it with the same codec (and CRC check) its
+// own recovery uses.
 type wireMsg struct {
 	Kind  string `json:"k"`
 	After uint64 `json:"after,omitempty"` // kindRecords: resume position
-	Seq   uint64 `json:"seq,omitempty"`   // record/snapshot seq; hb/header: leader durable seq
+	Seq   uint64 `json:"seq,omitempty"`   // snapshot seq; hb/header: leader durable seq
 	// Epoch is the leader's epoch, advertised on stream headers and
 	// heartbeats — the fencing coordinate. A follower rejects streams
 	// from a leader whose epoch is below its own (a revived, demoted
@@ -121,55 +117,7 @@ type wireMsg struct {
 	// the dead leader's orphaned writes and forces a re-bootstrap.
 	Fork uint64 `json:"fork,omitempty"`
 	Err  string `json:"err,omitempty"`
-
-	// Record payload (kindRecord), mirroring stgq.Mutation.
-	Op   uint8   `json:"op,omitempty"`
-	Name string  `json:"name,omitempty"`
-	P    int     `json:"p,omitempty"`
-	A    int     `json:"a,omitempty"`
-	B    int     `json:"b,omitempty"`
-	D    float64 `json:"d,omitempty"`
-	From int     `json:"from,omitempty"`
-	To   int     `json:"to,omitempty"`
-	Pol  int     `json:"pol,omitempty"`
-	X    float64 `json:"x,omitempty"`
-	Y    float64 `json:"y,omitempty"`
-}
-
-func toWire(rec journal.Record) wireMsg {
-	m := rec.Mut
-	return wireMsg{
-		Kind: kindRecord,
-		Seq:  rec.Seq,
-		Op:   uint8(m.Op),
-		Name: m.Name,
-		P:    int(m.Person),
-		A:    int(m.A),
-		B:    int(m.B),
-		D:    m.Distance,
-		From: m.From,
-		To:   m.To,
-		Pol:  int(m.Policy),
-		X:    m.X,
-		Y:    m.Y,
-	}
-}
-
-func fromWire(w wireMsg) journal.Record {
-	return journal.Record{
-		Seq: w.Seq,
-		Mut: stgq.Mutation{
-			Op:       stgq.MutationOp(w.Op),
-			Name:     w.Name,
-			Person:   stgq.PersonID(w.P),
-			A:        stgq.PersonID(w.A),
-			B:        stgq.PersonID(w.B),
-			Distance: w.D,
-			From:     w.From,
-			To:       w.To,
-			Policy:   stgq.SharePolicy(w.Pol),
-			X:        w.X,
-			Y:        w.Y,
-		},
-	}
+	// Frame is a record (kindRecord) as the journal's own CRC frame
+	// (journal.EncodeFrame): the bytes the leader's segment holds.
+	Frame []byte `json:"frame,omitempty"`
 }

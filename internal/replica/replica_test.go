@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -251,6 +252,15 @@ func TestLeaderFollowerEndToEnd(t *testing.T) {
 	}
 	if x, y, ok := f.fo.Planner().Location(10); !ok || x != 121 || y != -46 {
 		t.Fatalf("location move did not replicate: (%v,%v,%v)", x, y, ok)
+	}
+	// Replication is bit-exact: a location posted at x = -0 keeps its
+	// sign on the follower, as it does on the leader and in its journal.
+	if resp, body := post(t, leader.ts, "/people/11/location", json.RawMessage(`{"x":-0,"y":5}`)); resp.StatusCode != http.StatusOK {
+		t.Fatalf("set location -0: %d %s", resp.StatusCode, body)
+	}
+	waitCaughtUp(t, f.fo, leader.st)
+	if x, y, ok := f.fo.Planner().Location(11); !ok || x != 0 || !math.Signbit(x) || y != 5 {
+		t.Fatalf("follower location of 11 = (%v,%v,%v), want (-0,5) with the sign bit set", x, y, ok)
 	}
 	if got, want := planOn(t, f.ts, 10), planOn(t, leader.ts, 10); !bytes.Equal(got, want) {
 		t.Fatalf("follower plan diverged after update:\n  follower %s\n  leader   %s", got, want)

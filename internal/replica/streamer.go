@@ -145,7 +145,12 @@ func (st *Streamer) serveRecords(w http.ResponseWriter, r *http.Request, after u
 	deadline := time.Now().Add(maxConn)
 	for {
 		for _, rec := range recs {
-			if !send(toWire(rec)) {
+			frame, err := journal.EncodeFrame(rec)
+			if err != nil {
+				send(wireMsg{Kind: kindError, Err: err.Error()})
+				return
+			}
+			if !send(wireMsg{Kind: kindRecord, Frame: frame}) {
 				return
 			}
 		}

@@ -6,6 +6,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 
 	stgq "repro"
@@ -31,31 +32,19 @@ func startDetachedFollower(t *testing.T, leaderHint string) *httptest.Server {
 	return ts
 }
 
-// TestFollowerRejectsEveryMutationWithLeaderHint drives each mutating
-// endpoint against a follower directly and asserts the full redirect
+// TestFollowerRejectsEveryMutationWithLeaderHint drives every route of
+// the service's mutation table against a follower directly (the body is
+// never read: the role check comes first) and asserts the full redirect
 // contract: 403, the X-STGQ-Leader header, and the leader hint in the
 // body — the signal the cluster gateway keys its re-routing off.
 func TestFollowerRejectsEveryMutationWithLeaderHint(t *testing.T) {
 	const hint = "http://leader.example:8080"
 	ts := startDetachedFollower(t, hint)
 
-	mutations := []struct {
-		method, path string
-		body         any
-	}{
-		{http.MethodPost, "/people", AddPersonRequest{Name: "eve"}},
-		{http.MethodPost, "/friendships", FriendshipRequest{A: 0, B: 1, Distance: 2}},
-		{http.MethodDelete, "/friendships", FriendshipRequest{A: 0, B: 1}},
-		{http.MethodPost, "/availability", AvailabilityRequest{Person: 0, From: 0, To: 4, Available: true}},
-		{http.MethodPost, "/policies", PolicyRequest{Person: 0, Policy: "friends"}},
-		{http.MethodPost, "/people/0/location", LocationRequest{X: 10, Y: 20}},
-	}
-	for _, m := range mutations {
-		buf, err := json.Marshal(m.body)
-		if err != nil {
-			t.Fatal(err)
-		}
-		req, err := http.NewRequest(m.method, ts.URL+m.path, bytes.NewReader(buf))
+	for _, rt := range mutationRoutes {
+		method, path, _ := strings.Cut(rt.pattern, " ")
+		path = strings.ReplaceAll(path, "{id}", "0")
+		req, err := http.NewRequest(method, ts.URL+path, strings.NewReader(`{}`))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -70,18 +59,18 @@ func TestFollowerRejectsEveryMutationWithLeaderHint(t *testing.T) {
 			t.Fatal(err)
 		}
 		if resp.StatusCode != http.StatusForbidden {
-			t.Errorf("%s %s: status %d, want 403 (%s)", m.method, m.path, resp.StatusCode, body)
+			t.Errorf("%s %s: status %d, want 403 (%s)", method, path, resp.StatusCode, body)
 			continue
 		}
 		if got := resp.Header.Get("X-STGQ-Leader"); got != hint {
-			t.Errorf("%s %s: X-STGQ-Leader = %q, want %q", m.method, m.path, got, hint)
+			t.Errorf("%s %s: X-STGQ-Leader = %q, want %q", method, path, got, hint)
 		}
 		var eb struct {
 			Error  string `json:"error"`
 			Leader string `json:"leader"`
 		}
 		if err := json.Unmarshal(body, &eb); err != nil || eb.Leader != hint || eb.Error == "" {
-			t.Errorf("%s %s: 403 body lacks leader hint: %s (%v)", m.method, m.path, body, err)
+			t.Errorf("%s %s: 403 body lacks leader hint: %s (%v)", method, path, body, err)
 		}
 	}
 }

@@ -23,6 +23,11 @@
 // Infeasible queries return 422; malformed requests 400; unknown people
 // 404.
 //
+// The six mutating endpoints above are rows of one route table
+// (mutationRoutes) served by one handler: decode the request into a
+// stgq.Mutation, apply it with Planner.Apply, stamp the write's sequence
+// number, reply.
+//
 // # Read-your-writes headers
 //
 // Durable leaders stamp every acknowledged mutation response with
@@ -157,12 +162,9 @@ func NewFollower(fo *replica.Follower, leaderHint string) *Server {
 
 func (s *Server) routes() {
 	s.mux = http.NewServeMux()
-	s.handle("POST /people", s.handleAddPerson)
-	s.handle("POST /friendships", s.handleAddFriendship)
-	s.handle("DELETE /friendships", s.handleRemoveFriendship)
-	s.handle("POST /availability", s.handleAvailability)
-	s.handle("POST /policies", s.handleSetPolicy)
-	s.handle("POST /people/{id}/location", s.handleSetLocation)
+	for _, rt := range mutationRoutes {
+		s.handle(rt.pattern, s.mutationHandler(rt))
+	}
 	s.handle("POST /promote", s.handlePromote)
 	s.handle("POST /query/group", s.handleGroupQuery)
 	s.handle("POST /query/activity", s.handleActivityQuery)
@@ -424,145 +426,96 @@ type errorResponse struct {
 
 // --- handlers --------------------------------------------------------------
 
-func (s *Server) handleAddPerson(w http.ResponseWriter, r *http.Request) {
-	pl, ok := s.writablePlanner(w)
-	if !ok {
-		return
-	}
-	var req AddPersonRequest
-	if !decode(w, r, &req) {
-		return
-	}
-	var (
-		id  stgq.PersonID
-		err error
-	)
-	timeEngine(obsv.StagesFrom(r.Context()), func() {
-		id, err = pl.AddPersonCtx(r.Context(), req.Name)
-	})
-	if err != nil {
-		writeErr(w, err)
-		return
-	}
-	s.noteWriteSeq(w)
-	reply(w, r, http.StatusOK, AddPersonResponse{ID: int(id)})
+// mutationRoute is one mutating endpoint. mutation turns the request
+// (body and path) into the one stgq.Mutation it asks for, writing the 400
+// itself when the request is malformed; reply renders the applied
+// mutation's response body (nil: an empty object).
+type mutationRoute struct {
+	pattern  string
+	mutation func(w http.ResponseWriter, r *http.Request) (stgq.Mutation, bool)
+	reply    func(m stgq.Mutation) any
 }
 
-func (s *Server) handleAddFriendship(w http.ResponseWriter, r *http.Request) {
-	pl, ok := s.writablePlanner(w)
-	if !ok {
-		return
-	}
-	var req FriendshipRequest
-	if !decode(w, r, &req) {
-		return
-	}
-	var err error
-	timeEngine(obsv.StagesFrom(r.Context()), func() {
-		err = pl.ConnectCtx(r.Context(), stgq.PersonID(req.A), stgq.PersonID(req.B), req.Distance)
-	})
-	if err != nil {
-		writeErr(w, err)
-		return
-	}
-	s.noteWriteSeq(w)
-	reply(w, r, http.StatusOK, struct{}{})
-}
-
-func (s *Server) handleRemoveFriendship(w http.ResponseWriter, r *http.Request) {
-	pl, ok := s.writablePlanner(w)
-	if !ok {
-		return
-	}
-	var req FriendshipRequest
-	if !decode(w, r, &req) {
-		return
-	}
-	var err error
-	timeEngine(obsv.StagesFrom(r.Context()), func() {
-		err = pl.DisconnectCtx(r.Context(), stgq.PersonID(req.A), stgq.PersonID(req.B))
-	})
-	if err != nil {
-		writeErr(w, err)
-		return
-	}
-	s.noteWriteSeq(w)
-	reply(w, r, http.StatusOK, struct{}{})
-}
-
-func (s *Server) handleAvailability(w http.ResponseWriter, r *http.Request) {
-	pl, ok := s.writablePlanner(w)
-	if !ok {
-		return
-	}
-	var req AvailabilityRequest
-	if !decode(w, r, &req) {
-		return
-	}
-	var err error
-	timeEngine(obsv.StagesFrom(r.Context()), func() {
+// mutationRoutes is the route table of every state change the service
+// accepts; mutationHandler serves them all.
+var mutationRoutes = []mutationRoute{
+	{pattern: "POST /people", mutation: func(w http.ResponseWriter, r *http.Request) (stgq.Mutation, bool) {
+		var req AddPersonRequest
+		ok := decode(w, r, &req)
+		return stgq.Mutation{Op: stgq.MutAddPerson, Name: req.Name}, ok
+	}, reply: func(m stgq.Mutation) any { return AddPersonResponse{ID: int(m.Person)} }},
+	{pattern: "POST /friendships", mutation: func(w http.ResponseWriter, r *http.Request) (stgq.Mutation, bool) {
+		var req FriendshipRequest
+		ok := decode(w, r, &req)
+		return stgq.Mutation{Op: stgq.MutConnect, A: stgq.PersonID(req.A), B: stgq.PersonID(req.B), Distance: req.Distance}, ok
+	}},
+	{pattern: "DELETE /friendships", mutation: func(w http.ResponseWriter, r *http.Request) (stgq.Mutation, bool) {
+		var req FriendshipRequest
+		ok := decode(w, r, &req)
+		return stgq.Mutation{Op: stgq.MutDisconnect, A: stgq.PersonID(req.A), B: stgq.PersonID(req.B)}, ok
+	}},
+	{pattern: "POST /availability", mutation: func(w http.ResponseWriter, r *http.Request) (stgq.Mutation, bool) {
+		var req AvailabilityRequest
+		ok := decode(w, r, &req)
+		op := stgq.MutSetBusy
 		if req.Available {
-			err = pl.SetAvailableCtx(r.Context(), stgq.PersonID(req.Person), req.From, req.To)
-		} else {
-			err = pl.SetBusyCtx(r.Context(), stgq.PersonID(req.Person), req.From, req.To)
+			op = stgq.MutSetAvailable
 		}
-	})
-	if err != nil {
-		writeErr(w, err)
-		return
-	}
-	s.noteWriteSeq(w)
-	reply(w, r, http.StatusOK, struct{}{})
+		return stgq.Mutation{Op: op, Person: stgq.PersonID(req.Person), From: req.From, To: req.To}, ok
+	}},
+	{pattern: "POST /policies", mutation: func(w http.ResponseWriter, r *http.Request) (stgq.Mutation, bool) {
+		var req PolicyRequest
+		if !decode(w, r, &req) {
+			return stgq.Mutation{}, false
+		}
+		policy, err := stgq.ParseSharePolicy(req.Policy)
+		if err != nil {
+			writeErr(w, err)
+			return stgq.Mutation{}, false
+		}
+		return stgq.Mutation{Op: stgq.MutSetPolicy, Person: stgq.PersonID(req.Person), Policy: policy}, true
+	}},
+	{pattern: "POST /people/{id}/location", mutation: func(w http.ResponseWriter, r *http.Request) (stgq.Mutation, bool) {
+		id, err := strconv.Atoi(r.PathValue("id"))
+		if err != nil {
+			writeJSON(w, http.StatusBadRequest, errorResponse{Error: "bad request: person id: " + err.Error()})
+			return stgq.Mutation{}, false
+		}
+		var req LocationRequest
+		ok := decode(w, r, &req)
+		return stgq.Mutation{Op: stgq.MutSetLocation, Person: stgq.PersonID(id), X: req.X, Y: req.Y}, ok
+	}},
 }
 
-func (s *Server) handleSetPolicy(w http.ResponseWriter, r *http.Request) {
-	pl, ok := s.writablePlanner(w)
-	if !ok {
-		return
+// mutationHandler serves one mutation route: a follower answers 403 with
+// the leader hint; otherwise the request's mutation is applied (and, on a
+// durable server, committed) and the reply carries the write's sequence
+// number.
+func (s *Server) mutationHandler(rt mutationRoute) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		pl, ok := s.writablePlanner(w)
+		if !ok {
+			return
+		}
+		m, ok := rt.mutation(w, r)
+		if !ok {
+			return
+		}
+		var err error
+		timeEngine(obsv.StagesFrom(r.Context()), func() {
+			m, err = pl.Apply(r.Context(), m)
+		})
+		if err != nil {
+			writeErr(w, err)
+			return
+		}
+		s.noteWriteSeq(w)
+		var body any = struct{}{}
+		if rt.reply != nil {
+			body = rt.reply(m)
+		}
+		reply(w, r, http.StatusOK, body)
 	}
-	var req PolicyRequest
-	if !decode(w, r, &req) {
-		return
-	}
-	policy, err := stgq.ParseSharePolicy(req.Policy)
-	if err != nil {
-		writeErr(w, err)
-		return
-	}
-	timeEngine(obsv.StagesFrom(r.Context()), func() {
-		err = pl.SetSchedulePolicyCtx(r.Context(), stgq.PersonID(req.Person), policy)
-	})
-	if err != nil {
-		writeErr(w, err)
-		return
-	}
-	s.noteWriteSeq(w)
-	reply(w, r, http.StatusOK, struct{}{})
-}
-
-func (s *Server) handleSetLocation(w http.ResponseWriter, r *http.Request) {
-	pl, ok := s.writablePlanner(w)
-	if !ok {
-		return
-	}
-	id, err := strconv.Atoi(r.PathValue("id"))
-	if err != nil {
-		writeJSON(w, http.StatusBadRequest, errorResponse{Error: "bad request: person id: " + err.Error()})
-		return
-	}
-	var req LocationRequest
-	if !decode(w, r, &req) {
-		return
-	}
-	timeEngine(obsv.StagesFrom(r.Context()), func() {
-		err = pl.SetLocationCtx(r.Context(), stgq.PersonID(id), req.X, req.Y)
-	})
-	if err != nil {
-		writeErr(w, err)
-		return
-	}
-	s.noteWriteSeq(w)
-	reply(w, r, http.StatusOK, struct{}{})
 }
 
 func parseAlgorithm(name string) (stgq.Algorithm, error) {

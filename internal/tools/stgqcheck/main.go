@@ -4,11 +4,6 @@
 // the invariants that have actually cost this project incidents —
 // invariant drift that no general-purpose tool can know about:
 //
-//   - mutwiring: every stgq.Mut* mutation kind is wired through every
-//     serialization surface — journal codec encode AND decode, store
-//     replay, the replica wire, and the dataset snapshot format. PR 8's
-//     MutSetLocation had to be hand-threaded through all of them;
-//     forgetting any one is silent data loss on recovery or replication.
 //   - lockio: no sync.Mutex/RWMutex held across blocking I/O (os.File
 //     writes/fsync, net/http calls) in the journal, gateway and replica
 //     packages — the group-commit path is the hot one.
@@ -62,7 +57,6 @@ type analyzer struct {
 
 // analyzers is the registry, in report order.
 var analyzers = []*analyzer{
-	anaMutwiring,
 	anaLockIO,
 	anaSeqEpoch,
 	anaCtxFlow,

@@ -29,32 +29,24 @@ const DefaultGridCellSize = 250
 // MutSetLocation, so journaled deployments replicate and snapshot them
 // like every other mutation.
 func (pl *Planner) SetLocation(p PersonID, x, y float64) error {
-	return pl.SetLocationCtx(context.Background(), p, x, y)
+	_, err := pl.Apply(context.Background(), Mutation{Op: MutSetLocation, Person: p, X: x, Y: y})
+	return err
 }
 
-// SetLocationCtx is SetLocation with a caller context for the mutation
-// hook (request-scoped attribution; see MutationHook).
-func (pl *Planner) SetLocationCtx(ctx context.Context, p PersonID, x, y float64) error {
-	if math.IsNaN(x) || math.IsInf(x, 0) || math.IsNaN(y) || math.IsInf(y, 0) {
-		return fmt.Errorf("%w: non-finite location (%v, %v)", ErrBadQuery, x, y)
+func (pl *Planner) setLocationLocked(m *Mutation) error {
+	if math.IsNaN(m.X) || math.IsInf(m.X, 0) || math.IsNaN(m.Y) || math.IsInf(m.Y, 0) {
+		return fmt.Errorf("%w: non-finite location (%v, %v)", ErrBadQuery, m.X, m.Y)
 	}
-	pl.mu.Lock()
-	if int(p) < 0 || int(p) >= pl.g.NumVertices() {
-		pl.mu.Unlock()
-		return fmt.Errorf("%w: person %d", ErrPersonNotFound, p)
+	if err := pl.checkPersonLocked(m.Person); err != nil {
+		return err
 	}
-	pl.setLocationLocked(p, geo.Point{X: x, Y: y})
-	wait := pl.notifyLocked(ctx, Mutation{Op: MutSetLocation, Person: p, X: x, Y: y})
-	pl.mu.Unlock()
-	if wait != nil {
-		return wait()
-	}
+	pl.putLocation(m.Person, geo.Point{X: m.X, Y: m.Y})
 	return nil
 }
 
-// setLocationLocked updates the location map; the caller holds the write
-// lock (or owns the planner exclusively, as FromDataset does).
-func (pl *Planner) setLocationLocked(p PersonID, pt geo.Point) {
+// putLocation updates the location map; the caller holds the write lock
+// (or owns the planner exclusively, as FromDataset does).
+func (pl *Planner) putLocation(p PersonID, pt geo.Point) {
 	if pl.locations == nil {
 		pl.locations = make(map[PersonID]geo.Point)
 	}

@@ -59,33 +59,24 @@ func ParseSharePolicy(s string) (SharePolicy, error) {
 // journaled (MutSetPolicy) like every other mutation, so policies survive
 // restarts and replicate to followers.
 func (pl *Planner) SetSchedulePolicy(p PersonID, policy SharePolicy) error {
-	return pl.SetSchedulePolicyCtx(context.Background(), p, policy)
+	_, err := pl.Apply(context.Background(), Mutation{Op: MutSetPolicy, Person: p, Policy: policy})
+	return err
 }
 
-// SetSchedulePolicyCtx is SetSchedulePolicy with a caller context for the
-// mutation hook.
-func (pl *Planner) SetSchedulePolicyCtx(ctx context.Context, p PersonID, policy SharePolicy) error {
-	pl.mu.Lock()
-	if int(p) < 0 || int(p) >= pl.g.NumVertices() {
-		pl.mu.Unlock()
-		return fmt.Errorf("%w: person %d", ErrPersonNotFound, p)
+func (pl *Planner) setPolicyLocked(m *Mutation) error {
+	if err := pl.checkPersonLocked(m.Person); err != nil {
+		return err
 	}
-	if policy < ShareAll || policy > ShareNone {
-		pl.mu.Unlock()
-		return fmt.Errorf("%w: unknown policy %d", ErrBadQuery, policy)
+	if m.Policy < ShareAll || m.Policy > ShareNone {
+		return fmt.Errorf("%w: unknown policy %d", ErrBadQuery, m.Policy)
 	}
 	if pl.policies == nil {
 		pl.policies = make(map[PersonID]SharePolicy)
 	}
-	if policy == ShareAll {
-		delete(pl.policies, p)
+	if m.Policy == ShareAll {
+		delete(pl.policies, m.Person)
 	} else {
-		pl.policies[p] = policy
-	}
-	wait := pl.notifyLocked(ctx, Mutation{Op: MutSetPolicy, Person: p, Policy: policy})
-	pl.mu.Unlock()
-	if wait != nil {
-		return wait()
+		pl.policies[m.Person] = m.Policy
 	}
 	return nil
 }

@@ -109,6 +109,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 
 	"repro/internal/baseline"
@@ -146,35 +147,99 @@ const (
 	MutSetLocation
 )
 
+// mutKind is one row of the mutation table: everything the system knows
+// about a MutationOp, written once. The journal codec, replay, the
+// replica wire and the HTTP service all go through it.
+type mutKind struct {
+	name string
+	// fields names the Mutation fields the op carries, in journal wire
+	// order; every other field is zero.
+	fields []string
+	// apply validates m and applies it under the held write lock, filling
+	// in what the planner assigns (AddPerson's id).
+	apply func(pl *Planner, m *Mutation) error
+	// index is the op's effect on the incremental query index.
+	index func(ix *index.Index, m Mutation)
+}
+
+// mutKinds is the mutation table, indexed by MutationOp.
+var mutKinds = [...]mutKind{
+	MutAddPerson: {
+		name: "add-person", fields: []string{"Person", "Name"},
+		apply: (*Planner).addPersonLocked,
+		index: func(ix *index.Index, _ Mutation) { ix.AddPerson() },
+	},
+	MutConnect: {
+		name: "connect", fields: []string{"A", "B", "Distance"},
+		apply: func(pl *Planner, m *Mutation) error {
+			return mapVertexErr(pl.g.AddEdge(int(m.A), int(m.B), m.Distance))
+		},
+		// Graph edits drop the distance labels.
+		index: func(ix *index.Index, _ Mutation) { ix.Connect() },
+	},
+	MutDisconnect: {
+		name: "disconnect", fields: []string{"A", "B"},
+		apply: func(pl *Planner, m *Mutation) error {
+			return mapVertexErr(pl.g.RemoveEdge(int(m.A), int(m.B)))
+		},
+		index: func(ix *index.Index, _ Mutation) { ix.Disconnect() },
+	},
+	MutSetAvailable: {
+		name: "set-available", fields: []string{"Person", "From", "To"},
+		apply: func(pl *Planner, m *Mutation) error { return pl.setRangeLocked(m, true) },
+		// Schedule edits rebuild one availability row.
+		index: func(ix *index.Index, m Mutation) { ix.SetRange(int(m.Person), m.From, m.To, true) },
+	},
+	MutSetBusy: {
+		name: "set-busy", fields: []string{"Person", "From", "To"},
+		apply: func(pl *Planner, m *Mutation) error { return pl.setRangeLocked(m, false) },
+		index: func(ix *index.Index, m Mutation) { ix.SetRange(int(m.Person), m.From, m.To, false) },
+	},
+	MutSetPolicy: {
+		name: "set-policy", fields: []string{"Person", "Policy"},
+		apply: (*Planner).setPolicyLocked,
+		// The index tracks true availability; a policy decides, per query,
+		// which of the ball's rows the initiator is handed (viewRLocked),
+		// so no row changes and only the stamp advances.
+		index: func(ix *index.Index, _ Mutation) { ix.Advance() },
+	},
+	MutSetLocation: {
+		name: "set-location", fields: []string{"Person", "X", "Y"},
+		apply: (*Planner).setLocationLocked,
+		// Locations feed no availability row or distance label; only the
+		// stamp advances.
+		index: func(ix *index.Index, _ Mutation) { ix.Advance() },
+	},
+}
+
+// kind returns op's row of the mutation table, or nil for an unknown op.
+func (op MutationOp) kind() *mutKind {
+	if int(op) < len(mutKinds) && mutKinds[op].apply != nil {
+		return &mutKinds[op]
+	}
+	return nil
+}
+
 func (op MutationOp) String() string {
-	switch op {
-	case MutAddPerson:
-		return "add-person"
-	case MutConnect:
-		return "connect"
-	case MutDisconnect:
-		return "disconnect"
-	case MutSetAvailable:
-		return "set-available"
-	case MutSetBusy:
-		return "set-busy"
-	case MutSetPolicy:
-		return "set-policy"
-	case MutSetLocation:
-		return "set-location"
+	if k := op.kind(); k != nil {
+		return k.name
 	}
 	return fmt.Sprintf("MutationOp(%d)", uint8(op))
 }
 
-// Mutation describes one successful state-changing Planner call. Which
-// fields are meaningful depends on Op:
-//
-//   - MutAddPerson: Name (as requested) and Person (the assigned id);
-//   - MutConnect: A, B and Distance;
-//   - MutDisconnect: A and B;
-//   - MutSetAvailable, MutSetBusy: Person, From and To;
-//   - MutSetPolicy: Person and Policy;
-//   - MutSetLocation: Person, X and Y.
+// Fields names the Mutation fields op carries, in the order the journal
+// encodes them (nil for an unknown op). Every other field of a Mutation
+// with this op is zero.
+func (op MutationOp) Fields() []string {
+	if k := op.kind(); k != nil {
+		return slices.Clone(k.fields)
+	}
+	return nil
+}
+
+// Mutation describes one state-changing Planner call; Op.Fields lists
+// the fields that are meaningful for its op. For MutAddPerson, Name is
+// the requested name and Person the assigned id.
 type Mutation struct {
 	Op       MutationOp
 	Name     string
@@ -197,8 +262,8 @@ type Mutation struct {
 // planner lock (so journal order equals apply order), while the wait for
 // group commit happens outside it (so concurrent writers' syncs coalesce).
 //
-// ctx is the caller's request context as passed to the Ctx mutation
-// variants (context.Background() from the plain variants). Hooks use it
+// ctx is the caller's request context as passed to Planner.Apply
+// (context.Background() from the plain mutation methods). Hooks use it
 // for request-scoped attribution — e.g. recording journal stage timings
 // into an obsv.Stages carried by the context — not for cancellation: a
 // mutation already applied in memory must still be journaled.
@@ -290,40 +355,12 @@ func (pl *Planner) SetMutationHook(h MutationHook) {
 // observed out of step.
 func (pl *Planner) notifyLocked(ctx context.Context, m Mutation) func() error {
 	if pl.idx != nil {
-		applyIndex(pl.idx, m)
+		m.Op.kind().index(pl.idx, m)
 	}
 	if pl.hook == nil {
 		return nil
 	}
 	return pl.hook(ctx, m)
-}
-
-// applyIndex translates one successful mutation into the index's typed
-// apply calls. The mapping encodes the precise invalidation per mutation
-// type: schedule edits rebuild one availability row, graph edits drop the
-// distance labels, and location/policy changes advance the stamp only.
-func applyIndex(ix *index.Index, m Mutation) {
-	switch m.Op {
-	case MutAddPerson:
-		ix.AddPerson()
-	case MutConnect:
-		ix.Connect()
-	case MutDisconnect:
-		ix.Disconnect()
-	case MutSetAvailable:
-		ix.SetRange(int(m.Person), m.From, m.To, true)
-	case MutSetBusy:
-		ix.SetRange(int(m.Person), m.From, m.To, false)
-	case MutSetLocation:
-		// Locations feed the spatial grid, not the availability rows or
-		// distance labels; only the stamp advances.
-		ix.Advance()
-	case MutSetPolicy:
-		// The index tracks true availability; a policy decides, per query,
-		// which of the ball's rows the initiator is handed (viewRLocked),
-		// so no row changes and only the stamp advances.
-		ix.Advance()
-	}
 }
 
 // EnableIndex builds the incremental query index (repro/internal/index)
@@ -370,36 +407,52 @@ func (pl *Planner) IndexStats() (seq uint64, labels int) {
 // bad call can never poison a durable store.
 const MaxNameLen = 1 << 16
 
+// Apply validates and applies one mutation, runs the mutation hook, and
+// waits for the hook's commit (see MutationHook); it is the one path
+// every state change takes. ctx reaches the hook. The returned mutation
+// is m as applied: for MutAddPerson it carries the assigned id, also
+// when the hook's wait fails (the person is registered in memory but not
+// durable).
+func (pl *Planner) Apply(ctx context.Context, m Mutation) (Mutation, error) {
+	k := m.Op.kind()
+	if k == nil {
+		return m, fmt.Errorf("%w: unknown mutation op %d", ErrBadQuery, m.Op)
+	}
+	pl.mu.Lock()
+	err := k.apply(pl, &m)
+	var wait func() error
+	if err == nil {
+		wait = pl.notifyLocked(ctx, m)
+	}
+	pl.mu.Unlock()
+	if err == nil && wait != nil {
+		err = wait()
+	}
+	return m, err
+}
+
 // AddPerson registers a person and returns their id. Names must be unique
 // when non-empty; a duplicate name is disambiguated silently (the person is
 // registered unnamed) so ids stay dense. The error is non-nil when the
 // name exceeds MaxNameLen (nothing is registered) or when a mutation hook
 // fails to make the addition durable.
 func (pl *Planner) AddPerson(name string) (PersonID, error) {
-	return pl.AddPersonCtx(context.Background(), name)
+	m, err := pl.Apply(context.Background(), Mutation{Op: MutAddPerson, Name: name})
+	return m.Person, err
 }
 
-// AddPersonCtx is AddPerson with a caller context for the mutation hook
-// (request-scoped attribution; see MutationHook).
-func (pl *Planner) AddPersonCtx(ctx context.Context, name string) (PersonID, error) {
-	if len(name) > MaxNameLen {
-		return 0, fmt.Errorf("%w: name of %d bytes exceeds %d", ErrBadQuery, len(name), MaxNameLen)
+func (pl *Planner) addPersonLocked(m *Mutation) error {
+	if len(m.Name) > MaxNameLen {
+		return fmt.Errorf("%w: name of %d bytes exceeds %d", ErrBadQuery, len(m.Name), MaxNameLen)
 	}
-	pl.mu.Lock()
-	id, err := pl.g.AddVertex(name)
+	id, err := pl.g.AddVertex(m.Name)
 	if err != nil {
 		// Disambiguate silently; the original name remains reachable.
 		id, _ = pl.g.AddVertex("")
 	}
 	pl.cal.AppendUser()
-	wait := pl.notifyLocked(ctx, Mutation{Op: MutAddPerson, Name: name, Person: PersonID(id)})
-	pl.mu.Unlock()
-	if wait != nil {
-		if err := wait(); err != nil {
-			return PersonID(id), err
-		}
-	}
-	return PersonID(id), nil
+	m.Person = PersonID(id)
+	return nil
 }
 
 // MustAddPerson is AddPerson for setup code that does not use a durable
@@ -431,25 +484,8 @@ func (pl *Planner) Name(p PersonID) string {
 // distance (> 0; smaller = closer). Reconnecting keeps the smaller
 // distance.
 func (pl *Planner) Connect(a, b PersonID, distance float64) error {
-	return pl.ConnectCtx(context.Background(), a, b, distance)
-}
-
-// ConnectCtx is Connect with a caller context for the mutation hook.
-func (pl *Planner) ConnectCtx(ctx context.Context, a, b PersonID, distance float64) error {
-	pl.mu.Lock()
-	err := pl.g.AddEdge(int(a), int(b), distance)
-	var wait func() error
-	if err == nil {
-		wait = pl.notifyLocked(ctx, Mutation{Op: MutConnect, A: a, B: b, Distance: distance})
-	}
-	pl.mu.Unlock()
-	if err != nil {
-		return mapVertexErr(err)
-	}
-	if wait != nil {
-		return wait()
-	}
-	return nil
+	_, err := pl.Apply(context.Background(), Mutation{Op: MutConnect, A: a, B: b, Distance: distance})
+	return err
 }
 
 // mapVertexErr translates the graph's lookup errors into the package's
@@ -468,67 +504,38 @@ func mapVertexErr(err error) error {
 // Disconnect removes the friendship between a and b. Disconnecting people
 // who are not connected is an error.
 func (pl *Planner) Disconnect(a, b PersonID) error {
-	return pl.DisconnectCtx(context.Background(), a, b)
-}
-
-// DisconnectCtx is Disconnect with a caller context for the mutation hook.
-func (pl *Planner) DisconnectCtx(ctx context.Context, a, b PersonID) error {
-	pl.mu.Lock()
-	err := pl.g.RemoveEdge(int(a), int(b))
-	var wait func() error
-	if err == nil {
-		wait = pl.notifyLocked(ctx, Mutation{Op: MutDisconnect, A: a, B: b})
-	}
-	pl.mu.Unlock()
-	if err != nil {
-		return mapVertexErr(err)
-	}
-	if wait != nil {
-		return wait()
-	}
-	return nil
+	_, err := pl.Apply(context.Background(), Mutation{Op: MutDisconnect, A: a, B: b})
+	return err
 }
 
 // SetAvailable marks person p free over slot range [from, to).
 func (pl *Planner) SetAvailable(p PersonID, from, to int) error {
-	return pl.setRange(context.Background(), p, from, to, true)
-}
-
-// SetAvailableCtx is SetAvailable with a caller context for the mutation
-// hook.
-func (pl *Planner) SetAvailableCtx(ctx context.Context, p PersonID, from, to int) error {
-	return pl.setRange(ctx, p, from, to, true)
+	_, err := pl.Apply(context.Background(), Mutation{Op: MutSetAvailable, Person: p, From: from, To: to})
+	return err
 }
 
 // SetBusy marks person p busy over slot range [from, to).
 func (pl *Planner) SetBusy(p PersonID, from, to int) error {
-	return pl.setRange(context.Background(), p, from, to, false)
+	_, err := pl.Apply(context.Background(), Mutation{Op: MutSetBusy, Person: p, From: from, To: to})
+	return err
 }
 
-// SetBusyCtx is SetBusy with a caller context for the mutation hook.
-func (pl *Planner) SetBusyCtx(ctx context.Context, p PersonID, from, to int) error {
-	return pl.setRange(ctx, p, from, to, false)
+func (pl *Planner) setRangeLocked(m *Mutation, free bool) error {
+	if err := pl.checkPersonLocked(m.Person); err != nil {
+		return err
+	}
+	if m.From < 0 || m.To > pl.horizon || m.From > m.To {
+		return fmt.Errorf("%w: slot range [%d,%d) outside horizon %d", ErrBadQuery, m.From, m.To, pl.horizon)
+	}
+	pl.cal.ReplaceRange(int(m.Person), m.From, m.To, free)
+	return nil
 }
 
-func (pl *Planner) setRange(ctx context.Context, p PersonID, from, to int, free bool) error {
-	pl.mu.Lock()
+// checkPersonLocked reports ErrPersonNotFound unless p is registered; the
+// caller holds the lock.
+func (pl *Planner) checkPersonLocked(p PersonID) error {
 	if int(p) < 0 || int(p) >= pl.g.NumVertices() {
-		pl.mu.Unlock()
 		return fmt.Errorf("%w: person %d", ErrPersonNotFound, p)
-	}
-	if from < 0 || to > pl.horizon || from > to {
-		pl.mu.Unlock()
-		return fmt.Errorf("%w: slot range [%d,%d) outside horizon %d", ErrBadQuery, from, to, pl.horizon)
-	}
-	pl.cal.ReplaceRange(int(p), from, to, free)
-	op := MutSetBusy
-	if free {
-		op = MutSetAvailable
-	}
-	wait := pl.notifyLocked(ctx, Mutation{Op: op, Person: p, From: from, To: to})
-	pl.mu.Unlock()
-	if wait != nil {
-		return wait()
 	}
 	return nil
 }
@@ -566,7 +573,7 @@ func FromDataset(d *dataset.Dataset) *Planner {
 		policies:  policies,
 	}
 	for v, xy := range d.Locations {
-		pl.setLocationLocked(PersonID(v), geo.Point{X: xy[0], Y: xy[1]})
+		pl.putLocation(PersonID(v), geo.Point{X: xy[0], Y: xy[1]})
 	}
 	return pl
 }
