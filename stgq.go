@@ -347,22 +347,6 @@ func (pl *Planner) SetMutationHook(h MutationHook) {
 	pl.mu.Unlock()
 }
 
-// notifyLocked runs the hook for m under the held write lock and returns
-// the hook's wait function (nil without a hook). When the incremental
-// query index is enabled it is maintained here too — inside the same
-// critical section as the state change and the journal's sequence-number
-// assignment, so index state, planner state and seq stamps can never be
-// observed out of step.
-func (pl *Planner) notifyLocked(ctx context.Context, m Mutation) func() error {
-	if pl.idx != nil {
-		m.Op.kind().index(pl.idx, m)
-	}
-	if pl.hook == nil {
-		return nil
-	}
-	return pl.hook(ctx, m)
-}
-
 // EnableIndex builds the incremental query index (repro/internal/index)
 // over the planner's current state and keeps it maintained on every later
 // mutation. Queries then serve radius-graph extraction from cached
@@ -422,7 +406,15 @@ func (pl *Planner) Apply(ctx context.Context, m Mutation) (Mutation, error) {
 	err := k.apply(pl, &m)
 	var wait func() error
 	if err == nil {
-		wait = pl.notifyLocked(ctx, m)
+		// The index and the hook's sequence number advance in the same
+		// critical section as the state change, so index state, planner
+		// state and seq stamps can never be observed out of step.
+		if pl.idx != nil {
+			k.index(pl.idx, m)
+		}
+		if pl.hook != nil {
+			wait = pl.hook(ctx, m)
+		}
 	}
 	pl.mu.Unlock()
 	if err == nil && wait != nil {
