@@ -16,8 +16,8 @@ import (
 // battery of queries (FindGroup, PlanActivity, PlanGeoActivity,
 // PlanWithSmallestK). Results must be byte-identical under JSON
 // encoding: same members, same distances, same windows, same errors.
-// Repeat initiators deliberately re-hit the indexed planner's distance
-// labels, and interleaved graph edits exercise the invalidation paths.
+// Interleaved graph edits move only the index's sequence stamp, and
+// availability edits rebuild its rows between queries.
 // Privacy policies are part of the stream — all three values, and
 // ShareFriends verdicts flipped by later Connect/Disconnect — and the
 // indexed planner keeps its index on under them, so on every prefix the
@@ -77,9 +77,8 @@ func TestIndexedPlannerMatchesPlainPlanner(t *testing.T) {
 					pol := stgq.SharePolicy(rng.Intn(3))
 					both("SetSchedulePolicy", func(pl *stgq.Planner) error { return pl.SetSchedulePolicy(a, pol) })
 				case 10:
-					// A newcomer mid-stream: the indexed planner keeps its
-					// labels across it (nobody's ball holds a person without
-					// friendships) and must go on answering like the plain one.
+					// A newcomer mid-stream: the indexed planner appends an
+					// all-busy row and must go on answering like the plain one.
 					name := fmt.Sprintf("p%d", n)
 					n++
 					both("AddPerson", func(pl *stgq.Planner) error {
@@ -87,12 +86,10 @@ func TestIndexedPlannerMatchesPlainPlanner(t *testing.T) {
 						return err
 					})
 				default:
-					// No mutation this step: query back-to-back prefixes so
-					// the second query hits a warm label cache.
+					// No mutation this step: query the same state twice.
 				}
 
-				// Repeat initiators from a small pool → label-cache hits on
-				// the indexed side; parameters vary freely.
+				// Initiators from a small pool; parameters vary freely.
 				q := stgq.SGQuery{
 					Initiator: stgq.PersonID(rng.Intn(4)),
 					P:         2 + rng.Intn(3),
@@ -126,8 +123,8 @@ func TestIndexedPlannerMatchesPlainPlanner(t *testing.T) {
 				}
 			}
 
-			if seq, _ := fast.IndexStats(); seq == 0 {
-				t.Fatalf("seed %d: indexed planner never advanced its index seq", seed)
+			if !fast.IndexEnabled() {
+				t.Fatalf("seed %d: indexed planner lost its index", seed)
 			}
 		})
 	}

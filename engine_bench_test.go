@@ -1,8 +1,8 @@
 // Benchmarks for the seq-keyed query fast path: each engine family runs
 // the same repeated-query workload against a planner with the incremental
-// index disabled (every query recomputes availability runs and distance
-// labels from scratch) and enabled (runs answered O(1) from the index,
-// labels served from the warm cache).
+// index disabled (every query recomputes availability runs from the
+// calendar) and enabled (runs answered O(1) from the index). Both sides
+// extract the radius graph from the graph on every query.
 package stgq_test
 
 import (
@@ -17,7 +17,7 @@ import (
 // enginePlanner builds a deterministic mid-size population: a connected
 // social graph with local clustering, fragmented availability, and
 // clustered locations — enough structure that the repeated queries below
-// are usually feasible and the index has real runs and labels to serve.
+// are usually feasible and the index has real runs to serve.
 func enginePlanner(indexed bool) *stgq.Planner {
 	const n, horizon = 300, 24
 	rng := rand.New(rand.NewSource(benchSeed))
@@ -78,8 +78,8 @@ func benchIndexedVsRecompute(b *testing.B, run func(pl *stgq.Planner, q stgq.STG
 		}
 		b.Run(name, func(b *testing.B) {
 			pl := enginePlanner(indexed)
-			// Warm the label cache: the fast path is the steady state of a
-			// serving planner, not a cold start.
+			// Warm up: the fast path is the steady state of a serving
+			// planner, not a cold start.
 			for _, q := range qs[:8] {
 				run(pl, q)
 			}
@@ -109,9 +109,10 @@ func BenchmarkSTGSelect(b *testing.B) {
 // benchmark uses: SetBusy on the initiator, then PlanActivity by the same
 // person. The read must cost what any other read costs — a view of the
 // initiator's ball — so allocs/op follow the ball's size, not the
-// population's. Each iteration moves to another person, so no distance
-// label is reused; the stride starts away from person 0, the generator's
-// biggest hub, so that a one-iteration smoke run times an ordinary ball.
+// population's. Each iteration moves to another person, so each read is
+// a different ball; the stride starts away from person 0, the
+// generator's biggest hub, so that a one-iteration smoke run times an
+// ordinary ball.
 func BenchmarkPlanActivityAfterWrite(b *testing.B) {
 	for _, n := range []int{10_000, 100_000} {
 		b.Run(fmt.Sprint(n), func(b *testing.B) {

@@ -2,10 +2,10 @@ package index
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/schedule"
-	"repro/internal/socialgraph"
 )
 
 // TestIncrementalMatchesRebuildEveryPrefix is the index half of the
@@ -38,13 +38,7 @@ func TestIncrementalMatchesRebuildEveryPrefix(t *testing.T) {
 					free := rng.Intn(2) == 0
 					cal.SetRange(u, from, to, free)
 					ix.SetRange(u, from, to, free)
-				case op < 8: // graph edit: rows untouched
-					if rng.Intn(2) == 0 {
-						ix.Connect()
-					} else {
-						ix.Disconnect()
-					}
-				default: // location/policy: stamp only
+				default: // graph, location or policy edit: stamp only
 					ix.Advance()
 				}
 				seq++
@@ -104,65 +98,40 @@ func TestSnapshotImmuneToLaterMutations(t *testing.T) {
 	}
 }
 
-// TestLabelInvalidationPerMutationType pins the "precise invalidation"
-// contract: availability, location and policy mutations preserve cached
-// distance labels, and so does AddPerson (a label lists a ball's members,
-// and a newcomer without friendships is in nobody's ball); friendship
-// edits drop them.
-func TestLabelInvalidationPerMutationType(t *testing.T) {
+// TestRowInvalidationPerMutationType pins the "precise invalidation"
+// contract of the availability rows: SetRange rebuilds the mutated
+// person's row and no other, AddPerson appends one row and keeps the
+// rest, and Advance (friendship, location and policy edits) keeps every
+// row while the sequence stamp moves.
+func TestRowInvalidationPerMutationType(t *testing.T) {
 	cal := schedule.NewCalendar(3, 8)
 	ix := Build(cal, 0)
-	ball := socialgraph.Ball{IDs: []int{1, 0, 2}, Dist: []float64{0, 1, 2}}
-
-	store := func() { ix.StoreLabel(1, 2, ball) }
-	wantKept := func(op string) {
+	before := ix.AvailSnapshot()
+	wantRows := func(op string, rebuilt ...int) {
 		t.Helper()
-		if got, ok := ix.Label(1, 2); !ok {
-			t.Fatalf("%s dropped the label; it invalidates nothing label-related", op)
-		} else if &got.IDs[0] != &ball.IDs[0] || &got.Dist[0] != &ball.Dist[0] {
-			t.Fatalf("%s returned a different label", op)
+		after := ix.AvailSnapshot()
+		for u := 0; u < before.Users(); u++ {
+			want := before.RowSeq(u)
+			if slices.Contains(rebuilt, u) {
+				want = ix.Seq()
+			}
+			if got := after.RowSeq(u); got != want {
+				t.Fatalf("%s: row %d has seq %d, want %d", op, u, got, want)
+			}
 		}
-	}
-	wantDropped := func(op string) {
-		t.Helper()
-		if _, ok := ix.Label(1, 2); ok {
-			t.Fatalf("%s kept the label; graph-shape mutations must drop it", op)
-		}
+		before = after
 	}
 
-	store()
-	ix.SetRange(0, 0, 4, true)
-	wantKept("SetRange")
+	ix.SetRange(1, 0, 4, true)
+	wantRows("SetRange", 1)
 	ix.Advance()
-	wantKept("Advance")
+	wantRows("Advance")
 	ix.AddPerson()
-	wantKept("AddPerson")
-
-	store()
-	ix.Connect()
-	wantDropped("Connect")
-	store()
-	ix.Disconnect()
-	wantDropped("Disconnect")
-}
-
-// TestLabelCacheFIFOEviction pins the bounded-memory contract: the
-// cache never exceeds its capacity and evicts oldest-first.
-func TestLabelCacheFIFOEviction(t *testing.T) {
-	cal := schedule.NewCalendar(maxLabels+10, 4)
-	ix := Build(cal, 0)
-	for u := 0; u < maxLabels+10; u++ {
-		ix.StoreLabel(u, 1, socialgraph.Ball{IDs: []int{u}, Dist: []float64{0}})
+	if got := ix.AvailSnapshot().Users(); got != 4 {
+		t.Fatalf("AddPerson: %d rows, want 4", got)
 	}
-	if got := ix.Labels(); got != maxLabels {
-		t.Fatalf("cache holds %d labels, cap is %d", got, maxLabels)
-	}
-	for u := 0; u < 10; u++ {
-		if _, ok := ix.Label(u, 1); ok {
-			t.Fatalf("oldest entry %d survived FIFO eviction", u)
-		}
-	}
-	if _, ok := ix.Label(maxLabels+9, 1); !ok {
-		t.Fatal("newest entry evicted")
+	wantRows("AddPerson")
+	if got := ix.Seq(); got != 3 {
+		t.Fatalf("index seq %d after three applies, want 3", got)
 	}
 }

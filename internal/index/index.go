@@ -1,37 +1,27 @@
-// Package index holds the in-process incremental query indexes behind the
-// planner's fast path: per-user availability run-length structures and
-// social-distance landmark labels, both stamped with the mutation sequence
-// number they reflect.
+// Package index holds the in-process incremental availability index
+// behind the planner's fast path: per-user availability run-length rows,
+// each stamped with the mutation sequence number it reflects.
 //
 // The planner (repro's root package) maintains an Index inside the same
 // critical section as its own state, translating each successful mutation
 // into one typed apply call, so a reader holding the planner's read lock
-// always observes index state consistent with the graph and calendar. The
-// invalidation is precise per mutation type:
+// always observes index state consistent with the calendar:
 //
 //   - SetRange (MutSetAvailable/MutSetBusy) rebuilds only the mutated
 //     user's availability row — copy-on-write, so published rows stay
-//     immutable for lock-free readers — and leaves every distance label
-//     untouched (schedules do not move people on the social graph);
-//   - Connect/Disconnect invalidate the distance labels (the edge set
-//     changed) and leave every availability row untouched;
-//   - AddPerson appends one all-busy row and keeps the labels: a label
-//     lists the members of a ball, and a person with no friendships yet
-//     is in nobody's;
-//   - SetLocation and SetPolicy invalidate nothing: locations live in the
-//     planner's own location map, and a policy decides per query which of the
-//     candidates' rows the initiator may read (AvailFor substitutes the
-//     all-busy row for the others — the index stays on under policies),
-//     so the index only advances its sequence stamp.
+//     immutable for lock-free readers;
+//   - AddPerson appends one all-busy row;
+//   - every other mutation (friendship edits, SetLocation, SetPolicy)
+//     changes no row and only advances the sequence stamp (Advance):
+//     schedules do not move with the social graph or locations, and a
+//     policy decides per query which of the candidates' rows the
+//     initiator may read (AvailFor substitutes the all-busy row for the
+//     others — the index stays on under policies).
 //
-// Queries consume the index through two read-side surfaces: Avail (an
-// immutable snapshot of the candidates' rows implementing the pivot-run
-// lookups of repro/internal/core, Definition 4's per-pivot eligibility
-// in O(1) per vertex) and Label/StoreLabel (cached balls — the members
-// within s edges of an initiator and their s-bounded distances, 16 bytes
-// per member — that replace the per-query Bellman-Ford of radius-graph
-// extraction for repeat initiators, the "landmark" users of the
-// workload).
+// Queries consume the index through Avail: an immutable snapshot of the
+// candidates' rows implementing the pivot-run lookups of
+// repro/internal/core, Definition 4's per-pivot eligibility in O(1) per
+// vertex.
 package index
 
 import (
@@ -49,7 +39,6 @@ type Index struct {
 	seq     uint64 // sequence number of the last mutation applied
 	rows    []*userRuns
 	busy    *userRuns // the all-busy row AvailFor hands out for hidden schedules
-	labels  *labelCache
 }
 
 // Build constructs an Index reflecting cal as of sequence number seq.
@@ -61,7 +50,6 @@ func Build(cal *schedule.Calendar, seq uint64) *Index {
 		seq:     seq,
 		rows:    make([]*userRuns, cal.Users()),
 		busy:    buildUserRuns(newRow(cal.Horizon()), cal.Horizon(), seq),
-		labels:  newLabelCache(maxLabels),
 	}
 	for u := range ix.rows {
 		ix.rows[u] = buildUserRuns(cal.Row(u).Clone(), ix.horizon, seq)
@@ -85,8 +73,7 @@ func (ix *Index) Users() int {
 }
 
 // AddPerson appends an empty (fully busy) availability row for a newly
-// registered person. Distance labels survive: each lists the members of
-// one ball, and the newcomer, having no friendships, is in none of them.
+// registered person.
 func (ix *Index) AddPerson() {
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
@@ -95,8 +82,7 @@ func (ix *Index) AddPerson() {
 }
 
 // SetRange applies one availability edit: person's slots [from, to)
-// become free or busy. Only that person's row is rebuilt (copy-on-write);
-// distance labels survive, schedules being socially inert.
+// become free or busy. Only that person's row is rebuilt (copy-on-write).
 func (ix *Index) SetRange(person, from, to int, free bool) {
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
@@ -116,28 +102,9 @@ func (ix *Index) SetRange(person, from, to int, free bool) {
 	mAvailUpdates.Inc()
 }
 
-// Connect applies a friendship addition: availability rows are untouched,
-// distance labels are dropped (any cached vector may now be an
-// overestimate along the new edge).
-func (ix *Index) Connect() {
-	ix.mu.Lock()
-	defer ix.mu.Unlock()
-	ix.seq++
-	ix.labels.invalidate()
-}
-
-// Disconnect applies a friendship removal: availability rows are
-// untouched, distance labels are dropped (any cached vector may now be an
-// underestimate through the removed edge).
-func (ix *Index) Disconnect() {
-	ix.mu.Lock()
-	defer ix.mu.Unlock()
-	ix.seq++
-	ix.labels.invalidate()
-}
-
-// Advance records a mutation that invalidates nothing the index holds
-// (SetLocation, SetPolicy): only the sequence stamp moves.
+// Advance records a mutation that changes no availability row
+// (Connect, Disconnect, SetLocation, SetPolicy): only the sequence stamp
+// moves.
 func (ix *Index) Advance() {
 	ix.mu.Lock()
 	ix.seq++

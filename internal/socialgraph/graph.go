@@ -13,7 +13,8 @@
 // barrier: a round never reads a distance written in the same round. That
 // is what separates it from Dijkstra's algorithm, which would find cheaper
 // paths of more than s edges and admit people the query's social radius
-// excludes. RadiusGraphOf then builds the feasible graph over the ball.
+// excludes. ExtractRadiusGraph runs Ball and builds the feasible graph
+// over its result.
 package socialgraph
 
 import (
@@ -254,8 +255,8 @@ func (g *Graph) Neighbors(v int, fn func(u int, dist float64)) {
 // Ball is the sparse result of the distance pass of Definition 1: the
 // vertices with d^s(v,q) < ∞ and their s-edge minimum distances, sorted by
 // ascending (distance, id). Edge distances are positive, so the initiator
-// (distance 0) is always entry 0. It is what the planner's label cache
-// keeps per initiator: 16 bytes per ball member, whatever the population.
+// (distance 0) is always entry 0. It takes 16 bytes per ball member,
+// whatever the population.
 type Ball struct {
 	// IDs holds the original graph ids of the reached vertices.
 	IDs []int
@@ -403,17 +404,13 @@ func (g *Graph) ExtractRadiusGraph(q, s int) (*RadiusGraph, error) {
 	if err != nil {
 		return nil, err
 	}
-	return g.RadiusGraphOf(b), nil
+	return g.radiusGraphOf(b), nil
 }
 
-// RadiusGraphOf builds the feasible graph over a ball returned by Ball
-// against the current graph — possibly one cached by an incremental index
-// (repro/internal/index). It performs no shortest-path work of its own and
-// shares b's slices, which must not be mutated afterwards: handing it a
-// ball computed before a later edge edit produces a garbage feasible
-// graph, so callers own that consistency (the planner computes and caches
-// balls under one lock).
-func (g *Graph) RadiusGraphOf(b Ball) *RadiusGraph {
+// radiusGraphOf builds the feasible graph over a ball that Ball just
+// computed against the same graph. It performs no shortest-path work of
+// its own and shares b's slices as Orig and Dist.
+func (g *Graph) radiusGraphOf(b Ball) *RadiusGraph {
 	n := len(b.IDs)
 	rg := &RadiusGraph{
 		Orig:   b.IDs,

@@ -122,7 +122,7 @@ func TestSpatialVectorMatchesGridScan(t *testing.T) {
 			}
 		}
 		if seed%2 == 0 {
-			pl.EnableIndex() // the ball comes from a label on repeat initiators
+			pl.EnableIndex() // half the planners query with the index on
 		}
 		for trial := 0; trial < 40; trial++ {
 			rg, _, _, err := pl.queryView(PersonID(r.Intn(n)), 1+r.Intn(3), false)

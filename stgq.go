@@ -174,15 +174,15 @@ var mutKinds = [...]mutKind{
 		apply: func(pl *Planner, m *Mutation) error {
 			return mapVertexErr(pl.g.AddEdge(int(m.A), int(m.B), m.Distance))
 		},
-		// Graph edits drop the distance labels.
-		index: func(ix *index.Index, _ Mutation) { ix.Connect() },
+		// Graph edits change no availability row; only the stamp advances.
+		index: func(ix *index.Index, _ Mutation) { ix.Advance() },
 	},
 	MutDisconnect: {
 		name: "disconnect", fields: []string{"A", "B"},
 		apply: func(pl *Planner, m *Mutation) error {
 			return mapVertexErr(pl.g.RemoveEdge(int(m.A), int(m.B)))
 		},
-		index: func(ix *index.Index, _ Mutation) { ix.Disconnect() },
+		index: func(ix *index.Index, _ Mutation) { ix.Advance() },
 	},
 	MutSetAvailable: {
 		name: "set-available", fields: []string{"Person", "From", "To"},
@@ -206,8 +206,7 @@ var mutKinds = [...]mutKind{
 	MutSetLocation: {
 		name: "set-location", fields: []string{"Person", "X", "Y"},
 		apply: (*Planner).setLocationLocked,
-		// Locations feed no availability row or distance label; only the
-		// stamp advances.
+		// Locations feed no availability row; only the stamp advances.
 		index: func(ix *index.Index, _ Mutation) { ix.Advance() },
 	},
 }
@@ -280,9 +279,9 @@ type MutationHook func(ctx context.Context, m Mutation) (wait func() error)
 // an immutable view sized to the s-hop ball (the radius graph and its
 // members' calendar rows) before running the expensive search unlocked.
 // Every step of that capture costs the ball, not the population: the
-// radius graph comes from a frontier pass over reached vertices (or from a
-// cached label listing them), the calendar and run rows are picked per
-// member, and a geo-social query tests each member's own location.
+// radius graph comes from a frontier pass over reached vertices, the
+// calendar and run rows are picked per member, and a geo-social query
+// tests each member's own location.
 //
 // cal is the one availability store: one row per person, in step with the
 // graph (cal.Users() == g.NumVertices()). Its rows are replaced, never
@@ -349,10 +348,10 @@ func (pl *Planner) SetMutationHook(h MutationHook) {
 
 // EnableIndex builds the incremental query index (repro/internal/index)
 // over the planner's current state and keeps it maintained on every later
-// mutation. Queries then serve radius-graph extraction from cached
-// distance labels and pivot-window eligibility from precomputed
-// availability runs instead of recomputing both from scratch. Enabling is
-// idempotent (the index is rebuilt); it cannot be disabled.
+// mutation. Queries then answer pivot-window eligibility from
+// precomputed availability runs instead of recomputing them from the
+// calendar. Enabling is idempotent (the index is rebuilt); it cannot be
+// disabled.
 func (pl *Planner) EnableIndex() { pl.EnableIndexAt(0) }
 
 // EnableIndexAt is EnableIndex with an explicit starting sequence number:
@@ -372,18 +371,6 @@ func (pl *Planner) IndexEnabled() bool {
 	pl.mu.RLock()
 	defer pl.mu.RUnlock()
 	return pl.idx != nil
-}
-
-// IndexStats reports the index's current position and label count (both
-// zero when the index is disabled) for status endpoints and tests.
-func (pl *Planner) IndexStats() (seq uint64, labels int) {
-	pl.mu.RLock()
-	ix := pl.idx
-	pl.mu.RUnlock()
-	if ix == nil {
-		return 0, 0
-	}
-	return ix.Seq(), ix.Labels()
 }
 
 // MaxNameLen bounds display names (in bytes). Keeping names bounded here
@@ -625,7 +612,9 @@ func (pl *Planner) queryView(initiator PersonID, s int, withCalendar bool) (*soc
 }
 
 // viewRLocked builds the immutable query view; the caller holds at least
-// the read lock. The calendar holds the radius graph's members only —
+// the read lock. The radius graph is extracted from the graph on every
+// query, by a frontier pass that costs the initiator's s-hop ball, not
+// the population. The calendar holds the radius graph's members only —
 // user i is vertex i, so the engine's vertex → calendar-user mapping is
 // calUsers(rg.N()) — and shares the store's rows except for members whose
 // SharePolicy hides their schedule from the initiator, who get an all-busy
@@ -639,7 +628,7 @@ func (pl *Planner) viewRLocked(initiator PersonID, s int, withCalendar bool) (*s
 	if s < 1 {
 		return nil, nil, nil, fmt.Errorf("%w: social radius s=%d < 1", ErrBadQuery, s)
 	}
-	rg, err := pl.radiusGraphRLocked(int(initiator), s)
+	rg, err := pl.g.ExtractRadiusGraph(int(initiator), s)
 	if err != nil {
 		return nil, nil, nil, err
 	}
@@ -670,28 +659,6 @@ func calUsers(n int) []int {
 		users[i] = i
 	}
 	return users
-}
-
-// radiusGraphRLocked extracts the feasible graph for one query, serving
-// the initiator's ball (members and s-bounded distances) from the index's
-// landmark labels when one is cached — friendship edits drop the labels,
-// so a present entry is always current — and caching the ball it computed
-// on a miss. Either way the cost follows the ball, not the population.
-// The caller holds at least the read lock, which serializes the lookup
-// against graph mutations and index invalidation alike.
-func (pl *Planner) radiusGraphRLocked(q, s int) (*socialgraph.RadiusGraph, error) {
-	if pl.idx == nil {
-		return pl.g.ExtractRadiusGraph(q, s)
-	}
-	ball, ok := pl.idx.Label(q, s)
-	if !ok {
-		var err error
-		if ball, err = pl.g.Ball(q, s); err != nil {
-			return nil, err
-		}
-		pl.idx.StoreLabel(q, s, ball)
-	}
-	return pl.g.RadiusGraphOf(ball), nil
 }
 
 // FindGroup answers a social group query.
