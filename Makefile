@@ -37,17 +37,18 @@ fmt:
 bench:
 	bash bench/stgqbench/run.sh
 
-# One-iteration smoke of the hot write, proxy, spatial-index and indexed
-# engine paths: catches a broken journal append, gateway proxy pipeline,
-# grid query or availability-index fast path at build time without the
-# cost of a real benchmark run. The write-then-read and the radius-graph
-# extraction benchmarks run at 100k people, where allocs/op and B/op must
-# follow the s-hop ball.
+# One-iteration smoke of the hot write, proxy, spatial-index and engine
+# paths: catches a broken journal append, gateway proxy pipeline, grid
+# query or pivot preparation at build time without the cost of a real
+# benchmark run. STGSelect reports allocs/op, which must not grow with the
+# candidates (pivot windows live in one slab per query). The
+# write-then-read and the radius-graph extraction benchmarks run at 100k
+# people, where allocs/op and B/op must follow the s-hop ball.
 bench-smoke:
 	$(GO) test -run='^$$' -bench='^BenchmarkJournalAppend$$' -benchtime=1x .
 	$(GO) test -run='^$$' -bench='^BenchmarkGatewayProxyOverhead$$' -benchtime=1x ./internal/gateway
 	$(GO) test -run='^$$' -bench='^BenchmarkGeoGrid$$' -benchtime=1x ./internal/geo
-	$(GO) test -run='^$$' -bench='^BenchmarkSTGSelect$$' -benchtime=1x .
+	$(GO) test -run='^$$' -bench='^BenchmarkSTGSelect$$' -benchtime=1x -benchmem .
 	$(GO) test -run='^$$' -bench='^BenchmarkPlanActivityAfterWrite$$' -benchtime=1x .
 	$(GO) test -run='^$$' -bench='^BenchmarkExtractRadiusGraph$$' -benchtime=1x -benchmem ./internal/socialgraph
 

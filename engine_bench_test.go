@@ -1,8 +1,7 @@
-// Benchmarks for the seq-keyed query fast path: each engine family runs
-// the same repeated-query workload against a planner with the incremental
-// index disabled (every query recomputes availability runs from the
-// calendar) and enabled (runs answered O(1) from the index). Both sides
-// extract the radius graph from the graph on every query.
+// Engine benchmarks through the planner: each engine family runs the same
+// repeated-query workload against a serving-configured planner (index
+// enabled). Every query extracts the radius graph from the graph and, for
+// the temporal engines, reads its pivot windows from the calendar rows.
 package stgq_test
 
 import (
@@ -17,14 +16,12 @@ import (
 // enginePlanner builds a deterministic mid-size population: a connected
 // social graph with local clustering, fragmented availability, and
 // clustered locations — enough structure that the repeated queries below
-// are usually feasible and the index has real runs to serve.
-func enginePlanner(indexed bool) *stgq.Planner {
+// are usually feasible and pivot windows have real runs to find.
+func enginePlanner() *stgq.Planner {
 	const n, horizon = 300, 24
 	rng := rand.New(rand.NewSource(benchSeed))
 	pl := stgq.NewPlanner(horizon)
-	if indexed {
-		pl.EnableIndex()
-	}
+	pl.EnableIndex()
 	for i := 0; i < n; i++ {
 		pl.MustAddPerson(fmt.Sprintf("p%d", i))
 	}
@@ -50,8 +47,7 @@ func enginePlanner(indexed bool) *stgq.Planner {
 }
 
 // engineQueries is the repeated workload: a small initiator pool (the
-// regime the fast path targets — the same initiators asking again) with
-// lightly varied parameters.
+// same initiators asking again) with lightly varied parameters.
 func engineQueries() []stgq.STGQuery {
 	rng := rand.New(rand.NewSource(benchSeed + 1))
 	qs := make([]stgq.STGQuery, 32)
@@ -69,37 +65,28 @@ func engineQueries() []stgq.STGQuery {
 	return qs
 }
 
-func benchIndexedVsRecompute(b *testing.B, run func(pl *stgq.Planner, q stgq.STGQuery)) {
+func benchEngine(b *testing.B, run func(pl *stgq.Planner, q stgq.STGQuery)) {
 	qs := engineQueries()
-	for _, indexed := range []bool{false, true} {
-		name := "recompute"
-		if indexed {
-			name = "indexed"
-		}
-		b.Run(name, func(b *testing.B) {
-			pl := enginePlanner(indexed)
-			// Warm up: the fast path is the steady state of a serving
-			// planner, not a cold start.
-			for _, q := range qs[:8] {
-				run(pl, q)
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				run(pl, qs[i%len(qs)])
-			}
-		})
+	pl := enginePlanner()
+	// Warm up: the steady state of a serving planner, not a cold start.
+	for _, q := range qs[:8] {
+		run(pl, q)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		run(pl, qs[i%len(qs)])
 	}
 }
 
 func BenchmarkSGSelect(b *testing.B) {
-	benchIndexedVsRecompute(b, func(pl *stgq.Planner, q stgq.STGQuery) {
+	benchEngine(b, func(pl *stgq.Planner, q stgq.STGQuery) {
 		pl.FindGroup(q.SGQuery) //nolint:errcheck — infeasibility is part of the workload
 	})
 }
 
 func BenchmarkSTGSelect(b *testing.B) {
-	benchIndexedVsRecompute(b, func(pl *stgq.Planner, q stgq.STGQuery) {
+	benchEngine(b, func(pl *stgq.Planner, q stgq.STGQuery) {
 		pl.PlanActivity(q) //nolint:errcheck
 	})
 }
@@ -133,7 +120,7 @@ func BenchmarkPlanActivityAfterWrite(b *testing.B) {
 }
 
 func BenchmarkGSGSelect(b *testing.B) {
-	benchIndexedVsRecompute(b, func(pl *stgq.Planner, q stgq.STGQuery) {
+	benchEngine(b, func(pl *stgq.Planner, q stgq.STGQuery) {
 		pl.PlanGeoActivity(stgq.GSGQuery{SGQuery: q.SGQuery, M: q.M, X: 500, Y: 500, Radius: 600}) //nolint:errcheck
 	})
 }

@@ -293,24 +293,28 @@ func (s *Set) Indices() []int {
 	return out
 }
 
-// LongestRunContaining returns the bounds [lo, hi] of the maximal run of
-// consecutive set bits that contains index at. It returns ok=false when bit
-// at itself is not set. Both bounds are inclusive.
-//
-// STGSelect uses this to maintain TS, the maximal interval of time slots
-// common to the current intermediate solution that contains the pivot slot.
-func (s *Set) LongestRunContaining(at int) (lo, hi int, ok bool) {
-	if !s.Contains(at) {
-		return 0, 0, false
+// Bits returns the width ≤ 64 elements of s starting at index lo packed
+// into one word: bit j of the result is element lo+j. Indices at or past
+// Len read as absent, so a window that runs off the end of the set, or
+// starts beyond it, comes back zero-padded. It is how a caller reads a
+// short slot window of an availability row without a scan or an
+// allocation.
+func (s *Set) Bits(lo, width int) uint64 {
+	if lo < 0 || width < 0 || width > wordBits {
+		panic(fmt.Sprintf("bitset: Bits(%d, %d) needs lo ≥ 0 and 0 ≤ width ≤ %d", lo, width, wordBits))
 	}
-	lo, hi = at, at
-	for lo > 0 && s.Contains(lo-1) {
-		lo--
+	if width == 0 || lo >= s.n {
+		return 0
 	}
-	for hi+1 < s.n && s.Contains(hi+1) {
-		hi++
+	w, off := lo/wordBits, uint(lo%wordBits)
+	word := s.words[w] >> off
+	if off != 0 && w+1 < len(s.words) {
+		word |= s.words[w+1] << (wordBits - off)
 	}
-	return lo, hi, true
+	if width < wordBits {
+		word &= 1<<uint(width) - 1
+	}
+	return word
 }
 
 // String renders the set as {i, j, ...} for debugging.

@@ -185,36 +185,38 @@ func TestForEachEarlyStop(t *testing.T) {
 	}
 }
 
-func TestLongestRunContaining(t *testing.T) {
-	s := FromIndices(20, 2, 3, 4, 6, 7, 8, 9, 15)
-	lo, hi, ok := s.LongestRunContaining(7)
-	if !ok || lo != 6 || hi != 9 {
-		t.Errorf("run at 7 = [%d,%d] ok=%v, want [6,9] true", lo, hi, ok)
+func TestBits(t *testing.T) {
+	s := FromIndices(130, 0, 3, 62, 63, 64, 66, 127, 128, 129)
+	cases := []struct {
+		name      string
+		lo, width int
+		want      uint64
+	}{
+		{"first word prefix", 0, 5, 0b01001},
+		{"straddles a word boundary", 62, 5, 0b10111},
+		{"straddles into the last word", 126, 4, 0b1110},
+		{"full word aligned", 64, 64, 1<<0 | 1<<2 | 1<<63},
+		{"full word unaligned", 3, 64, 1<<0 | 1<<59 | 1<<60 | 1<<61 | 1<<63},
+		{"runs off the end", 128, 10, 0b11},
+		{"lo at Len", 130, 8, 0},
+		{"lo past Len", 500, 64, 0},
+		{"width 0", 3, 0, 0},
+		{"width 0 past Len", 130, 0, 0},
 	}
-	lo, hi, ok = s.LongestRunContaining(2)
-	if !ok || lo != 2 || hi != 4 {
-		t.Errorf("run at 2 = [%d,%d] ok=%v, want [2,4] true", lo, hi, ok)
+	for _, c := range cases {
+		if got := s.Bits(c.lo, c.width); got != c.want {
+			t.Errorf("%s: Bits(%d, %d) = %b, want %b", c.name, c.lo, c.width, got, c.want)
+		}
 	}
-	lo, hi, ok = s.LongestRunContaining(15)
-	if !ok || lo != 15 || hi != 15 {
-		t.Errorf("run at 15 = [%d,%d] ok=%v, want [15,15] true", lo, hi, ok)
-	}
-	if _, _, ok = s.LongestRunContaining(5); ok {
-		t.Error("run at unset bit should report ok=false")
-	}
-	if _, _, ok = s.LongestRunContaining(-1); ok {
-		t.Error("run at negative index should report ok=false")
-	}
-}
-
-func TestRunSpansWordBoundary(t *testing.T) {
-	s := New(200)
-	for i := 60; i <= 70; i++ {
-		s.Add(i)
-	}
-	lo, hi, ok := s.LongestRunContaining(64)
-	if !ok || lo != 60 || hi != 70 {
-		t.Errorf("run = [%d,%d] ok=%v, want [60,70] true", lo, hi, ok)
+	for _, bad := range [][2]int{{-1, 4}, {0, -1}, {0, 65}} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("Bits(%d, %d) did not panic", bad[0], bad[1])
+				}
+			}()
+			s.Bits(bad[0], bad[1])
+		}()
 	}
 }
 
@@ -298,25 +300,25 @@ func TestQuickAgainstModel(t *testing.T) {
 	}
 }
 
-// TestQuickRuns verifies LongestRunContaining against a scan-based oracle.
-func TestQuickRuns(t *testing.T) {
-	f := func(seed int64, sz uint8, at uint8) bool {
-		n := int(sz)%120 + 1
+// TestQuickBits verifies Bits against the map model at every offset and
+// width, including windows that cross a word or run past Len.
+func TestQuickBits(t *testing.T) {
+	f := func(seed int64, sz uint8) bool {
+		n := int(sz)%200 + 1
 		r := rand.New(rand.NewSource(seed))
 		s, m := randSet(r, n)
-		i := int(at) % n
-		lo, hi, ok := s.LongestRunContaining(i)
-		if !m[i] {
-			return !ok
+		for lo := 0; lo <= n+1; lo++ {
+			width := r.Intn(wordBits + 1)
+			got := s.Bits(lo, width)
+			for j := 0; j < wordBits; j++ {
+				want := j < width && m[lo+j]
+				if (got>>uint(j)&1 == 1) != want {
+					t.Logf("n=%d Bits(%d, %d) bit %d = %v, want %v", n, lo, width, j, !want, want)
+					return false
+				}
+			}
 		}
-		wantLo, wantHi := i, i
-		for wantLo > 0 && m[wantLo-1] {
-			wantLo--
-		}
-		for wantHi+1 < n && m[wantHi+1] {
-			wantHi++
-		}
-		return ok && lo == wantLo && hi == wantHi
+		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)

@@ -19,6 +19,19 @@
 // re-examined after the frame relaxes θ (then φ). This enumerates every
 // candidate group at most once and never discards a feasible optimum, which
 // is what Theorems 2 and 3 require.
+//
+// # Acquaintance-core peel
+//
+// One reduction here is not in the paper. A member of a feasible group has
+// at most k strangers among the other p − 1 members, so it knows at least
+// c = p − 1 − k of them: a feasible group lies inside the c-core of any
+// candidate set that contains it (the k-plex degree condition behind
+// Theorem 1). Before searching, SGSelect, each STGSelect pivot (after
+// Definition 4's eligibility) and GSGSelect (after its spatial filter) peel
+// their candidates to that core. The peel is exact — it removes only
+// vertices of no feasible group, so the search meets the same groups in
+// the same order and returns the same answer — and it is on by default;
+// Options.DisableCorePeel restores the paper's candidate sets.
 package core
 
 import (
@@ -56,19 +69,29 @@ type Options struct {
 	// worst case the paper acknowledges). 0 means unlimited.
 	MaxVertices int64
 
-	// Ablation switches (all false in the paper's configuration).
+	// Ablation switches for the paper's strategies (all false in the
+	// paper's configuration).
 	DisableDistancePruning       bool
 	DisableAcquaintancePruning   bool
 	DisableAccessOrdering        bool
 	DisableAvailabilityPruning   bool
 	DisableTemporalExtensibility bool
 
-	// Runs, when non-nil, supplies precomputed per-user availability runs
-	// (see PivotRuns) so per-pivot candidate generation answers each
-	// vertex's Definition 4 eligibility in O(1) instead of walking its
-	// calendar row. The provider must agree exactly with the calendar
-	// passed alongside it; results are identical either way, only the
-	// candidate-generation time changes.
+	// DisableCorePeel switches off the acquaintance-core peel, which is not
+	// in the paper: before searching, SGSelect, each STGSelect pivot and
+	// GSGSelect reduce their candidates to the c-core, c = p − 1 − k (every
+	// member of a feasible group knows at least c others inside it, the
+	// k-plex degree condition behind Theorem 1). The peel is exact — it
+	// removes only vertices that are in no feasible group, so answers are
+	// identical either way — and on by default. Disabling it gives the
+	// paper's own candidate sets, the reference the differential tests
+	// compare against and the configuration in which Example 2's pruning
+	// narrative plays out.
+	DisableCorePeel bool
+
+	// Deprecated: Runs is ignored. Pivot preparation reads each candidate's
+	// window straight from its calendar row as packed words; the field
+	// stays only until the availability index is retired.
 	Runs PivotRuns
 }
 
@@ -112,6 +135,9 @@ type Stats struct {
 	PhiRelaxations     int64
 	PivotsProcessed    int64 // STGSelect only
 	PivotsSkipped      int64 // pivots whose feasible graph was too small
+	// CorePeeled counts vertices the acquaintance-core peel removed from
+	// the candidates, summed over pivots (see Options.DisableCorePeel).
+	CorePeeled int64
 }
 
 // Add accumulates other into s.
@@ -129,6 +155,7 @@ func (s *Stats) Add(other Stats) {
 	s.PhiRelaxations += other.PhiRelaxations
 	s.PivotsProcessed += other.PivotsProcessed
 	s.PivotsSkipped += other.PivotsSkipped
+	s.CorePeeled += other.CorePeeled
 }
 
 // Group is an SGQ answer: the member vertices (radius-graph indices,

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -94,13 +95,16 @@ func TestSGSelectExample2(t *testing.T) {
 	}
 	// Example 2's narrative implies both the distance and the acquaintance
 	// pruning fire on this instance. In our engine the frame-level distance
-	// check runs first and shadows the acquaintance check, so the latter is
-	// asserted with distance pruning ablated.
+	// check runs first and shadows the acquaintance check, and the core
+	// peel removes v8 (one neighbour, c = 2) before the search, which is
+	// what Lemma 3 prunes in the example; so the latter is asserted on the
+	// paper's own candidates with distance pruning ablated.
 	if stats.DistancePrunes == 0 {
 		t.Errorf("expected at least one distance prune, stats %+v", stats)
 	}
 	noDist := DefaultOptions()
 	noDist.DisableDistancePruning = true
+	noDist.DisableCorePeel = true
 	grp2, stats2, err := SGSelect(rg, 4, 1, nil, noDist)
 	if err != nil || grp2.TotalDistance != 62 {
 		t.Fatalf("ablated run: %+v, %v", grp2, err)
@@ -397,6 +401,38 @@ func randomRadiusGraph(r *rand.Rand, n int, pEdge float64, s int) *socialgraph.R
 	return rg
 }
 
+// randomSchedule returns a calendar over users 0..users−1 and an activity
+// length m for the STG quick tests, in one of two shapes chosen per seed.
+// The short shape has the given horizon, m from 2 to 4, and every slot
+// free with probability free. The wide shape has a horizon of 64 to 200
+// slots and m from 2 to 40 — pivot windows start off word boundaries and,
+// once 2m − 1 > 64, span several words — filled with long free runs
+// broken by short busy gaps, so that groups sharing m slots still occur.
+func randomSchedule(r *rand.Rand, users, horizon int, free float64) (*schedule.Calendar, int) {
+	if r.Intn(2) == 0 {
+		cal := schedule.NewCalendar(users, horizon)
+		for u := 0; u < users; u++ {
+			for s := 0; s < horizon; s++ {
+				if r.Float64() < free {
+					cal.SetAvailable(u, s)
+				}
+			}
+		}
+		return cal, 2 + r.Intn(3)
+	}
+	horizon = 64 + r.Intn(137)
+	m := 2 + r.Intn(39)
+	cal := schedule.NewCalendar(users, horizon)
+	for u := 0; u < users; u++ {
+		for s := r.Intn(4); s < horizon; {
+			run := min(1+r.Intn(4*m), horizon-s)
+			cal.SetRange(u, s, s+run, true)
+			s += run + 1 + r.Intn(3)
+		}
+	}
+	return cal, m
+}
+
 // TestQuickSGSelectMatchesBruteForce is the empirical form of Theorem 2:
 // SGSelect returns the same optimum as exhaustive enumeration.
 func TestQuickSGSelectMatchesBruteForce(t *testing.T) {
@@ -434,16 +470,7 @@ func TestQuickSTGSelectMatchesBruteForce(t *testing.T) {
 		n := 5 + r.Intn(5)
 		rg := randomRadiusGraph(r, n, 0.3+r.Float64()*0.4, 1+r.Intn(2))
 		nn := rg.N()
-		horizon := 8 + r.Intn(16)
-		m := 2 + r.Intn(3)
-		cal := schedule.NewCalendar(nn, horizon)
-		for u := 0; u < nn; u++ {
-			for s := 0; s < horizon; s++ {
-				if r.Float64() < 0.75 {
-					cal.SetAvailable(u, s)
-				}
-			}
-		}
+		cal, m := randomSchedule(r, nn, 8+r.Intn(16), 0.75)
 		calUser := make([]int, nn)
 		for i := range calUser {
 			calUser[i] = i
@@ -514,6 +541,10 @@ func TestQuickAblationsPreserveOptimum(t *testing.T) {
 		variants = append(variants, o)
 	}
 
+	noPeel := DefaultOptions()
+	noPeel.DisableCorePeel = true
+	variants = append(variants, noPeel)
+
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		rg := randomRadiusGraph(r, 6+r.Intn(5), 0.4, 1+r.Intn(2))
@@ -528,6 +559,13 @@ func TestQuickAblationsPreserveOptimum(t *testing.T) {
 			}
 			if err == nil && got.TotalDistance != ref.TotalDistance {
 				t.Logf("seed %d: %v vs %v under %+v", seed, ref.TotalDistance, got.TotalDistance, opt)
+				return false
+			}
+			// The peel removes only vertices of no feasible group, so the
+			// search meets the same groups in the same order: the whole
+			// answer, not just its distance, must match.
+			if opt == noPeel && err == nil && !reflect.DeepEqual(got, ref) {
+				t.Logf("seed %d: peeled answer %+v, unpeeled %+v", seed, ref, got)
 				return false
 			}
 		}
@@ -559,22 +597,17 @@ func TestQuickSTGAblationsPreserveOptimum(t *testing.T) {
 		o.DisableDistancePruning = true
 		o.DisableAcquaintancePruning = true
 		o.DisableAccessOrdering = true
+		o.DisableCorePeel = true
 		variants = append(variants, o)
 	}
+	noPeel := DefaultOptions()
+	noPeel.DisableCorePeel = true
+	variants = append(variants, noPeel)
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		rg := randomRadiusGraph(r, 5+r.Intn(5), 0.4, 1)
 		nn := rg.N()
-		horizon := 8 + r.Intn(12)
-		m := 2 + r.Intn(3)
-		cal := schedule.NewCalendar(nn, horizon)
-		for u := 0; u < nn; u++ {
-			for s := 0; s < horizon; s++ {
-				if r.Float64() < 0.7 {
-					cal.SetAvailable(u, s)
-				}
-			}
-		}
+		cal, m := randomSchedule(r, nn, 8+r.Intn(12), 0.7)
 		calUser := make([]int, nn)
 		for i := range calUser {
 			calUser[i] = i
@@ -591,10 +624,134 @@ func TestQuickSTGAblationsPreserveOptimum(t *testing.T) {
 				t.Logf("seed %d: %v vs %v under %+v", seed, ref.TotalDistance, got.TotalDistance, opt)
 				return false
 			}
+			// Members, interval and pivot too (see the SG variant).
+			if opt == noPeel && err == nil && !reflect.DeepEqual(got, ref) {
+				t.Logf("seed %d: peeled answer %+v, unpeeled %+v", seed, ref, got)
+				return false
+			}
 		}
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 80}); err != nil {
+		t.Error(err)
+	}
+}
+
+// forEachGroup calls fn with every vertex set of size p that contains
+// vertex 0 and otherwise only vertices of allowed.
+func forEachGroup(n, p int, allowed *bitset.Set, fn func(members *bitset.Set)) {
+	members := bitset.FromIndices(n, 0)
+	var rec func(next, chosen int)
+	rec = func(next, chosen int) {
+		if chosen == p {
+			fn(members)
+			return
+		}
+		for v := next; v < n; v++ {
+			if allowed.Contains(v) {
+				members.Add(v)
+				rec(v+1, chosen+1)
+				members.Remove(v)
+			}
+		}
+	}
+	rec(1, 1)
+}
+
+// TestQuickPeelKeepsEveryFeasibleGroup: the acquaintance-core peel is
+// exact. Over seeded graphs and every k from 0 to p − 1, each group the
+// brute force finds feasible within a candidate set survives the peel of
+// that set; and SGSelect, given a restrict that omits the initiator as
+// the baseline passes it, leaves restrict untouched and returns exactly
+// the unpeeled answer.
+func TestQuickPeelKeepsEveryFeasibleGroup(t *testing.T) {
+	noPeel := DefaultOptions()
+	noPeel.DisableCorePeel = true
+	f := func(seed int64) bool {
+		r := rand.New(rand.NewSource(seed))
+		rg := randomRadiusGraph(r, 5+r.Intn(6), 0.2+r.Float64()*0.6, 1+r.Intn(2))
+		n := rg.N()
+		p := 2 + r.Intn(4)
+		restrict := bitset.New(n)
+		for v := 1; v < n; v++ {
+			if r.Intn(4) != 0 {
+				restrict.Add(v)
+			}
+		}
+		for k := 0; k < p; k++ {
+			core := restrict.Clone()
+			core.Add(0)
+			newEngine(rg, p, k, DefaultOptions()).peel(core)
+			ok := true
+			forEachGroup(n, p, restrict, func(members *bitset.Set) {
+				if ok && rg.GroupFeasible(members, k) && !members.IsSubsetOf(core) {
+					t.Logf("seed %d p=%d k=%d: feasible group %v not inside the core %v", seed, p, k, members, core)
+					ok = false
+				}
+			})
+			if !ok {
+				return false
+			}
+
+			before := restrict.Clone()
+			got, _, err := SGSelect(rg, p, k, restrict, DefaultOptions())
+			want, _, wantErr := SGSelect(rg, p, k, restrict, noPeel)
+			if !restrict.Equal(before) {
+				t.Logf("seed %d: SGSelect modified restrict: %v → %v", seed, before, restrict)
+				return false
+			}
+			if !errors.Is(err, wantErr) || !reflect.DeepEqual(got, want) {
+				t.Logf("seed %d p=%d k=%d: peeled %+v (%v), unpeeled %+v (%v)", seed, p, k, got, err, want, wantErr)
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+		t.Error(err)
+	}
+}
+
+// TestQuickRunAround holds the word-level run search against a slot scan,
+// on windows of one to three words.
+func TestQuickRunAround(t *testing.T) {
+	f := func(seed int64) bool {
+		r := rand.New(rand.NewSource(seed))
+		width := 1 + r.Intn(3*64)
+		ws := make([]uint64, (width+63)/64)
+		free := func(j int) bool { return j < width && ws[j/64]>>uint(j%64)&1 == 1 }
+		for j := 0; j < width; {
+			run := 1 + r.Intn(80)
+			if r.Intn(3) != 0 {
+				for i := j; i < j+run && i < width; i++ {
+					ws[i/64] |= 1 << uint(i%64)
+				}
+			}
+			j += run
+		}
+		for at := 0; at < width; at++ {
+			lo, hi, ok := runAround(ws, at)
+			if !free(at) {
+				if ok {
+					return false
+				}
+				continue
+			}
+			wantLo, wantHi := at, at
+			for wantLo > 0 && free(wantLo-1) {
+				wantLo--
+			}
+			for free(wantHi + 1) {
+				wantHi++
+			}
+			if !ok || lo != wantLo || hi != wantHi {
+				t.Logf("width %d at %d: [%d,%d] %v, want [%d,%d]", width, at, lo, hi, ok, wantLo, wantHi)
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
 	}
 }
@@ -630,10 +787,11 @@ func TestRestrictConfinesCandidates(t *testing.T) {
 func TestStatsAdd(t *testing.T) {
 	a := Stats{VerticesExamined: 1, NodesExpanded: 2, SolutionsFound: 3, DistancePrunes: 4,
 		AcquaintancePrunes: 5, AvailabilityPrunes: 6, ExteriorRejects: 7, InteriorRejects: 8,
-		TemporalRejects: 9, ThetaRelaxations: 10, PhiRelaxations: 11, PivotsProcessed: 12, PivotsSkipped: 13}
+		TemporalRejects: 9, ThetaRelaxations: 10, PhiRelaxations: 11, PivotsProcessed: 12, PivotsSkipped: 13,
+		CorePeeled: 14}
 	b := a
 	a.Add(b)
-	if a.VerticesExamined != 2 || a.PivotsSkipped != 26 || a.TemporalRejects != 18 {
+	if a.VerticesExamined != 2 || a.PivotsSkipped != 26 || a.TemporalRejects != 18 || a.CorePeeled != 28 {
 		t.Errorf("Add wrong: %+v", a)
 	}
 }

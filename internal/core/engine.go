@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"math/bits"
 
 	"repro/internal/bitset"
 	"repro/internal/schedule"
@@ -59,6 +60,11 @@ type engine struct {
 
 	removedPool [][]int
 
+	// coreDeg and coreQueue are peel's scratch: per vertex, its neighbours
+	// still in the candidate set, and the vertices peeled so far.
+	coreDeg   []int
+	coreQueue []int
+
 	// interiorRHS[θ][|VS∪{u}|] = k·(|VS∪{u}|/p)^θ, precomputed so the hot
 	// admission path avoids math.Pow.
 	interiorRHS [][]float64
@@ -73,14 +79,68 @@ type temporalState struct {
 	m   int
 	win schedule.Window
 	// runLo/runHi: per radius-graph vertex, the maximal run of consecutive
-	// available slots containing the pivot (absolute, inclusive). Valid only
-	// for eligible vertices.
+	// available slots containing the pivot, clipped to the window
+	// (absolute, inclusive). Valid only for eligible vertices.
 	runLo, runHi []int
-	winAvail     []*bitset.Set // window-relative availability per vertex
-	unavail      []int         // per window slot: # of VA members unavailable
-	curLo, curHi int           // TS of the current VS (absolute, inclusive)
-	loStack      []int         // per-depth save of curLo
-	hiStack      []int         // per-depth save of curHi
+	// words is the query's one slab of window availability: vertex v's
+	// window-relative row is words[v*nw : (v+1)*nw], bit j standing for
+	// slot win.Lo+j. A window is at most 2m−1 slots, so for m ≤ 32 that is
+	// one word per vertex.
+	words []uint64
+	nw    int
+	// masks[i] selects the bits of window word i that lie inside the
+	// window (all ones except in a partial last word).
+	masks        []uint64
+	unavail      []int // per window slot: # of VA members unavailable
+	curLo, curHi int   // TS of the current VS (absolute, inclusive)
+	loStack      []int // per-depth save of curLo
+	hiStack      []int // per-depth save of curHi
+}
+
+// newTemporalState returns the pivot-independent temporal state of one
+// search over n vertices for activity length m; setWindow sizes the rest
+// per pivot.
+func newTemporalState(n, m int) *temporalState {
+	return &temporalState{m: m, runLo: make([]int, n), runHi: make([]int, n)}
+}
+
+// setWindow points the state at pivot window w: it sizes the word slab for
+// n vertices (growing it only when a window needs more words than any
+// before), the word masks and the unavailability counters.
+func (t *temporalState) setWindow(w schedule.Window, n int) {
+	width := w.Width()
+	t.win = w
+	t.nw = (width + 63) / 64
+	if len(t.words) < n*t.nw {
+		t.words = make([]uint64, n*t.nw)
+	}
+	t.masks = t.masks[:0]
+	for i := 0; i < t.nw; i++ {
+		mask := ^uint64(0)
+		if rest := width - i*64; rest < 64 {
+			mask = 1<<uint(rest) - 1
+		}
+		t.masks = append(t.masks, mask)
+	}
+	if cap(t.unavail) < width {
+		t.unavail = make([]int, width)
+	}
+	t.unavail = t.unavail[:width]
+}
+
+// windowWords returns vertex v's window words in the slab.
+func (t *temporalState) windowWords(v int) []uint64 {
+	return t.words[v*t.nw : (v+1)*t.nw]
+}
+
+// addBusy adds d to the unavailability counter of every window slot at
+// which v is busy, visiting only the busy bits of v's window words.
+func (t *temporalState) addBusy(v, d int) {
+	for i, word := range t.windowWords(v) {
+		for busy := ^word & t.masks[i]; busy != 0; busy &= busy - 1 {
+			t.unavail[i*64+bits.TrailingZeros64(busy)] += d
+		}
+	}
 }
 
 type verdict int
@@ -188,6 +248,52 @@ func (e *engine) cost(v int) float64 {
 	return e.rg.Dist[v] + e.spat[v]
 }
 
+// peel reduces cand to its acquaintance core: the largest subset in which
+// every vertex has at least c = p − 1 − k neighbours (rg.Adj) inside the
+// subset. A member of a feasible group has at most k strangers among the
+// other p − 1 members, so it knows at least c of them, all inside cand;
+// every feasible group within cand therefore lies inside its c-core, and
+// peeling loses no solution (the k-plex degree condition of Theorem 1).
+// It returns the number of vertices removed, which Stats.CorePeeled
+// accumulates. c ≤ 0 and Options.DisableCorePeel make it a no-op.
+func (e *engine) peel(cand *bitset.Set) int {
+	c := e.p - 1 - e.k
+	if c <= 0 || e.opt.DisableCorePeel {
+		return 0
+	}
+	if e.coreDeg == nil {
+		e.coreDeg = make([]int, e.n)
+	}
+	deg, queue := e.coreDeg, e.coreQueue[:0]
+	for v := cand.NextSet(0); v != -1; v = cand.NextSet(v + 1) {
+		deg[v] = 0
+		for _, w := range e.rg.Adj[v] {
+			if cand.Contains(w) {
+				deg[v]++
+			}
+		}
+		if deg[v] < c {
+			queue = append(queue, v)
+		}
+	}
+	for _, v := range queue {
+		cand.Remove(v)
+	}
+	for i := 0; i < len(queue); i++ {
+		for _, w := range e.rg.Adj[queue[i]] {
+			if cand.Contains(w) {
+				if deg[w]--; deg[w] < c {
+					cand.Remove(w)
+					queue = append(queue, w)
+				}
+			}
+		}
+	}
+	e.coreQueue = queue[:0]
+	e.stats.CorePeeled += int64(len(queue))
+	return len(queue)
+}
+
 // --- incremental state transitions -------------------------------------
 
 // moveToVS moves u from VA into VS.
@@ -239,12 +345,7 @@ func (e *engine) detachFromVA(u int) {
 		e.nbrInVA[w]--
 	}
 	if t := e.tmp; t != nil {
-		av := t.winAvail[u]
-		for i := range t.unavail {
-			if !av.Contains(i) {
-				t.unavail[i]--
-			}
-		}
+		t.addBusy(u, -1)
 	}
 }
 
@@ -257,12 +358,7 @@ func (e *engine) attachToVA(u int) {
 	e.vaCount++
 	e.sumInner += 2 * e.nbrInVA[u]
 	if t := e.tmp; t != nil {
-		av := t.winAvail[u]
-		for i := range t.unavail {
-			if !av.Contains(i) {
-				t.unavail[i]++
-			}
-		}
+		t.addBusy(u, 1)
 	}
 }
 

@@ -62,8 +62,9 @@ func GSGSelect(rg *socialgraph.RadiusGraph, spat []float64, cal *schedule.Calend
 		return runPivots(e, cal, calUser, m, "gsg")
 	}
 
-	// Pure geo-social: one search over the spatially eligible vertices.
-	defer recordStats("gsg", e.stats)
+	// Pure geo-social: one search over the spatially eligible vertices,
+	// peeled to their acquaintance core.
+	defer func() { recordStats("gsg", e.stats) }()
 	eligible := bitset.New(e.n)
 	count := 0
 	for v := 0; v < e.n; v++ {
@@ -72,7 +73,8 @@ func GSGSelect(rg *socialgraph.RadiusGraph, spat []float64, cal *schedule.Calend
 			count++
 		}
 	}
-	if count < p {
+	count -= e.peel(eligible)
+	if !eligible.Contains(0) || count < p {
 		return nil, e.stats, ErrNoFeasibleGroup
 	}
 	if p == 1 {

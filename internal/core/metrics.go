@@ -32,4 +32,5 @@ func recordStats(kind string, st Stats) {
 	addPrune("exterior", st.ExteriorRejects)
 	addPrune("interior", st.InteriorRejects)
 	addPrune("temporal", st.TemporalRejects)
+	addPrune("core", st.CorePeeled)
 }

@@ -81,26 +81,18 @@ func STGSelectParallel(rg *socialgraph.RadiusGraph, cal *schedule.Calendar, calU
 		go func() {
 			defer wg.Done()
 			e := newEngine(rg, p, k, opt)
-			n := rg.N()
-			t := &temporalState{
-				m:        m,
-				runLo:    make([]int, n),
-				runHi:    make([]int, n),
-				winAvail: make([]*bitset.Set, n),
-			}
+			t := newTemporalState(e.n, m)
 			e.tmp = t
 			e.initTemporalRHS(m)
 			e.sharedBound = shared
 			defer func() { offer(nil, e.stats) }() // flush trailing skip counts
-			eligible := bitset.New(n)
+			eligible := bitset.New(e.n)
 			for {
 				pivot, ok := take()
 				if !ok {
 					return
 				}
-				w := cal.NewWindow(pivot, m)
-				t.win = w
-				if !prepPivot(e, cal, calUser, eligible, w) {
+				if !prepPivot(e, cal, calUser, eligible, cal.NewWindow(pivot, m)) {
 					e.stats.PivotsSkipped++
 					continue
 				}

@@ -1,16 +1,13 @@
 package core
 
-// PivotRuns is the read-side contract of an incremental availability
+// PivotRuns is the read-side contract of the incremental availability
 // index (see repro/internal/index): for calendar user u, Run returns the
 // maximal run of consecutive available slots containing slot, or ok=false
-// when u is busy at slot. prepPivot consults it — when Options.Runs is
-// set — in place of walking the user's calendar row around the pivot, so
-// a pivot's per-vertex eligibility test (Definition 4) costs O(1).
+// when u is busy at slot.
 //
-// A provider must reflect exactly the same availability as the calendar
-// the query runs over; the planner guarantees this by capturing both
-// under one lock acquisition. Both u and slot are always in range for
-// the view the engine was given.
+// Deprecated: the engine no longer consults it (see Options.Runs); pivot
+// preparation derives runs from the calendar's row words. It goes with
+// the availability index.
 type PivotRuns interface {
 	Run(u, slot int) (lo, hi int, ok bool)
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math/bits"
 	"time"
 
 	"repro/internal/bitset"
@@ -39,13 +40,7 @@ func STGSelect(rg *socialgraph.RadiusGraph, cal *schedule.Calendar, calUser []in
 // eligibility and the optimized cost carry the spatial dimension).
 func runPivots(e *engine, cal *schedule.Calendar, calUser []int, m int, kind string) (*STGroup, Stats, error) {
 	p := e.p
-	n := e.n
-	t := &temporalState{
-		m:        m,
-		runLo:    make([]int, n),
-		runHi:    make([]int, n),
-		winAvail: make([]*bitset.Set, n),
-	}
+	t := newTemporalState(e.n, m)
 	e.tmp = t
 	e.initTemporalRHS(m)
 
@@ -59,15 +54,13 @@ func runPivots(e *engine, cal *schedule.Calendar, calUser []int, m int, kind str
 		recordStats(kind, e.stats)
 	}()
 
-	eligible := bitset.New(n)
+	eligible := bitset.New(e.n)
 	for _, pivot := range cal.PivotSlots(m) {
 		if e.budgetHit {
 			break
 		}
-		w := cal.NewWindow(pivot, m)
-		t.win = w
 		prepStart := time.Now()
-		ok := prepPivot(e, cal, calUser, eligible, w)
+		ok := prepPivot(e, cal, calUser, eligible, cal.NewWindow(pivot, m))
 		candidateTime += time.Since(prepStart)
 		if !ok {
 			e.stats.PivotsSkipped++
@@ -132,11 +125,15 @@ func allMembersAvailable(cal *schedule.Calendar, calUser []int, members []int, s
 	return true
 }
 
-// prepPivot fills the temporal state for one pivot window: eligibility per
-// Definition 4, per-vertex pivot runs, window availability bitsets, and the
-// per-slot unavailability counters (over the initial VA = eligible − {q}).
-// It reports false when the pivot cannot host any feasible solution (the
-// initiator does not qualify, or fewer than p vertices qualify).
+// prepPivot fills the temporal state for one pivot window. Per vertex it
+// reads the window slice of the calendar row as packed words into the
+// query's slab, and from them tests Definition 4 (at least m consecutive
+// available slots inside the window; such a run always covers the pivot)
+// and records the run around the pivot. It then peels the eligible set to
+// its acquaintance core (engine.peel) and builds the per-slot
+// unavailability counters over the initial VA = core − {q}. It reports
+// false when the pivot cannot host any feasible solution: the initiator
+// does not qualify or is peeled, or fewer than p vertices are left.
 func prepPivot(e *engine, cal *schedule.Calendar, calUser []int, eligible *bitset.Set, w schedule.Window) bool {
 	t := e.tmp
 	eligible.Clear()
@@ -144,14 +141,8 @@ func prepPivot(e *engine, cal *schedule.Calendar, calUser []int, eligible *bitse
 	if width < t.m {
 		return false
 	}
-	if len(t.unavail) < width {
-		t.unavail = make([]int, width)
-	}
-	t.unavail = t.unavail[:width]
-	for i := range t.unavail {
-		t.unavail[i] = 0
-	}
-
+	t.setWindow(w, e.n)
+	at := w.Pivot - w.Lo
 	count := 0
 	for v := 0; v < e.n; v++ {
 		// Spatial eligibility first (GSGSelect): a vertex with no location
@@ -160,57 +151,65 @@ func prepPivot(e *engine, cal *schedule.Calendar, calUser []int, eligible *bitse
 		if e.spat != nil && e.spat[v] < 0 {
 			continue
 		}
-		// Eligibility test (Definition 4). With an availability index
-		// (Options.Runs) the maximal run containing the pivot is a
-		// precomputed O(1) lookup, clipped to the window; otherwise walk
-		// the pivot run directly on the calendar row (allocation-free).
-		// Either way, a vertex busy at the pivot slot can have no m-run
-		// inside the (2m−1)-wide window.
-		var lo, hi int
-		if e.opt.Runs != nil {
-			rl, rh, avail := e.opt.Runs.Run(calUser[v], w.Pivot)
-			if !avail {
-				continue
-			}
-			lo, hi = max(rl, w.Lo), min(rh, w.Hi-1)
-		} else {
-			row := cal.Row(calUser[v])
-			if !row.Contains(w.Pivot) {
-				continue
-			}
-			lo, hi = w.Pivot, w.Pivot
-			for lo-1 >= w.Lo && row.Contains(lo-1) {
-				lo--
-			}
-			for hi+1 < w.Hi && row.Contains(hi+1) {
-				hi++
-			}
+		ws := t.windowWords(v)
+		row := cal.Row(calUser[v])
+		for i := range ws {
+			ws[i] = row.Bits(w.Lo+i*64, min(64, width-i*64))
 		}
-		if hi-lo+1 < t.m {
+		lo, hi, ok := runAround(ws, at)
+		if !ok || hi-lo+1 < t.m {
 			continue
 		}
 		eligible.Add(v)
-		t.winAvail[v] = cal.UserWindowSlots(calUser[v], w)
-		t.runLo[v] = lo
-		t.runHi[v] = hi
+		t.runLo[v] = w.Lo + lo
+		t.runHi[v] = w.Lo + hi
 		count++
 	}
 	if !eligible.Contains(0) || count < e.p {
 		return false
 	}
-	// Unavailability counters cover VA = eligible − {0}.
+	count -= e.peel(eligible)
+	if !eligible.Contains(0) || count < e.p {
+		return false
+	}
+	for i := range t.unavail {
+		t.unavail[i] = 0
+	}
 	for v := eligible.NextSet(1); v != -1; v = eligible.NextSet(v + 1) {
-		av := t.winAvail[v]
-		for i := 0; i < width; i++ {
-			if !av.Contains(i) {
-				t.unavail[i]++
-			}
-		}
+		t.addBusy(v, 1)
 	}
 	t.curLo, t.curHi = t.runLo[0], t.runHi[0]
 	t.loStack = t.loStack[:0]
 	t.hiStack = t.hiStack[:0]
 	return true
+}
+
+// runAround returns the bounds [lo, hi] (inclusive bit offsets) of the
+// maximal run of set bits in the packed words ws that contains offset at,
+// or ok=false when bit at is clear. Bits past the window are clear in ws,
+// so the run never leaves it.
+func runAround(ws []uint64, at int) (lo, hi int, ok bool) {
+	i, b := at/64, uint(at%64)
+	if ws[i]>>b&1 == 0 {
+		return 0, 0, false
+	}
+	// Upward: the first clear bit at or above at ends the run.
+	hi = len(ws)*64 - 1
+	for j, sh := i, b; j < len(ws); j, sh = j+1, 0 {
+		if busy := ^ws[j] >> sh; busy != 0 {
+			hi = j*64 + int(sh) + bits.TrailingZeros64(busy) - 1
+			break
+		}
+	}
+	// Downward: the first clear bit at or below at ends it.
+	lo = 0
+	for j, sh := i, 63-b; j >= 0; j, sh = j-1, 0 {
+		if busy := ^ws[j] << sh; busy != 0 {
+			lo = j*64 + 63 - int(sh) - bits.LeadingZeros64(busy) + 1
+			break
+		}
+	}
+	return lo, hi, true
 }
 
 func validateSTG(rg *socialgraph.RadiusGraph, cal *schedule.Calendar, calUser []int, p, k, m int) error {

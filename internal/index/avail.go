@@ -23,8 +23,7 @@ func newRow(horizon int) *bitset.Set {
 
 // buildUserRuns decodes a row bitset into its run-length form. One O(h)
 // pass per mutated row is the whole maintenance cost of the availability
-// index; every pivot-window eligibility test it serves afterwards is
-// O(1).
+// index; every run lookup it serves afterwards is O(1).
 func buildUserRuns(bits *bitset.Set, horizon int, seq uint64) *userRuns {
 	r := &userRuns{seq: seq, bits: bits, runLo: make([]int32, horizon), runHi: make([]int32, horizon)}
 	for t := 0; t < horizon; {
@@ -46,12 +45,10 @@ func buildUserRuns(bits *bitset.Set, horizon int, seq uint64) *userRuns {
 	return r
 }
 
-// Avail is an immutable point-in-time snapshot of availability rows:
-// every user's (AvailSnapshot) or a chosen list's (AvailFor). It
-// implements the pivot-run provider of repro/internal/core: queries
-// capture it under the planner's read lock and keep using it after the
-// lock is released, exactly like the radius graph and calendar of the
-// same view.
+// Avail is an immutable point-in-time snapshot of every user's
+// availability rows (AvailSnapshot). It implements the deprecated
+// pivot-run provider of repro/internal/core, which the engine no longer
+// reads; the planner's queries read their calendar view instead.
 type Avail struct {
 	rows []*userRuns
 }
@@ -64,24 +61,6 @@ func (ix *Index) AvailSnapshot() Avail {
 	defer ix.mu.RUnlock()
 	rows := make([]*userRuns, len(ix.rows))
 	copy(rows, ix.rows)
-	return Avail{rows: rows}
-}
-
-// AvailFor captures the current rows of the listed users only — snapshot
-// user i is users[i], mirroring schedule.Calendar.View — so a query pays
-// for its candidates, not for the population. A negative entry selects
-// the all-busy row: a schedule the viewer may not read has no runs.
-func (ix *Index) AvailFor(users []int) Avail {
-	ix.mu.RLock()
-	defer ix.mu.RUnlock()
-	rows := make([]*userRuns, len(users))
-	for i, u := range users {
-		if u < 0 {
-			rows[i] = ix.busy
-		} else {
-			rows[i] = ix.rows[u]
-		}
-	}
 	return Avail{rows: rows}
 }
 

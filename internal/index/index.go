@@ -1,6 +1,6 @@
-// Package index holds the in-process incremental availability index
-// behind the planner's fast path: per-user availability run-length rows,
-// each stamped with the mutation sequence number it reflects.
+// Package index holds the planner's in-process incremental availability
+// index: per-user availability run-length rows, each stamped with the
+// mutation sequence number it reflects.
 //
 // The planner (repro's root package) maintains an Index inside the same
 // critical section as its own state, translating each successful mutation
@@ -14,14 +14,13 @@
 //   - every other mutation (friendship edits, SetLocation, SetPolicy)
 //     changes no row and only advances the sequence stamp (Advance):
 //     schedules do not move with the social graph or locations, and a
-//     policy decides per query which of the candidates' rows the
-//     initiator may read (AvailFor substitutes the all-busy row for the
-//     others — the index stays on under policies).
+//     policy is applied per query by the planner's calendar view, not
+//     here — the index stays on under policies.
 //
-// Queries consume the index through Avail: an immutable snapshot of the
-// candidates' rows implementing the pivot-run lookups of
-// repro/internal/core, Definition 4's per-pivot eligibility in O(1) per
-// vertex.
+// Queries no longer read the index: the engine derives each pivot's runs
+// from the calendar rows' words. Avail, the whole-population snapshot of
+// run rows, remains for the benchmark's layer probe and the index's own
+// differential tests.
 package index
 
 import (
@@ -38,7 +37,6 @@ type Index struct {
 	horizon int
 	seq     uint64 // sequence number of the last mutation applied
 	rows    []*userRuns
-	busy    *userRuns // the all-busy row AvailFor hands out for hidden schedules
 }
 
 // Build constructs an Index reflecting cal as of sequence number seq.
@@ -49,7 +47,6 @@ func Build(cal *schedule.Calendar, seq uint64) *Index {
 		horizon: cal.Horizon(),
 		seq:     seq,
 		rows:    make([]*userRuns, cal.Users()),
-		busy:    buildUserRuns(newRow(cal.Horizon()), cal.Horizon(), seq),
 	}
 	for u := range ix.rows {
 		ix.rows[u] = buildUserRuns(cal.Row(u).Clone(), ix.horizon, seq)

@@ -1,9 +1,13 @@
 // Package schedule implements the temporal substrate of the paper: per-user
 // availability calendars over discrete time slots (the paper uses 0.5-hour
 // slots, 48 per day), the pivot time slots of Lemma 4 and the per-pivot search
-// windows of Definition 4. The calendar is row-major only: Lemma 5's per-slot
-// unavailability counters are kept by the search itself, over the candidates
-// of one pivot (core.prepPivot's unavail), not as population-wide columns here.
+// windows of Definition 4. The calendar is row-major only, one bitset row per
+// user. A search reads a pivot window of a row as packed words
+// (bitset.Set.Bits) and derives everything else from them itself —
+// Definition 4's eligibility, the run around the pivot and Lemma 5's per-slot
+// unavailability counters over the candidates of one pivot (see core's
+// prepPivot) — so this package keeps no per-window or population-wide
+// derived state.
 //
 // Slots are 0-based in this package. The paper's 1-based pivot slots i·m
 // become 0-based indices t with (t+1) ≡ 0 (mod m).
@@ -212,9 +216,10 @@ func PivotWindow(horizon, pivot, m int) (lo, hi int) {
 	return lo, hi
 }
 
-// Window is a per-pivot view of the calendar used by STGSelect: each
-// qualifying user's availability restricted to the pivot window, plus
-// per-slot unavailability counts for Lemma 5.
+// Window is the slot range STGSelect searches under one pivot: a user
+// belongs in the pivot's feasible graph iff it has at least M consecutive
+// available slots inside [Lo, Hi) (Definition 4; any such run covers the
+// pivot slot).
 type Window struct {
 	Pivot int // pivot slot (absolute)
 	Lo    int // window start (absolute, inclusive)
@@ -230,56 +235,6 @@ func (c *Calendar) NewWindow(pivot, m int) Window {
 
 // Width returns the number of slots in the window (at most 2m−1).
 func (w Window) Width() int { return w.Hi - w.Lo }
-
-// UserQualifies implements Definition 4's vertex test: user u belongs in the
-// feasible graph of this pivot iff u has at least m consecutive available
-// slots within the window. (Any such run necessarily covers the pivot slot.)
-func (c *Calendar) UserQualifies(u int, w Window) bool {
-	run := 0
-	for t := w.Lo; t < w.Hi; t++ {
-		if c.rows[u].Contains(t) {
-			run++
-			if run >= w.M {
-				return true
-			}
-		} else {
-			run = 0
-		}
-	}
-	return false
-}
-
-// UserWindowSlots returns user u's availability inside the window as a
-// bitset over window-relative offsets [0, w.Width()).
-func (c *Calendar) UserWindowSlots(u int, w Window) *bitset.Set {
-	s := bitset.New(w.Width())
-	for t := w.Lo; t < w.Hi; t++ {
-		if c.rows[u].Contains(t) {
-			s.Add(t - w.Lo)
-		}
-	}
-	return s
-}
-
-// CommonRun intersects the given users' availability inside the window and
-// returns the maximal run of consecutive common slots containing the pivot,
-// as absolute inclusive bounds. ok=false when some user is busy at the pivot
-// slot itself (then no common run contains it).
-//
-// STGSelect maintains TS = [lo, hi] for the intermediate solution VS;
-// temporal extensibility is X(VS) = (hi−lo+1) − m.
-func (c *Calendar) CommonRun(users []int, w Window) (lo, hi int, ok bool) {
-	common := bitset.New(w.Width())
-	common.Fill()
-	for _, u := range users {
-		common.And(c.UserWindowSlots(u, w))
-	}
-	rlo, rhi, ok := common.LongestRunContaining(w.Pivot - w.Lo)
-	if !ok {
-		return 0, 0, false
-	}
-	return rlo + w.Lo, rhi + w.Lo, true
-}
 
 // FormatSlot renders an absolute slot index as "dayD hh:mm" assuming
 // half-hour slots, for human-readable reporting.

@@ -120,7 +120,7 @@ func (pl *Planner) PlanGeoActivity(q GSGQuery) (*GeoPlanResult, error) {
 		return nil, fmt.Errorf("%w: spatial radius %v must be positive and finite", ErrBadQuery, q.Radius)
 	}
 	withCal := q.M >= 1
-	rg, cal, runs, spat, err := pl.geoQueryView(q.Initiator, q.S, withCal, geo.Point{X: q.X, Y: q.Y}, q.Radius)
+	rg, cal, spat, err := pl.geoQueryView(q.Initiator, q.S, withCal, geo.Point{X: q.X, Y: q.Y}, q.Radius)
 	if err != nil {
 		return nil, err
 	}
@@ -129,7 +129,6 @@ func (pl *Planner) PlanGeoActivity(q GSGQuery) (*GeoPlanResult, error) {
 		calUser = calUsers(rg.N())
 	}
 	opts := q.options()
-	opts.Runs = runs
 	ans, stats, err := core.GSGSelect(rg, spat, cal, calUser, q.P, q.K, q.M, opts)
 	if err != nil {
 		return nil, err
@@ -148,14 +147,14 @@ func (pl *Planner) PlanGeoActivity(q GSGQuery) (*GeoPlanResult, error) {
 // vertex distances to the activity point (-1 = no location or outside
 // the radius), captured under the same lock acquisition so the spatial
 // and social views are mutually consistent.
-func (pl *Planner) geoQueryView(initiator PersonID, s int, withCalendar bool, center geo.Point, radius float64) (*socialgraph.RadiusGraph, *schedule.Calendar, core.PivotRuns, []float64, error) {
+func (pl *Planner) geoQueryView(initiator PersonID, s int, withCalendar bool, center geo.Point, radius float64) (*socialgraph.RadiusGraph, *schedule.Calendar, []float64, error) {
 	pl.mu.RLock()
 	defer pl.mu.RUnlock()
-	rg, cal, runs, err := pl.viewRLocked(initiator, s, withCalendar)
+	rg, cal, err := pl.viewRLocked(initiator, s, withCalendar)
 	if err != nil {
-		return nil, nil, nil, nil, err
+		return nil, nil, nil, err
 	}
-	return rg, cal, runs, pl.spatialRLocked(rg, center, radius), nil
+	return rg, cal, pl.spatialRLocked(rg, center, radius), nil
 }
 
 // spatialRLocked builds the spatial-distance vector for a radius graph:

@@ -125,7 +125,7 @@ func TestSpatialVectorMatchesGridScan(t *testing.T) {
 			pl.EnableIndex() // half the planners query with the index on
 		}
 		for trial := 0; trial < 40; trial++ {
-			rg, _, _, err := pl.queryView(PersonID(r.Intn(n)), 1+r.Intn(3), false)
+			rg, _, err := pl.queryView(PersonID(r.Intn(n)), 1+r.Intn(3), false)
 			if err != nil {
 				t.Fatal(err)
 			}

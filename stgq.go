@@ -348,9 +348,9 @@ func (pl *Planner) SetMutationHook(h MutationHook) {
 
 // EnableIndex builds the incremental query index (repro/internal/index)
 // over the planner's current state and keeps it maintained on every later
-// mutation. Queries then answer pivot-window eligibility from
-// precomputed availability runs instead of recomputing them from the
-// calendar. Enabling is idempotent (the index is rebuilt); it cannot be
+// mutation, stamped with each mutation's sequence number. Queries do not
+// read it: the engine derives pivot-window runs from the calendar rows
+// themselves. Enabling is idempotent (the index is rebuilt); it cannot be
 // disabled.
 func (pl *Planner) EnableIndex() { pl.EnableIndexAt(0) }
 
@@ -605,7 +605,7 @@ func (pl *Planner) Export(onLocked func()) *dataset.Dataset {
 // the initiator-visible calendar. Both are immutable, so the search itself
 // runs without holding any lock, and nothing here writes planner state,
 // so concurrent queries share the lock.
-func (pl *Planner) queryView(initiator PersonID, s int, withCalendar bool) (*socialgraph.RadiusGraph, *schedule.Calendar, core.PivotRuns, error) {
+func (pl *Planner) queryView(initiator PersonID, s int, withCalendar bool) (*socialgraph.RadiusGraph, *schedule.Calendar, error) {
 	pl.mu.RLock()
 	defer pl.mu.RUnlock()
 	return pl.viewRLocked(initiator, s, withCalendar)
@@ -618,25 +618,23 @@ func (pl *Planner) queryView(initiator PersonID, s int, withCalendar bool) (*soc
 // user i is vertex i, so the engine's vertex → calendar-user mapping is
 // calUsers(rg.N()) — and shares the store's rows except for members whose
 // SharePolicy hides their schedule from the initiator, who get an all-busy
-// row. The PivotRuns provider (nil when the index is disabled) is the same
-// selection of the index's run rows, captured under the same lock, so the
-// two always agree.
-func (pl *Planner) viewRLocked(initiator PersonID, s int, withCalendar bool) (*socialgraph.RadiusGraph, *schedule.Calendar, core.PivotRuns, error) {
+// row.
+func (pl *Planner) viewRLocked(initiator PersonID, s int, withCalendar bool) (*socialgraph.RadiusGraph, *schedule.Calendar, error) {
 	if int(initiator) < 0 || int(initiator) >= pl.g.NumVertices() {
-		return nil, nil, nil, fmt.Errorf("%w: person %d", ErrPersonNotFound, initiator)
+		return nil, nil, fmt.Errorf("%w: person %d", ErrPersonNotFound, initiator)
 	}
 	if s < 1 {
-		return nil, nil, nil, fmt.Errorf("%w: social radius s=%d < 1", ErrBadQuery, s)
+		return nil, nil, fmt.Errorf("%w: social radius s=%d < 1", ErrBadQuery, s)
 	}
 	rg, err := pl.g.ExtractRadiusGraph(int(initiator), s)
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, nil, err
 	}
 	if !withCalendar {
-		return rg, nil, nil, nil
+		return rg, nil, nil
 	}
-	// members[v] is the store row of vertex v, or -1 (all-busy, to View
-	// and AvailFor alike) when the initiator may not read it.
+	// members[v] is the store row of vertex v, or -1 (all-busy) when the
+	// initiator may not read it.
 	members := make([]int, rg.N())
 	for v, person := range rg.Orig {
 		members[v] = person
@@ -644,11 +642,7 @@ func (pl *Planner) viewRLocked(initiator PersonID, s int, withCalendar bool) (*s
 			members[v] = -1
 		}
 	}
-	var runs core.PivotRuns
-	if pl.idx != nil {
-		runs = pl.idx.AvailFor(members)
-	}
-	return rg, pl.cal.View(members), runs, nil
+	return rg, pl.cal.View(members), nil
 }
 
 // calUsers is the vertex → calendar-user mapping of a query view (see
@@ -663,7 +657,7 @@ func calUsers(n int) []int {
 
 // FindGroup answers a social group query.
 func (pl *Planner) FindGroup(q SGQuery) (*GroupResult, error) {
-	rg, _, _, err := pl.queryView(q.Initiator, q.S, false)
+	rg, _, err := pl.queryView(q.Initiator, q.S, false)
 	if err != nil {
 		return nil, err
 	}
@@ -690,13 +684,12 @@ func (pl *Planner) FindGroup(q SGQuery) (*GroupResult, error) {
 
 // PlanActivity answers a social-temporal group query.
 func (pl *Planner) PlanActivity(q STGQuery) (*PlanResult, error) {
-	rg, cal, runs, err := pl.queryView(q.Initiator, q.S, true)
+	rg, cal, err := pl.queryView(q.Initiator, q.S, true)
 	if err != nil {
 		return nil, err
 	}
 	calUser := calUsers(rg.N())
 	opts := q.options()
-	opts.Runs = runs
 	var (
 		ans   *core.STGroup
 		stats core.Stats
@@ -729,7 +722,7 @@ func (pl *Planner) PlanActivity(q STGQuery) (*PlanResult, error) {
 // against (PCArrange, Section 5.1). The result reports the observed
 // acquaintance bound k_h of the manually assembled group.
 func (pl *Planner) PlanManually(q STGQuery) (*ManualPlan, error) {
-	rg, cal, _, err := pl.queryView(q.Initiator, q.S, true)
+	rg, cal, err := pl.queryView(q.Initiator, q.S, true)
 	if err != nil {
 		return nil, err
 	}
@@ -753,12 +746,11 @@ func (pl *Planner) PlanManually(q STGQuery) (*ManualPlan, error) {
 // planner matches or beats the target total distance (typically the manual
 // plan's), returning that k and the plan.
 func (pl *Planner) PlanWithSmallestK(q STGQuery, targetDistance float64) (int, *PlanResult, error) {
-	rg, cal, runs, err := pl.queryView(q.Initiator, q.S, true)
+	rg, cal, err := pl.queryView(q.Initiator, q.S, true)
 	if err != nil {
 		return 0, nil, err
 	}
 	opts := q.options()
-	opts.Runs = runs
 	res, err := coordinate.STGArrange(rg, cal, calUsers(rg.N()), q.P, q.M, targetDistance, q.P-1, opts)
 	if err != nil {
 		return 0, nil, err
