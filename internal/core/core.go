@@ -77,16 +77,13 @@ type Options struct {
 	DisableAvailabilityPruning   bool
 	DisableTemporalExtensibility bool
 
-	// DisableCorePeel switches off the acquaintance-core peel, which is not
-	// in the paper: before searching, SGSelect, each STGSelect pivot and
-	// GSGSelect reduce their candidates to the c-core, c = p − 1 − k (every
-	// member of a feasible group knows at least c others inside it, the
-	// k-plex degree condition behind Theorem 1). The peel is exact — it
-	// removes only vertices that are in no feasible group, so answers are
-	// identical either way — and on by default. Disabling it gives the
-	// paper's own candidate sets, the reference the differential tests
-	// compare against and the configuration in which Example 2's pruning
-	// narrative plays out.
+	// DisableCorePeel switches off the acquaintance-core peel (see the
+	// package doc). The peel is not in the paper; it is exact by the k-plex
+	// degree argument — every member of a feasible group knows at least
+	// p − 1 − k others inside it — so answers are identical either way, and
+	// it is on by default. Disabling it gives the paper's own candidate
+	// sets: the reference the differential tests compare against, and the
+	// configuration in which Example 2's pruning narrative plays out.
 	DisableCorePeel bool
 
 	// Deprecated: Runs is ignored. Pivot preparation reads each candidate's

@@ -5,7 +5,7 @@ package core
 // maximal run of consecutive available slots containing slot, or ok=false
 // when u is busy at slot.
 //
-// Deprecated: the engine no longer consults it (see Options.Runs); pivot
+// Deprecated: the engine does not consult it (see Options.Runs); pivot
 // preparation derives runs from the calendar's row words. It goes with
 // the availability index.
 type PivotRuns interface {

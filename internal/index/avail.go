@@ -47,8 +47,8 @@ func buildUserRuns(bits *bitset.Set, horizon int, seq uint64) *userRuns {
 
 // Avail is an immutable point-in-time snapshot of every user's
 // availability rows (AvailSnapshot). It implements the deprecated
-// pivot-run provider of repro/internal/core, which the engine no longer
-// reads; the planner's queries read their calendar view instead.
+// pivot-run provider of repro/internal/core, which the engine does not
+// read; the planner's queries read their calendar view instead.
 type Avail struct {
 	rows []*userRuns
 }

@@ -17,7 +17,7 @@
 //     policy is applied per query by the planner's calendar view, not
 //     here — the index stays on under policies.
 //
-// Queries no longer read the index: the engine derives each pivot's runs
+// Queries do not read the index: the engine derives each pivot's runs
 // from the calendar rows' words. Avail, the whole-population snapshot of
 // run rows, remains for the benchmark's layer probe and the index's own
 // differential tests.
