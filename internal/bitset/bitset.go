@@ -317,6 +317,43 @@ func (s *Set) Bits(lo, width int) uint64 {
 	return word
 }
 
+// LongestRunContaining returns the bounds [lo, hi] (both inclusive) of the
+// maximal run of consecutive set bits that contains index at, in the packed
+// words ws (bit j of ws[i] is index 64i+j, as Bits packs them). It returns
+// ok=false when bit at is clear or outside the words. Callers that read a
+// window with Bits get zero padding past its end, so the run never leaves
+// the window.
+//
+// STGSelect uses this for the run of free slots around the pivot, from
+// which TS, the maximal common interval of the intermediate solution that
+// contains the pivot slot, is maintained.
+func LongestRunContaining(ws []uint64, at int) (lo, hi int, ok bool) {
+	if at < 0 || at >= len(ws)*wordBits {
+		return 0, 0, false
+	}
+	i, b := at/wordBits, uint(at%wordBits)
+	if ws[i]>>b&1 == 0 {
+		return 0, 0, false
+	}
+	// Upward: the first clear bit at or above at ends the run.
+	hi = len(ws)*wordBits - 1
+	for j, sh := i, b; j < len(ws); j, sh = j+1, 0 {
+		if clear := ^ws[j] >> sh; clear != 0 {
+			hi = j*wordBits + int(sh) + bits.TrailingZeros64(clear) - 1
+			break
+		}
+	}
+	// Downward: the first clear bit at or below at ends it.
+	lo = 0
+	for j, sh := i, wordBits-1-b; j >= 0; j, sh = j-1, 0 {
+		if clear := ^ws[j] << sh; clear != 0 {
+			lo = j*wordBits + wordBits - 1 - int(sh) - bits.LeadingZeros64(clear) + 1
+			break
+		}
+	}
+	return lo, hi, true
+}
+
 // String renders the set as {i, j, ...} for debugging.
 func (s *Set) String() string {
 	var b strings.Builder

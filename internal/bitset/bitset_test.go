@@ -185,6 +185,47 @@ func TestForEachEarlyStop(t *testing.T) {
 	}
 }
 
+func TestLongestRunContaining(t *testing.T) {
+	s := FromIndices(20, 2, 3, 4, 6, 7, 8, 9, 15)
+	lo, hi, ok := LongestRunContaining(s.words, 7)
+	if !ok || lo != 6 || hi != 9 {
+		t.Errorf("run at 7 = [%d,%d] ok=%v, want [6,9] true", lo, hi, ok)
+	}
+	lo, hi, ok = LongestRunContaining(s.words, 2)
+	if !ok || lo != 2 || hi != 4 {
+		t.Errorf("run at 2 = [%d,%d] ok=%v, want [2,4] true", lo, hi, ok)
+	}
+	lo, hi, ok = LongestRunContaining(s.words, 15)
+	if !ok || lo != 15 || hi != 15 {
+		t.Errorf("run at 15 = [%d,%d] ok=%v, want [15,15] true", lo, hi, ok)
+	}
+	if _, _, ok = LongestRunContaining(s.words, 5); ok {
+		t.Error("run at unset bit should report ok=false")
+	}
+	if _, _, ok = LongestRunContaining(s.words, -1); ok {
+		t.Error("run at negative index should report ok=false")
+	}
+	if _, _, ok = LongestRunContaining(s.words, 64); ok {
+		t.Error("run past the words should report ok=false")
+	}
+}
+
+func TestRunSpansWordBoundary(t *testing.T) {
+	s := New(200)
+	for i := 60; i <= 70; i++ {
+		s.Add(i)
+	}
+	lo, hi, ok := LongestRunContaining(s.words, 64)
+	if !ok || lo != 60 || hi != 70 {
+		t.Errorf("run = [%d,%d] ok=%v, want [60,70] true", lo, hi, ok)
+	}
+	s.Fill()
+	lo, hi, ok = LongestRunContaining(s.words, 130)
+	if !ok || lo != 0 || hi != 199 {
+		t.Errorf("run of a full set = [%d,%d] ok=%v, want [0,199] true", lo, hi, ok)
+	}
+}
+
 func TestBits(t *testing.T) {
 	s := FromIndices(130, 0, 3, 62, 63, 64, 66, 127, 128, 129)
 	cases := []struct {
@@ -316,6 +357,50 @@ func TestQuickBits(t *testing.T) {
 					t.Logf("n=%d Bits(%d, %d) bit %d = %v, want %v", n, lo, width, j, !want, want)
 					return false
 				}
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+		t.Error(err)
+	}
+}
+
+// TestQuickRuns verifies LongestRunContaining against a scan-based oracle at
+// every index of sets of one to four words built from random runs, so runs
+// often cross word boundaries.
+func TestQuickRuns(t *testing.T) {
+	f := func(seed int64, sz uint8) bool {
+		n := int(sz)%200 + 1
+		r := rand.New(rand.NewSource(seed))
+		s := New(n)
+		for i := 0; i < n; {
+			run := 1 + r.Intn(80)
+			if r.Intn(3) != 0 {
+				for j := i; j < i+run && j < n; j++ {
+					s.Add(j)
+				}
+			}
+			i += run
+		}
+		for at := 0; at < n; at++ {
+			lo, hi, ok := LongestRunContaining(s.words, at)
+			if !s.Contains(at) {
+				if ok {
+					return false
+				}
+				continue
+			}
+			wantLo, wantHi := at, at
+			for wantLo > 0 && s.Contains(wantLo-1) {
+				wantLo--
+			}
+			for wantHi+1 < n && s.Contains(wantHi+1) {
+				wantHi++
+			}
+			if !ok || lo != wantLo || hi != wantHi {
+				t.Logf("n=%d at %d: [%d,%d] %v, want [%d,%d]", n, at, lo, hi, ok, wantLo, wantHi)
+				return false
 			}
 		}
 		return true

@@ -712,50 +712,6 @@ func TestQuickPeelKeepsEveryFeasibleGroup(t *testing.T) {
 	}
 }
 
-// TestQuickRunAround holds the word-level run search against a slot scan,
-// on windows of one to three words.
-func TestQuickRunAround(t *testing.T) {
-	f := func(seed int64) bool {
-		r := rand.New(rand.NewSource(seed))
-		width := 1 + r.Intn(3*64)
-		ws := make([]uint64, (width+63)/64)
-		free := func(j int) bool { return j < width && ws[j/64]>>uint(j%64)&1 == 1 }
-		for j := 0; j < width; {
-			run := 1 + r.Intn(80)
-			if r.Intn(3) != 0 {
-				for i := j; i < j+run && i < width; i++ {
-					ws[i/64] |= 1 << uint(i%64)
-				}
-			}
-			j += run
-		}
-		for at := 0; at < width; at++ {
-			lo, hi, ok := runAround(ws, at)
-			if !free(at) {
-				if ok {
-					return false
-				}
-				continue
-			}
-			wantLo, wantHi := at, at
-			for wantLo > 0 && free(wantLo-1) {
-				wantLo--
-			}
-			for free(wantHi + 1) {
-				wantHi++
-			}
-			if !ok || lo != wantLo || hi != wantHi {
-				t.Logf("width %d at %d: [%d,%d] %v, want [%d,%d]", width, at, lo, hi, ok, wantLo, wantHi)
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Error(err)
-	}
-}
-
 // TestRestrictConfinesCandidates verifies the restrict parameter used by the
 // sequential baseline.
 func TestRestrictConfinesCandidates(t *testing.T) {

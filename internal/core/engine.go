@@ -110,7 +110,7 @@ func newTemporalState(n, m int) *temporalState {
 func (t *temporalState) setWindow(w schedule.Window, n int) {
 	width := w.Width()
 	t.win = w
-	t.nw = (width + 63) / 64
+	t.nw = w.Words()
 	if len(t.words) < n*t.nw {
 		t.words = make([]uint64, n*t.nw)
 	}

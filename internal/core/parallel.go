@@ -135,13 +135,6 @@ func STGSelectParallel(rg *socialgraph.RadiusGraph, cal *schedule.Calendar, calU
 		return nil, total, ErrNoFeasibleGroup
 	}
 	// Widen the clipped interval exactly as the sequential path does.
-	lo, hi := best.Interval.Start, best.Interval.End
-	for lo-1 >= 0 && allMembersAvailable(cal, calUser, best.Members, lo-1) {
-		lo--
-	}
-	for hi+1 < cal.Horizon() && allMembersAvailable(cal, calUser, best.Members, hi+1) {
-		hi++
-	}
-	best.Interval = Period{Start: lo, End: hi}
+	best.Interval = widenInterval(cal, calUser, best.Members, best.Pivot)
 	return best, total, nil
 }

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"math/bits"
 	"time"
 
 	"repro/internal/bitset"
@@ -92,21 +91,12 @@ func runPivots(e *engine, cal *schedule.Calendar, calUser []int, m int, kind str
 		return nil, e.stats, ErrNoFeasibleGroup
 	}
 	members := e.bestSet.Indices()
-	// The search tracks the common run clipped to the pivot window; widen it
-	// to the true maximal common interval for reporting.
-	lo, hi := e.bestLo, e.bestHi
-	for lo-1 >= 0 && allMembersAvailable(cal, calUser, members, lo-1) {
-		lo--
-	}
-	for hi+1 < cal.Horizon() && allMembersAvailable(cal, calUser, members, hi+1) {
-		hi++
-	}
 	ans := &STGroup{
 		Group: Group{
 			Members:       members,
 			TotalDistance: e.bestDist,
 		},
-		Interval: Period{Start: lo, End: hi},
+		Interval: widenInterval(cal, calUser, members, e.bestPiv),
 		Pivot:    e.bestPiv,
 	}
 	if e.budgetHit {
@@ -116,20 +106,23 @@ func runPivots(e *engine, cal *schedule.Calendar, calUser []int, m int, kind str
 	return ans, e.stats, nil
 }
 
-func allMembersAvailable(cal *schedule.Calendar, calUser []int, members []int, slot int) bool {
-	for _, v := range members {
-		if !cal.Available(calUser[v], slot) {
-			return false
-		}
+// widenInterval returns the maximal common interval of members around the
+// pivot slot over the whole horizon. The search tracks the common run
+// clipped to the pivot window; this is what the answer reports.
+func widenInterval(cal *schedule.Calendar, calUser []int, members []int, pivot int) Period {
+	users := make([]int, len(members))
+	for i, v := range members {
+		users[i] = calUser[v]
 	}
-	return true
+	lo, hi, _ := cal.CommonRun(users, schedule.Window{Pivot: pivot, Lo: 0, Hi: cal.Horizon()})
+	return Period{Start: lo, End: hi}
 }
 
-// prepPivot fills the temporal state for one pivot window. Per vertex it
-// reads the window slice of the calendar row as packed words into the
-// query's slab, and from them tests Definition 4 (at least m consecutive
-// available slots inside the window; such a run always covers the pivot)
-// and records the run around the pivot. It then peels the eligible set to
+// prepPivot fills the temporal state for one pivot window. Per vertex,
+// Calendar.UserQualifies reads the window slice of the calendar row as
+// packed words into the query's slab and from them tests Definition 4 (at
+// least m consecutive available slots inside the window; such a run always
+// covers the pivot); prepPivot records the run around the pivot. It then peels the eligible set to
 // its acquaintance core (engine.peel) and builds the per-slot
 // unavailability counters over the initial VA = core − {q}. It reports
 // false when the pivot cannot host any feasible solution: the initiator
@@ -137,12 +130,10 @@ func allMembersAvailable(cal *schedule.Calendar, calUser []int, members []int, s
 func prepPivot(e *engine, cal *schedule.Calendar, calUser []int, eligible *bitset.Set, w schedule.Window) bool {
 	t := e.tmp
 	eligible.Clear()
-	width := w.Width()
-	if width < t.m {
+	if w.Width() < t.m {
 		return false
 	}
 	t.setWindow(w, e.n)
-	at := w.Pivot - w.Lo
 	count := 0
 	for v := 0; v < e.n; v++ {
 		// Spatial eligibility first (GSGSelect): a vertex with no location
@@ -151,18 +142,13 @@ func prepPivot(e *engine, cal *schedule.Calendar, calUser []int, eligible *bitse
 		if e.spat != nil && e.spat[v] < 0 {
 			continue
 		}
-		ws := t.windowWords(v)
-		row := cal.Row(calUser[v])
-		for i := range ws {
-			ws[i] = row.Bits(w.Lo+i*64, min(64, width-i*64))
-		}
-		lo, hi, ok := runAround(ws, at)
-		if !ok || hi-lo+1 < t.m {
+		lo, hi, ok := cal.UserQualifies(calUser[v], w, t.windowWords(v))
+		if !ok {
 			continue
 		}
 		eligible.Add(v)
-		t.runLo[v] = w.Lo + lo
-		t.runHi[v] = w.Lo + hi
+		t.runLo[v] = lo
+		t.runHi[v] = hi
 		count++
 	}
 	if !eligible.Contains(0) || count < e.p {
@@ -182,34 +168,6 @@ func prepPivot(e *engine, cal *schedule.Calendar, calUser []int, eligible *bitse
 	t.loStack = t.loStack[:0]
 	t.hiStack = t.hiStack[:0]
 	return true
-}
-
-// runAround returns the bounds [lo, hi] (inclusive bit offsets) of the
-// maximal run of set bits in the packed words ws that contains offset at,
-// or ok=false when bit at is clear. Bits past the window are clear in ws,
-// so the run never leaves it.
-func runAround(ws []uint64, at int) (lo, hi int, ok bool) {
-	i, b := at/64, uint(at%64)
-	if ws[i]>>b&1 == 0 {
-		return 0, 0, false
-	}
-	// Upward: the first clear bit at or above at ends the run.
-	hi = len(ws)*64 - 1
-	for j, sh := i, b; j < len(ws); j, sh = j+1, 0 {
-		if busy := ^ws[j] >> sh; busy != 0 {
-			hi = j*64 + int(sh) + bits.TrailingZeros64(busy) - 1
-			break
-		}
-	}
-	// Downward: the first clear bit at or below at ends it.
-	lo = 0
-	for j, sh := i, 63-b; j >= 0; j, sh = j-1, 0 {
-		if busy := ^ws[j] << sh; busy != 0 {
-			lo = j*64 + 63 - int(sh) - bits.LeadingZeros64(busy) + 1
-			break
-		}
-	}
-	return lo, hi, true
 }
 
 func validateSTG(rg *socialgraph.RadiusGraph, cal *schedule.Calendar, calUser []int, p, k, m int) error {

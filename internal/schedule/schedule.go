@@ -2,12 +2,11 @@
 // availability calendars over discrete time slots (the paper uses 0.5-hour
 // slots, 48 per day), the pivot time slots of Lemma 4 and the per-pivot search
 // windows of Definition 4. The calendar is row-major only, one bitset row per
-// user. A search reads a pivot window of a row as packed words
-// (bitset.Set.Bits) and derives everything else from them itself —
-// Definition 4's eligibility, the run around the pivot and Lemma 5's per-slot
-// unavailability counters over the candidates of one pivot (see core's
-// prepPivot) — so this package keeps no per-window or population-wide
-// derived state.
+// user. UserQualifies reads a pivot window of a row as packed words
+// (bitset.Set.Bits) into a buffer the caller owns and tests Definition 4 on
+// them; the search derives Lemma 5's per-slot unavailability counters over
+// the candidates of one pivot from the same words (see core's prepPivot),
+// so this package keeps no per-window or population-wide derived state.
 //
 // Slots are 0-based in this package. The paper's 1-based pivot slots i·m
 // become 0-based indices t with (t+1) ≡ 0 (mod m).
@@ -235,6 +234,52 @@ func (c *Calendar) NewWindow(pivot, m int) Window {
 
 // Width returns the number of slots in the window (at most 2m−1).
 func (w Window) Width() int { return w.Hi - w.Lo }
+
+// Words returns the number of 64-slot words that hold the window.
+func (w Window) Words() int { return (w.Width() + 63) / 64 }
+
+// UserQualifies implements Definition 4's vertex test: user u belongs in the
+// feasible graph of this pivot iff u has at least m consecutive available
+// slots within the window. Any such run covers the pivot slot, so the test
+// reads u's window into ws (w.Words() words, bit j = slot w.Lo+j, zero past
+// the window) and measures the run around the pivot. It returns that run
+// as absolute inclusive bounds, with ok=false when it is shorter than M.
+// The caller keeps ws: it is u's window availability for the search.
+func (c *Calendar) UserQualifies(u int, w Window, ws []uint64) (lo, hi int, ok bool) {
+	width := w.Width()
+	for i := range ws {
+		ws[i] = c.rows[u].Bits(w.Lo+i*64, min(64, width-i*64))
+	}
+	lo, hi, ok = bitset.LongestRunContaining(ws, w.Pivot-w.Lo)
+	if !ok || hi-lo+1 < w.M {
+		return 0, 0, false
+	}
+	return lo + w.Lo, hi + w.Lo, true
+}
+
+// CommonRun intersects the given users' availability inside the window and
+// returns the maximal run of consecutive common slots containing the pivot,
+// as absolute inclusive bounds. ok=false when some user is busy at the pivot
+// slot itself (then no common run contains it). The window may be any slot
+// range around the pivot: STGSelect passes the whole horizon to widen the
+// window-clipped interval of its answer to the true maximal one.
+func (c *Calendar) CommonRun(users []int, w Window) (lo, hi int, ok bool) {
+	width := w.Width()
+	common := make([]uint64, w.Words())
+	for i := range common {
+		n := min(64, width-i*64)
+		word := ^uint64(0) >> uint(64-n)
+		for _, u := range users {
+			word &= c.rows[u].Bits(w.Lo+i*64, n)
+		}
+		common[i] = word
+	}
+	lo, hi, ok = bitset.LongestRunContaining(common, w.Pivot-w.Lo)
+	if !ok {
+		return 0, 0, false
+	}
+	return lo + w.Lo, hi + w.Lo, true
+}
 
 // FormatSlot renders an absolute slot index as "dayD hh:mm" assuming
 // half-hour slots, for human-readable reporting.

@@ -1,6 +1,7 @@
 package schedule
 
 import (
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -125,6 +126,77 @@ func TestPivotWindow(t *testing.T) {
 	}
 }
 
+func TestUserQualifies(t *testing.T) {
+	// Example 3 of the paper uses m=3; build a user with a length-2 run and
+	// one with a length-3 run inside the window of pivot slot 2 (0-based).
+	c := NewCalendar(2, 12)
+	w := c.NewWindow(2, 3)    // window [0,5)
+	c.SetRange(0, 1, 3, true) // run of 2 — not enough
+	c.SetRange(1, 2, 5, true) // run of 3 — qualifies
+	ws := make([]uint64, w.Words())
+	if _, _, ok := c.UserQualifies(0, w, ws); ok {
+		t.Error("user 0 with 2-slot run should not qualify for m=3")
+	}
+	if lo, hi, ok := c.UserQualifies(1, w, ws); !ok || lo != 2 || hi != 4 {
+		t.Errorf("user 1 with 3-slot run should qualify with run [2,4], got [%d,%d] %v", lo, hi, ok)
+	}
+	if ws[0] != 0b11100 {
+		t.Errorf("window words = %b, want user 1's slots 2..4", ws[0])
+	}
+}
+
+func TestUserQualifiesRunMustBeInsideWindow(t *testing.T) {
+	c := NewCalendar(1, 20)
+	// Run of 5 slots [6,11) but window for pivot 2, m=3 is [0,5).
+	c.SetRange(0, 6, 11, true)
+	ws := make([]uint64, 1)
+	if _, _, ok := c.UserQualifies(0, c.NewWindow(2, 3), ws); ok {
+		t.Error("run outside the window must not qualify")
+	}
+	if _, _, ok := c.UserQualifies(0, c.NewWindow(8, 3), ws); !ok {
+		t.Error("run inside the window must qualify")
+	}
+}
+
+func TestCommonRun(t *testing.T) {
+	// Figure 3(c): slots ts1..ts7 (0-based 0..6), m=3, pivot ts3 (index 2).
+	// v2: all 7 slots; v7: ts1..ts6 (0..5).
+	c := NewCalendar(3, 7)
+	c.SetRange(0, 0, 7, true) // v2
+	c.SetRange(1, 0, 6, true) // v7
+	// v3: ts2, ts3, ts5, ts6 -> indices 1, 2, 4, 5.
+	for _, s := range []int{1, 2, 4, 5} {
+		c.SetAvailable(2, s)
+	}
+	w := c.NewWindow(2, 3) // window [0,5)
+
+	// {v7} alone: run containing index 2 within [0,5) is [0,4].
+	lo, hi, ok := c.CommonRun([]int{1}, w)
+	if !ok || lo != 0 || hi != 4 {
+		t.Errorf("run({v7}) = [%d,%d] %v, want [0,4] true", lo, hi, ok)
+	}
+	// {v7, v2}: same (v2 always free). X(VS) = 5-3 = 2 as in Example 3.
+	lo, hi, ok = c.CommonRun([]int{0, 1}, w)
+	if !ok || hi-lo+1 != 5 {
+		t.Errorf("run({v2,v7}) length = %d, want 5", hi-lo+1)
+	}
+	// {v7, v3}: v3 free at 1,2,4 within window -> run containing 2 is [1,2],
+	// length 2 < m: X = -1, matching Example 3's removal of v3.
+	lo, hi, ok = c.CommonRun([]int{1, 2}, w)
+	if !ok || lo != 1 || hi != 2 {
+		t.Errorf("run({v7,v3}) = [%d,%d] %v, want [1,2] true", lo, hi, ok)
+	}
+}
+
+func TestCommonRunPivotBusy(t *testing.T) {
+	c := NewCalendar(1, 10)
+	c.SetRange(0, 0, 10, true)
+	c.SetBusy(0, 5)
+	if _, _, ok := c.CommonRun([]int{0}, c.NewWindow(5, 3)); ok {
+		t.Error("user busy at the pivot slot must yield no common run")
+	}
+}
+
 func TestFormatSlot(t *testing.T) {
 	cases := []struct {
 		slot int
@@ -137,6 +209,62 @@ func TestFormatSlot(t *testing.T) {
 		if got := FormatSlot(c.slot); got != c.want {
 			t.Errorf("FormatSlot(%d) = %q, want %q", c.slot, got, c.want)
 		}
+	}
+}
+
+// TestQuickCommonRunOracle cross-checks CommonRun against a direct scan.
+func TestQuickCommonRunOracle(t *testing.T) {
+	f := func(seed int64) bool {
+		r := rand.New(rand.NewSource(seed))
+		users := 1 + r.Intn(4)
+		horizon := 6 + r.Intn(20)
+		m := 2 + r.Intn(4)
+		c := NewCalendar(users, horizon)
+		for u := 0; u < users; u++ {
+			for s := 0; s < horizon; s++ {
+				if r.Float64() < 0.7 {
+					c.SetAvailable(u, s)
+				}
+			}
+		}
+		pivots := PivotSlots(horizon, m)
+		if len(pivots) == 0 {
+			return true
+		}
+		pivot := pivots[r.Intn(len(pivots))]
+		w := c.NewWindow(pivot, m)
+		ids := make([]int, users)
+		for i := range ids {
+			ids[i] = i
+		}
+		lo, hi, ok := c.CommonRun(ids, w)
+
+		// Oracle: common availability inside the window, run around pivot.
+		avail := func(s int) bool {
+			if s < w.Lo || s >= w.Hi {
+				return false
+			}
+			for u := 0; u < users; u++ {
+				if !c.Available(u, s) {
+					return false
+				}
+			}
+			return true
+		}
+		if !avail(pivot) {
+			return !ok
+		}
+		wantLo, wantHi := pivot, pivot
+		for avail(wantLo - 1) {
+			wantLo--
+		}
+		for avail(wantHi + 1) {
+			wantHi++
+		}
+		return ok && lo == wantLo && hi == wantHi
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+		t.Error(err)
 	}
 }
 

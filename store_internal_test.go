@@ -86,12 +86,12 @@ func TestViewAndDatasetIsolatedFromWrites(t *testing.T) {
 	}
 }
 
-// TestHiddenMembersReadAllBusyInTheView pins privacy as a row predicate
-// over the ball: with a policy set the index stays on, a hidden member
-// reads all-busy in the view's calendar, everyone else's rows are still
-// the store's own, and the store itself keeps the hidden person's true
+// TestHiddenMembersKeepTheIndexedPath pins privacy as a row predicate over
+// the ball: with a policy set the index stays on, a hidden member reads
+// all-busy in the view's calendar, everyone else's rows are still the
+// store's own, and the store itself keeps the hidden person's true
 // schedule.
-func TestHiddenMembersReadAllBusyInTheView(t *testing.T) {
+func TestHiddenMembersKeepTheIndexedPath(t *testing.T) {
 	pl := NewPlanner(6)
 	pl.EnableIndex()
 	var ids [4]PersonID
