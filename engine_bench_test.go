@@ -1,7 +1,7 @@
 // Engine benchmarks through the planner: each engine family runs the same
-// repeated-query workload against a serving-configured planner (index
-// enabled). Every query extracts the radius graph from the graph and, for
-// the temporal engines, reads its pivot windows from the calendar rows.
+// repeated-query workload against one planner. Every query extracts the
+// radius graph from the graph and, for the temporal engines, reads its
+// pivot windows from the calendar rows.
 package stgq_test
 
 import (
@@ -21,7 +21,6 @@ func enginePlanner() *stgq.Planner {
 	const n, horizon = 300, 24
 	rng := rand.New(rand.NewSource(benchSeed))
 	pl := stgq.NewPlanner(horizon)
-	pl.EnableIndex()
 	for i := 0; i < n; i++ {
 		pl.MustAddPerson(fmt.Sprintf("p%d", i))
 	}
@@ -104,7 +103,6 @@ func BenchmarkPlanActivityAfterWrite(b *testing.B) {
 	for _, n := range []int{10_000, 100_000} {
 		b.Run(fmt.Sprint(n), func(b *testing.B) {
 			pl := stgq.FromDataset(dataset.Synthetic(n, 1, 2))
-			pl.EnableIndex()
 			horizon := pl.Horizon()
 			b.ReportAllocs()
 			b.ResetTimer()

@@ -88,7 +88,7 @@ type Options struct {
 
 	// Deprecated: Runs is ignored. Pivot preparation reads each candidate's
 	// window straight from its calendar row as packed words; the field
-	// stays only until the availability index is retired.
+	// stays only while the benchmark's layer probe still assigns it.
 	Runs PivotRuns
 }
 

@@ -1,13 +1,12 @@
 package gateway
 
-// The gateway result cache (the second layer of the seq-keyed query fast
-// path; the first is the planner's incremental index). Query responses
-// are pure functions of the backend state they were computed from, and
-// every durable backend stamps each query response with a lower bound on
-// that state's position (service.AppliedSeqHeader + EpochHeader). An
-// entry keyed by the canonicalized request and stamped with that (epoch,
-// seq, time) can therefore be re-served to any later reader whose
-// consistency demands the stamped position already satisfies:
+// The gateway result cache. Query responses are pure functions of the
+// backend state they were computed from, and every durable backend
+// stamps each query response with a lower bound on that state's position
+// (service.AppliedSeqHeader + EpochHeader). An entry keyed by the
+// canonicalized request and stamped with that (epoch, seq, time) can
+// therefore be re-served to any later reader whose consistency demands
+// the stamped position already satisfies:
 //
 //   - read-your-writes floor: replica.CompareSeq(entry.epoch, entry.seq,
 //     epochFloor, minSeq) >= 0 — precisely the predicate pickFollower

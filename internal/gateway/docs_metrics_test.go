@@ -17,7 +17,7 @@ import (
 // process registers has a row, with the type it is exported as, and no
 // row names a series that is not registered. This test binary links
 // every package that registers metrics (the gateway, and through the
-// service and the planner, the journal, replica, engine and index), so
+// service and the planner, the journal, replica and engine), so
 // obsv.Default holds them all.
 func TestOperationsDocListsEveryRegisteredMetric(t *testing.T) {
 	var exp bytes.Buffer

@@ -8,14 +8,13 @@ import (
 	"repro/internal/schedule"
 )
 
-// TestIncrementalMatchesRebuildEveryPrefix is the index half of the
-// fast path's differential proof: a seeded random mutation stream is
-// applied incrementally to one Index while a reference calendar tracks
-// the same edits, and after EVERY prefix the incremental state must
-// equal a full Build from the reference — every run boundary of every
-// user at every slot, plus the sequence stamp. Any drift between the
-// O(h)-per-edit maintenance and the ground truth fails with the exact
-// prefix, so a failure is immediately replayable.
+// TestIncrementalMatchesRebuildEveryPrefix is the index's differential
+// proof: a seeded random stream of availability edits is applied
+// incrementally to one Index while a reference calendar takes the same
+// edits, and after EVERY prefix both the incremental index and a full
+// Build from the reference must answer every run of every user at every
+// slot as a slot-by-slot scan of the reference does. Any drift fails
+// with the exact prefix, so a failure is immediately replayable.
 func TestIncrementalMatchesRebuildEveryPrefix(t *testing.T) {
 	for _, seed := range []int64{1, 7, 42, 1337} {
 		seed := seed
@@ -25,52 +24,50 @@ func TestIncrementalMatchesRebuildEveryPrefix(t *testing.T) {
 			users := 1 + rng.Intn(6)
 			cal := schedule.NewCalendar(users, horizon)
 			ix := Build(cal, 0)
-			var seq uint64
 			for step := 0; step < 300; step++ {
-				switch op := rng.Intn(10); {
-				case op == 0: // add a person
-					cal = cal.ExtendedClone(cal.Users() + 1)
-					ix.AddPerson()
-				case op < 6: // availability edit
-					u := rng.Intn(cal.Users())
-					from := rng.Intn(horizon)
-					to := from + rng.Intn(horizon-from) + 1
-					free := rng.Intn(2) == 0
-					cal.SetRange(u, from, to, free)
-					ix.SetRange(u, from, to, free)
-				default: // graph, location or policy edit: stamp only
-					ix.Advance()
-				}
-				seq++
-				if got := ix.Seq(); got != seq {
-					t.Fatalf("seed %d step %d: index seq %d, want %d", seed, step, got, seq)
-				}
-				diffAvail(t, seed, step, ix.AvailSnapshot(), Build(cal, seq).AvailSnapshot(), cal)
+				u := rng.Intn(cal.Users())
+				from := rng.Intn(horizon)
+				to := from + rng.Intn(horizon-from) + 1
+				free := rng.Intn(2) == 0
+				cal.SetRange(u, from, to, free)
+				ix.SetRange(u, from, to, free)
+				diffAvail(t, seed, step, "incremental", ix.AvailSnapshot(), cal)
+				diffAvail(t, seed, step, "rebuilt", Build(cal, 0).AvailSnapshot(), cal)
 			}
 		})
 	}
 }
 
-// diffAvail compares an incremental snapshot against a freshly rebuilt
-// one, slot by slot.
-func diffAvail(t *testing.T, seed int64, step int, got, want Avail, cal *schedule.Calendar) {
+// diffAvail compares every run of a snapshot with a slot-by-slot scan of
+// the reference calendar.
+func diffAvail(t *testing.T, seed int64, step int, side string, got Avail, cal *schedule.Calendar) {
 	t.Helper()
-	if got.Users() != want.Users() {
-		t.Fatalf("seed %d step %d: %d rows incremental, %d rebuilt", seed, step, got.Users(), want.Users())
-	}
-	for u := 0; u < want.Users(); u++ {
+	for u := 0; u < cal.Users(); u++ {
 		for s := 0; s < cal.Horizon(); s++ {
-			if ga, wa := got.Available(u, s), want.Available(u, s); ga != wa {
-				t.Fatalf("seed %d step %d: user %d slot %d: available %v, rebuilt says %v", seed, step, u, s, ga, wa)
-			}
+			wlo, whi, wok := scanRun(cal, u, s)
 			glo, ghi, gok := got.Run(u, s)
-			wlo, whi, wok := want.Run(u, s)
 			if gok != wok || glo != wlo || ghi != whi {
-				t.Fatalf("seed %d step %d: user %d slot %d: run (%d,%d,%v), rebuilt (%d,%d,%v)",
-					seed, step, u, s, glo, ghi, gok, wlo, whi, wok)
+				t.Fatalf("seed %d step %d: %s user %d slot %d: run (%d,%d,%v), scan says (%d,%d,%v)",
+					seed, step, side, u, s, glo, ghi, gok, wlo, whi, wok)
 			}
 		}
 	}
+}
+
+// scanRun is the oracle for Avail.Run: it walks cal.Available outwards
+// from slot, one slot at a time.
+func scanRun(cal *schedule.Calendar, u, slot int) (lo, hi int, ok bool) {
+	if !cal.Available(u, slot) {
+		return 0, 0, false
+	}
+	lo, hi = slot, slot
+	for cal.Available(u, lo-1) {
+		lo--
+	}
+	for cal.Available(u, hi+1) {
+		hi++
+	}
+	return lo, hi, true
 }
 
 // TestSnapshotImmuneToLaterMutations pins the copy-on-write contract:
@@ -93,45 +90,61 @@ func TestSnapshotImmuneToLaterMutations(t *testing.T) {
 	if _, _, ok := after.Run(0, 5); ok {
 		t.Fatal("post-edit snapshot still has slot 5 available")
 	}
-	if before.RowSeq(0) == after.RowSeq(0) {
-		t.Fatal("row seq did not advance across an edit")
-	}
 }
 
 // TestRowInvalidationPerMutationType pins the "precise invalidation"
-// contract of the availability rows: SetRange rebuilds the mutated
-// person's row and no other, AddPerson appends one row and keeps the
-// rest, and Advance (friendship, location and policy edits) keeps every
-// row while the sequence stamp moves.
+// contract of the availability rows, read through Run: SetRange changes
+// the answers of the edited person and no other; an unknown person, an
+// empty range and a range starting past the horizon change nothing; and
+// a range running past the horizon is clipped to it.
 func TestRowInvalidationPerMutationType(t *testing.T) {
-	cal := schedule.NewCalendar(3, 8)
-	ix := Build(cal, 0)
-	before := ix.AvailSnapshot()
-	wantRows := func(op string, rebuilt ...int) {
-		t.Helper()
-		after := ix.AvailSnapshot()
-		for u := 0; u < before.Users(); u++ {
-			want := before.RowSeq(u)
-			if slices.Contains(rebuilt, u) {
-				want = ix.Seq()
+	const users, horizon = 3, 8
+	ix := Build(schedule.NewCalendar(users, horizon), 0)
+	type run struct {
+		lo, hi int
+		ok     bool
+	}
+	runs := func() [][]run {
+		a := ix.AvailSnapshot()
+		out := make([][]run, users)
+		for u := range out {
+			out[u] = make([]run, horizon)
+			for s := range out[u] {
+				lo, hi, ok := a.Run(u, s)
+				out[u][s] = run{lo, hi, ok}
 			}
-			if got := after.RowSeq(u); got != want {
-				t.Fatalf("%s: row %d has seq %d, want %d", op, u, got, want)
+		}
+		return out
+	}
+	before := runs()
+	wantChanged := func(op string, changed ...int) {
+		t.Helper()
+		after := runs()
+		for u := range after {
+			got := !slices.Equal(after[u], before[u])
+			if want := slices.Contains(changed, u); got != want {
+				t.Fatalf("%s: runs of person %d changed=%v, want %v", op, u, got, want)
 			}
 		}
 		before = after
 	}
 
 	ix.SetRange(1, 0, 4, true)
-	wantRows("SetRange", 1)
-	ix.Advance()
-	wantRows("Advance")
-	ix.AddPerson()
-	if got := ix.AvailSnapshot().Users(); got != 4 {
-		t.Fatalf("AddPerson: %d rows, want 4", got)
+	wantChanged("SetRange", 1)
+	if got := before[1][2]; got != (run{0, 3, true}) {
+		t.Fatalf("SetRange: person 1 slot 2 run %+v, want {0 3 true}", got)
 	}
-	wantRows("AddPerson")
-	if got := ix.Seq(); got != 3 {
-		t.Fatalf("index seq %d after three applies, want 3", got)
+	ix.SetRange(users, 0, 4, true)
+	wantChanged("unknown person")
+	ix.SetRange(-1, 0, 4, true)
+	wantChanged("negative person")
+	ix.SetRange(0, 5, 5, true)
+	wantChanged("empty range")
+	ix.SetRange(0, horizon+1, horizon+3, true)
+	wantChanged("range past the horizon")
+	ix.SetRange(2, 6, horizon+4, true)
+	wantChanged("range clipped at the horizon", 2)
+	if got := before[2][horizon-1]; got != (run{6, horizon - 1, true}) {
+		t.Fatalf("clipped range: person 2 slot %d run %+v, want {6 %d true}", horizon-1, got, horizon-1)
 	}
 }

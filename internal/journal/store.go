@@ -235,9 +235,6 @@ func Open(dir string, opts Options) (*Store, error) {
 
 	// 4. From here on, every mutation is journaled, and snapshot cycles
 	// run on their own goroutine so no mutating caller pays for them.
-	// The availability index is seeded at the recovered seq so its stamp
-	// stays in lock-step with the journal's from the first new mutation.
-	s.pl.EnableIndexAt(lastSeq)
 	go s.snapshotLoop()
 	s.pl.SetMutationHook(s.onMutation)
 	return s, nil

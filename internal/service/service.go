@@ -124,7 +124,6 @@ type Server struct {
 // horizon in slots.
 func New(horizonSlots int) *Server {
 	s := &Server{pl: stgq.NewPlanner(horizonSlots)}
-	s.pl.EnableIndex()
 	s.routes()
 	return s
 }
@@ -132,9 +131,6 @@ func New(horizonSlots int) *Server {
 // NewWithPlanner wraps an existing planner (e.g. one loaded from a dataset
 // file).
 func NewWithPlanner(pl *stgq.Planner) *Server {
-	if !pl.IndexEnabled() {
-		pl.EnableIndex()
-	}
 	s := &Server{pl: pl}
 	s.routes()
 	return s

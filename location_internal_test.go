@@ -121,9 +121,6 @@ func TestSpatialVectorMatchesGridScan(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		if seed%2 == 0 {
-			pl.EnableIndex() // half the planners query with the index on
-		}
 		for trial := 0; trial < 40; trial++ {
 			rg, _, err := pl.queryView(PersonID(r.Intn(n)), 1+r.Intn(3), false)
 			if err != nil {

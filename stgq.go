@@ -117,7 +117,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/geo"
-	"repro/internal/index"
 	"repro/internal/ipmodel"
 	"repro/internal/schedule"
 	"repro/internal/socialgraph"
@@ -158,8 +157,6 @@ type mutKind struct {
 	// apply validates m and applies it under the held write lock, filling
 	// in what the planner assigns (AddPerson's id).
 	apply func(pl *Planner, m *Mutation) error
-	// index is the op's effect on the incremental query index.
-	index func(ix *index.Index, m Mutation)
 }
 
 // mutKinds is the mutation table, indexed by MutationOp.
@@ -167,47 +164,34 @@ var mutKinds = [...]mutKind{
 	MutAddPerson: {
 		name: "add-person", fields: []string{"Person", "Name"},
 		apply: (*Planner).addPersonLocked,
-		index: func(ix *index.Index, _ Mutation) { ix.AddPerson() },
 	},
 	MutConnect: {
 		name: "connect", fields: []string{"A", "B", "Distance"},
 		apply: func(pl *Planner, m *Mutation) error {
 			return mapVertexErr(pl.g.AddEdge(int(m.A), int(m.B), m.Distance))
 		},
-		// Graph edits change no availability row; only the stamp advances.
-		index: func(ix *index.Index, _ Mutation) { ix.Advance() },
 	},
 	MutDisconnect: {
 		name: "disconnect", fields: []string{"A", "B"},
 		apply: func(pl *Planner, m *Mutation) error {
 			return mapVertexErr(pl.g.RemoveEdge(int(m.A), int(m.B)))
 		},
-		index: func(ix *index.Index, _ Mutation) { ix.Advance() },
 	},
 	MutSetAvailable: {
 		name: "set-available", fields: []string{"Person", "From", "To"},
 		apply: func(pl *Planner, m *Mutation) error { return pl.setRangeLocked(m, true) },
-		// Schedule edits rebuild one availability row.
-		index: func(ix *index.Index, m Mutation) { ix.SetRange(int(m.Person), m.From, m.To, true) },
 	},
 	MutSetBusy: {
 		name: "set-busy", fields: []string{"Person", "From", "To"},
 		apply: func(pl *Planner, m *Mutation) error { return pl.setRangeLocked(m, false) },
-		index: func(ix *index.Index, m Mutation) { ix.SetRange(int(m.Person), m.From, m.To, false) },
 	},
 	MutSetPolicy: {
 		name: "set-policy", fields: []string{"Person", "Policy"},
 		apply: (*Planner).setPolicyLocked,
-		// The index tracks true availability; a policy decides, per query,
-		// which of the ball's rows the initiator is handed (viewRLocked),
-		// so no row changes and only the stamp advances.
-		index: func(ix *index.Index, _ Mutation) { ix.Advance() },
 	},
 	MutSetLocation: {
 		name: "set-location", fields: []string{"Person", "X", "Y"},
 		apply: (*Planner).setLocationLocked,
-		// Locations feed no availability row; only the stamp advances.
-		index: func(ix *index.Index, _ Mutation) { ix.Advance() },
 	},
 }
 
@@ -280,8 +264,8 @@ type MutationHook func(ctx context.Context, m Mutation) (wait func() error)
 // members' calendar rows) before running the expensive search unlocked.
 // Every step of that capture costs the ball, not the population: the
 // radius graph comes from a frontier pass over reached vertices, the
-// calendar and run rows are picked per member, and a geo-social query
-// tests each member's own location.
+// calendar rows are picked per member, and a geo-social query tests each
+// member's own location.
 //
 // cal is the one availability store: one row per person, in step with the
 // graph (cal.Users() == g.NumVertices()). Its rows are replaced, never
@@ -294,7 +278,6 @@ type Planner struct {
 	community []int // dataset-loaded community assignments, for Export
 	policies  map[PersonID]SharePolicy
 	locations map[PersonID]geo.Point
-	idx       *index.Index
 	hook      MutationHook
 }
 
@@ -346,32 +329,11 @@ func (pl *Planner) SetMutationHook(h MutationHook) {
 	pl.mu.Unlock()
 }
 
-// EnableIndex builds the incremental query index (repro/internal/index)
-// over the planner's current state and keeps it maintained on every later
-// mutation, stamped with each mutation's sequence number. Queries do not
-// read it: the engine derives pivot-window runs from the calendar rows
-// themselves. Enabling is idempotent (the index is rebuilt); it cannot be
-// disabled.
-func (pl *Planner) EnableIndex() { pl.EnableIndexAt(0) }
-
-// EnableIndexAt is EnableIndex with an explicit starting sequence number:
-// the coordinate the current state reflects. Durable deployments pass the
-// journal's recovered sequence number, so index stamps line up with
-// journal seqs — the planner applies index updates in the same critical
-// section in which the journal assigns sequence numbers, keeping the two
-// counters in lock-step from then on.
-func (pl *Planner) EnableIndexAt(seq uint64) {
-	pl.mu.Lock()
-	defer pl.mu.Unlock()
-	pl.idx = index.Build(pl.cal, seq)
-}
-
-// IndexEnabled reports whether the incremental query index is active.
-func (pl *Planner) IndexEnabled() bool {
-	pl.mu.RLock()
-	defer pl.mu.RUnlock()
-	return pl.idx != nil
-}
+// EnableIndex does nothing. The planner keeps one availability store,
+// its calendar, and every query reads its pivot windows from those rows.
+//
+// Deprecated: there is no index to enable.
+func (pl *Planner) EnableIndex() {}
 
 // MaxNameLen bounds display names (in bytes). Keeping names bounded here
 // guarantees every valid mutation fits in a journal record, so a single
@@ -393,12 +355,8 @@ func (pl *Planner) Apply(ctx context.Context, m Mutation) (Mutation, error) {
 	err := k.apply(pl, &m)
 	var wait func() error
 	if err == nil {
-		// The index and the hook's sequence number advance in the same
-		// critical section as the state change, so index state, planner
-		// state and seq stamps can never be observed out of step.
-		if pl.idx != nil {
-			k.index(pl.idx, m)
-		}
+		// The hook assigns the sequence number in the same critical
+		// section as the state change, so journal order is apply order.
 		if pl.hook != nil {
 			wait = pl.hook(ctx, m)
 		}
@@ -526,8 +484,8 @@ func (pl *Planner) checkPersonLocked(p PersonID) error {
 // it edits. People the dataset's calendar does not cover start all-busy,
 // like anyone added later. Privacy policies recorded in the dataset (a
 // durable store's snapshot) are restored; unknown policy values fall back
-// to ShareAll. Locations are restored into the spatial index; people
-// without one stay unlocated (excluded from geo-social queries).
+// to ShareAll. Locations are restored into the planner's location map;
+// people without one stay unlocated (excluded from geo-social queries).
 func FromDataset(d *dataset.Dataset) *Planner {
 	var policies map[PersonID]SharePolicy
 	for v, pol := range d.Policies {

@@ -30,7 +30,6 @@ func TestViewAndDatasetIsolatedFromWrites(t *testing.T) {
 	d := dataset.Synthetic(200, 3, 1)
 	pristine := d.Cal.ExtendedClone(0)
 	pl := FromDataset(d)
-	pl.EnableIndex()
 	initiator := PersonID(d.PickInitiator(50))
 
 	rg, cal, err := pl.queryView(initiator, 2, true)
@@ -87,13 +86,11 @@ func TestViewAndDatasetIsolatedFromWrites(t *testing.T) {
 }
 
 // TestHiddenMembersKeepTheIndexedPath pins privacy as a row predicate over
-// the ball: with a policy set the index stays on, a hidden member reads
-// all-busy in the view's calendar, everyone else's rows are still the
-// store's own, and the store itself keeps the hidden person's true
-// schedule.
+// the ball: a hidden member reads all-busy in the view's calendar,
+// everyone else's rows are still the store's own, and the store itself
+// keeps the hidden person's true schedule.
 func TestHiddenMembersKeepTheIndexedPath(t *testing.T) {
 	pl := NewPlanner(6)
-	pl.EnableIndex()
 	var ids [4]PersonID
 	for i := range ids {
 		ids[i] = pl.MustAddPerson("")
@@ -115,9 +112,6 @@ func TestHiddenMembersKeepTheIndexedPath(t *testing.T) {
 	rg, cal, err := pl.queryView(ids[0], 2, true)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if !pl.IndexEnabled() {
-		t.Fatal("a policy switched the availability index off")
 	}
 	wantHidden := map[PersonID]bool{ids[2]: true, ids[3]: true}
 	for v, person := range rg.Orig {

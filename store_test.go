@@ -153,9 +153,6 @@ func TestAvailabilityStoreMatchesModel(t *testing.T) {
 		seed := seed
 		t.Run(fmt.Sprintf("empty-seed%d", seed), func(t *testing.T) {
 			m := &storeModel{t: t, pl: stgq.NewPlanner(30), horizon: 30}
-			if seed%2 == 1 {
-				m.pl.EnableIndex()
-			}
 			m.addPerson("n0")
 			m.randomStream(seed, 250)
 		})
@@ -181,61 +178,56 @@ func TestAvailabilityStoreMatchesModel(t *testing.T) {
 // exported — not an out-of-range error until the first write happens to
 // widen things. The store's invariant is one row per vertex, always.
 func TestFromDatasetWidensShortCalendar(t *testing.T) {
-	for _, indexed := range []bool{false, true} {
-		g := socialgraph.New()
-		g.AddVertices(5)
-		for v := 1; v < 5; v++ {
-			if err := g.AddEdge(0, v, float64(v)); err != nil {
-				t.Fatal(err)
-			}
-		}
-		cal := schedule.NewCalendar(3, 8)
-		for u := 0; u < 3; u++ {
-			cal.SetRange(u, 0, 8, true)
-		}
-		pl := stgq.FromDataset(&dataset.Dataset{Graph: g, Cal: cal, Days: 1})
-		if indexed {
-			pl.EnableIndex()
-		}
-		if got := pl.Export(nil).Cal.Users(); got != 5 {
-			t.Fatalf("indexed=%v: store has %d rows for 5 people", indexed, got)
-		}
-		// The ball of person 0 holds the uncovered 3 and 4. Three covered
-		// people are free; a fourth attendee does not exist yet.
-		q := stgq.STGQuery{SGQuery: stgq.SGQuery{Initiator: 0, P: 3, S: 1, K: 2}, M: 2}
-		res, err := pl.PlanActivity(q)
-		if err != nil {
-			t.Fatalf("indexed=%v: query over a ball with uncovered people: %v", indexed, err)
-		}
-		if res.TotalDistance != 3 {
-			t.Fatalf("indexed=%v: total distance %v, want 3 (people 0, 1, 2)", indexed, res.TotalDistance)
-		}
-		q.P = 4
-		if _, err := pl.PlanActivity(q); !errors.Is(err, stgq.ErrNoFeasibleGroup) {
-			t.Fatalf("indexed=%v: uncovered people must read all-busy: err = %v", indexed, err)
-		}
-		if err := pl.SetAvailable(3, 0, 8); err != nil {
+	g := socialgraph.New()
+	g.AddVertices(5)
+	for v := 1; v < 5; v++ {
+		if err := g.AddEdge(0, v, float64(v)); err != nil {
 			t.Fatal(err)
 		}
-		if res, err = pl.PlanActivity(q); err != nil || res.TotalDistance != 6 {
-			t.Fatalf("indexed=%v: after freeing person 3: %+v, %v; want total distance 6", indexed, res, err)
-		}
-		// The duplicate-name path of AddPerson adds one row as well.
-		pl.MustAddPerson("twin")
-		pl.MustAddPerson("twin")
-		if people, rows := pl.NumPeople(), pl.Export(nil).Cal.Users(); people != 7 || rows != 7 {
-			t.Fatalf("indexed=%v: %d people, %d rows; want 7 and 7", indexed, people, rows)
-		}
-		if cal.Users() != 3 {
-			t.Fatalf("indexed=%v: the dataset's own calendar grew to %d users", indexed, cal.Users())
-		}
+	}
+	cal := schedule.NewCalendar(3, 8)
+	for u := 0; u < 3; u++ {
+		cal.SetRange(u, 0, 8, true)
+	}
+	pl := stgq.FromDataset(&dataset.Dataset{Graph: g, Cal: cal, Days: 1})
+	if got := pl.Export(nil).Cal.Users(); got != 5 {
+		t.Fatalf("store has %d rows for 5 people", got)
+	}
+	// The ball of person 0 holds the uncovered 3 and 4. Three covered
+	// people are free; a fourth attendee does not exist yet.
+	q := stgq.STGQuery{SGQuery: stgq.SGQuery{Initiator: 0, P: 3, S: 1, K: 2}, M: 2}
+	res, err := pl.PlanActivity(q)
+	if err != nil {
+		t.Fatalf("query over a ball with uncovered people: %v", err)
+	}
+	if res.TotalDistance != 3 {
+		t.Fatalf("total distance %v, want 3 (people 0, 1, 2)", res.TotalDistance)
+	}
+	q.P = 4
+	if _, err := pl.PlanActivity(q); !errors.Is(err, stgq.ErrNoFeasibleGroup) {
+		t.Fatalf("uncovered people must read all-busy: err = %v", err)
+	}
+	if err := pl.SetAvailable(3, 0, 8); err != nil {
+		t.Fatal(err)
+	}
+	if res, err = pl.PlanActivity(q); err != nil || res.TotalDistance != 6 {
+		t.Fatalf("after freeing person 3: %+v, %v; want total distance 6", res, err)
+	}
+	// The duplicate-name path of AddPerson adds one row as well.
+	pl.MustAddPerson("twin")
+	pl.MustAddPerson("twin")
+	if people, rows := pl.NumPeople(), pl.Export(nil).Cal.Users(); people != 7 || rows != 7 {
+		t.Fatalf("%d people, %d rows; want 7 and 7", people, rows)
+	}
+	if cal.Users() != 3 {
+		t.Fatalf("the dataset's own calendar grew to %d users", cal.Users())
 	}
 }
 
 // TestWriteThenReadAllocations pins the cost a write no longer passes on
 // to the next temporal read. SetBusy followed by PlanActivity may allocate
 // only a small constant more than PlanActivity alone — the one replaced
-// row and its run decoding — whatever the population and however many
+// row — whatever the population and however many
 // writes came before. (The planner used to rebuild the whole calendar,
 // 2+ allocations per person, from an edit log replayed in full.)
 func TestWriteThenReadAllocations(t *testing.T) {
@@ -243,7 +235,6 @@ func TestWriteThenReadAllocations(t *testing.T) {
 	for _, n := range []int{500, 5000} {
 		d := dataset.Synthetic(n, 1, 2)
 		pl := stgq.FromDataset(d)
-		pl.EnableIndex()
 		initiator := stgq.PersonID(d.PickInitiator(50))
 		q := stgq.STGQuery{SGQuery: stgq.SGQuery{Initiator: initiator, P: 4, S: 2, K: 1}, M: 4}
 		measure := func(when string) {
