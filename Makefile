@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: check build test vet lint fmt-check fmt bench bench-smoke bench-ab race e2e-failover e2e-ryw e2e-geo docs-check
+.PHONY: check build test vet lint fmt-check fmt bench bench-smoke bench-ab race batcher-stress e2e-failover e2e-ryw e2e-geo docs-check
 
 check: fmt-check lint build test
 
@@ -14,6 +14,11 @@ test:
 
 race:
 	$(GO) test -race ./...
+
+# The group-commit batcher's tests, twenty times over: a test that depends
+# on how commits happen to interleave fails here instead of as a rare flake.
+batcher-stress:
+	$(GO) test -count=20 -run '^TestBatcher' ./internal/journal
 
 vet:
 	$(GO) vet ./...

@@ -383,8 +383,9 @@ func BenchmarkAblationSTGNoPivot(b *testing.B) {
 // --- write path: journal append throughput --------------------------------
 //
 // BenchmarkJournalAppend tracks the durable write path alongside the query
-// benchmarks: one fsync per record (the naive WAL) versus the group-commit
-// batcher coalescing concurrent writers into shared fsyncs.
+// benchmarks: one fsync per record (the naive WAL), a lone writer through
+// the group-commit batcher (which should cost one fsync, nothing more), and
+// the batcher coalescing concurrent writers into shared fsyncs.
 
 func journalRecord(seq uint64) journal.Record {
 	return journal.Record{Seq: seq, Mut: stgq.Mutation{
@@ -409,13 +410,31 @@ func BenchmarkJournalAppend(b *testing.B) {
 		syncs, _, _ := log.Counters()
 		b.ReportMetric(float64(syncs)/float64(b.N), "fsyncs/op")
 	})
+	b.Run("group-commit-one-writer", func(b *testing.B) {
+		log, err := journal.OpenLog(b.TempDir(), 0)
+		if err != nil {
+			b.Fatal(err)
+		}
+		defer log.Close()
+		batcher := journal.NewBatcher(log, 0) // defaults
+		defer batcher.Close()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if err := batcher.Append(journalRecord(uint64(i + 1))); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.StopTimer()
+		syncs, _, _ := log.Counters()
+		b.ReportMetric(float64(syncs)/float64(b.N), "fsyncs/op")
+	})
 	b.Run("group-commit-concurrent", func(b *testing.B) {
 		log, err := journal.OpenLog(b.TempDir(), 0)
 		if err != nil {
 			b.Fatal(err)
 		}
 		defer log.Close()
-		batcher := journal.NewBatcher(log, 0, 0) // defaults
+		batcher := journal.NewBatcher(log, 0) // defaults
 		defer batcher.Close()
 		var seq atomic.Uint64
 		b.SetParallelism(32) // many concurrent HTTP writers per core

@@ -127,9 +127,9 @@ func main() {
 			log.Fatal("stgqd: -data cannot be combined with -follow (the follower's state comes from the leader)")
 		}
 		var err error
-		// No PromotedStore override: on POST /promote the follower
-		// re-opens with these same flags minus its serial-applier
-		// MaxWait tuning (the promoted leader group-commits).
+		// On POST /promote the follower re-opens its store with these
+		// same options: the promoted leader group-commits the same way
+		// the serial applier does.
 		follower, err = replica.NewFollower(replica.Config{
 			LeaderURL: *follow,
 			Dir:       *dataDir,

@@ -8,13 +8,14 @@ import (
 
 // Batcher is the group-commit stage: records enqueued by many concurrent
 // writers are drained by a single writer goroutine and appended (with one
-// fsync) per batch. A flush is triggered when the batch reaches MaxBatch
-// records or when the oldest queued record has waited MaxWait. Every
-// caller gets an individual ack carrying the batch's append error.
+// fsync) per batch. A batch is committed as soon as a record arrives and
+// holds everything already queued, up to MaxBatch records; records that
+// arrive while that write+fsync runs form the next batch, so the previous
+// fsync is the batching window. Every caller gets an individual ack
+// carrying the batch's append error.
 type Batcher struct {
 	app      Appender
 	maxBatch int
-	maxWait  time.Duration
 
 	in    chan batchItem
 	flush chan chan error
@@ -53,26 +54,19 @@ type batchItem struct {
 	at  time.Time // enqueue time, for the enqueue/ack latency split
 }
 
-const (
-	// DefaultMaxBatch caps a group commit when Options leave it 0.
-	DefaultMaxBatch = 512
-	// DefaultMaxWait bounds the extra latency group commit may add.
-	DefaultMaxWait = 2 * time.Millisecond
-)
+// DefaultMaxBatch caps a group commit when Options leave it 0.
+const DefaultMaxBatch = 512
 
-// NewBatcher starts the writer goroutine. maxBatch/maxWait fall back to
-// the defaults when non-positive.
-func NewBatcher(app Appender, maxBatch int, maxWait time.Duration) *Batcher {
+// NewBatcher starts the writer goroutine. maxBatch caps the records of one
+// commit and falls back to DefaultMaxBatch when non-positive; no record
+// ever waits for company, only for the commit ahead of it.
+func NewBatcher(app Appender, maxBatch int) *Batcher {
 	if maxBatch <= 0 {
 		maxBatch = DefaultMaxBatch
-	}
-	if maxWait <= 0 {
-		maxWait = DefaultMaxWait
 	}
 	b := &Batcher{
 		app:      app,
 		maxBatch: maxBatch,
-		maxWait:  maxWait,
 		in:       make(chan batchItem, 4*maxBatch),
 		flush:    make(chan chan error),
 		stop:     make(chan struct{}),
@@ -114,9 +108,11 @@ func (b *Batcher) Append(rec Record) error {
 }
 
 // Flush blocks until everything enqueued before the call has been
-// committed, and returns the first commit error it caused (callers who
+// committed, and returns the first commit error since the previous Flush,
+// whichever commit hit it: its own or one an arrival started (callers who
 // need a durability barrier — e.g. before compaction — must not proceed on
-// error). On a closed batcher it returns nil: Close already flushed.
+// error). Each error is returned by one Flush only. On a closed batcher it
+// returns nil: Close already flushed.
 func (b *Batcher) Flush() error {
 	ack := make(chan error, 1)
 	select {
@@ -156,22 +152,10 @@ func (b *Batcher) loop() {
 	defer close(b.done)
 
 	var (
-		batch  []batchItem
-		timer  *time.Timer
-		timerC <-chan time.Time
+		batch      []batchItem
+		unreported error // first commit error no Flush has returned yet
 	)
-	reset := func() {
-		batch = nil
-		if timer != nil {
-			timer.Stop()
-			timer = nil
-		}
-		timerC = nil
-	}
 	commit := func() error {
-		if len(batch) == 0 {
-			return nil
-		}
 		start := time.Now()
 		recs := make([]Record, len(batch))
 		for i, it := range batch {
@@ -186,12 +170,14 @@ func (b *Batcher) loop() {
 			b.durable.Store(recs[len(recs)-1].Seq)
 			b.batches.Add(1)
 			b.records.Add(uint64(len(recs)))
+		} else if unreported == nil {
+			unreported = err
 		}
 		for _, it := range batch {
 			mAppendAck.Observe(time.Since(it.at).Seconds())
 			it.ack <- Ack{Err: err, EnqueueWait: start.Sub(it.at), Fsync: fsync}
 		}
-		reset()
+		batch = nil
 		return err
 	}
 	// drain moves already-queued items into the batch without blocking.
@@ -209,48 +195,32 @@ func (b *Batcher) loop() {
 	for {
 		select {
 		case it := <-b.in:
+			// Commit at once with whatever else is already queued; later
+			// arrivals queue behind this write+fsync and form the next
+			// batch.
 			batch = append(batch, it)
-			drain()
-			if len(batch) >= b.maxBatch {
-				commit()
-				continue
-			}
-			if timerC == nil {
-				timer = time.NewTimer(b.maxWait)
-				timerC = timer.C
-			}
-
-		case <-timerC:
 			drain()
 			commit()
 
 		case ack := <-b.flush:
 			// Commit everything already queued, in maxBatch chunks; the
-			// barrier only succeeds when every chunk did.
-			var err error
-			for {
-				drain()
-				if len(batch) == 0 {
-					break
-				}
-				if e := commit(); e != nil && err == nil {
-					err = e
-				}
+			// barrier only succeeds when no commit since the previous
+			// Flush failed, whoever started it.
+			for drain(); len(batch) > 0; drain() {
+				commit()
 			}
-			ack <- err
+			ack <- unreported
+			unreported = nil
 
 		case <-b.stop:
 			// Drain whatever racing Enqueues already got into the
 			// channel, commit, and exit.
-			for {
-				drain()
-				if len(batch) == 0 {
-					return
-				}
+			for drain(); len(batch) > 0; drain() {
 				if err := commit(); err != nil && b.closeErr == nil {
 					b.closeErr = err
 				}
 			}
+			return
 		}
 	}
 }

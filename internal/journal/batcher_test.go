@@ -2,6 +2,7 @@ package journal
 
 import (
 	"errors"
+	"reflect"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -19,7 +20,7 @@ func rec(seq uint64) Record {
 // caller is acked.
 func TestBatcherHammer(t *testing.T) {
 	log := &MemLog{}
-	b := NewBatcher(log, 64, time.Millisecond)
+	b := NewBatcher(log, 64)
 	defer b.Close()
 
 	const (
@@ -70,7 +71,7 @@ func TestBatcherHammer(t *testing.T) {
 // sink is slow — the whole point of group commit.
 func TestBatcherGroupsCommits(t *testing.T) {
 	log := &MemLog{SyncDelay: 2 * time.Millisecond}
-	b := NewBatcher(log, 256, 50*time.Millisecond)
+	b := NewBatcher(log, 256)
 	defer b.Close()
 
 	const total = 400
@@ -96,7 +97,7 @@ func TestBatcherGroupsCommits(t *testing.T) {
 
 func TestBatcherPropagatesSinkErrors(t *testing.T) {
 	log := &MemLog{}
-	b := NewBatcher(log, 8, time.Millisecond)
+	b := NewBatcher(log, 8)
 	defer b.Close()
 
 	boom := errors.New("disk on fire")
@@ -112,7 +113,7 @@ func TestBatcherPropagatesSinkErrors(t *testing.T) {
 
 func TestBatcherFlushReportsCommitError(t *testing.T) {
 	log := &MemLog{}
-	b := NewBatcher(log, 1<<20, time.Hour)
+	b := NewBatcher(log, 1<<20)
 	defer b.Close()
 
 	boom := errors.New("disk gone")
@@ -126,9 +127,31 @@ func TestBatcherFlushReportsCommitError(t *testing.T) {
 	}
 }
 
+// TestBatcherFlushReportsAnArrivalCommitError checks that a Flush reports
+// a commit that failed before it was called, one the record's arrival
+// started, and that it reports that error only once.
+func TestBatcherFlushReportsAnArrivalCommitError(t *testing.T) {
+	log := &MemLog{}
+	b := NewBatcher(log, 1<<20)
+	defer b.Close()
+
+	boom := errors.New("disk gone")
+	log.Fail(boom)
+	if a := <-b.Enqueue(rec(1)); !errors.Is(a.Err, boom) {
+		t.Fatalf("caller ack = %v, want %v", a.Err, boom)
+	}
+	log.Fail(nil)
+	if err := b.Flush(); !errors.Is(err, boom) {
+		t.Fatalf("Flush after a failed commit returned %v, want %v", err, boom)
+	}
+	if err := b.Flush(); err != nil {
+		t.Fatalf("second Flush returned %v, want nil", err)
+	}
+}
+
 func TestBatcherFlushDrainsBeyondMaxBatch(t *testing.T) {
 	log := &MemLog{}
-	b := NewBatcher(log, 4, time.Hour) // tiny batches, no timer
+	b := NewBatcher(log, 4) // tiny batches
 	defer b.Close()
 
 	const total = 19
@@ -156,7 +179,7 @@ func TestBatcherFlushDrainsBeyondMaxBatch(t *testing.T) {
 
 func TestBatcherFlushIsABarrier(t *testing.T) {
 	log := &MemLog{}
-	b := NewBatcher(log, 1<<20, time.Hour) // neither size nor timer would flush
+	b := NewBatcher(log, 1<<20) // no size cap in reach
 	defer b.Close()
 
 	acks := make([]<-chan Ack, 10)
@@ -183,7 +206,7 @@ func TestBatcherFlushIsABarrier(t *testing.T) {
 
 func TestBatcherCloseFlushesAndRejects(t *testing.T) {
 	log := &MemLog{}
-	b := NewBatcher(log, 1<<20, time.Hour)
+	b := NewBatcher(log, 1<<20)
 	ack := b.Enqueue(rec(1))
 	if err := b.Close(); err != nil {
 		t.Fatal(err)
@@ -202,9 +225,11 @@ func TestBatcherCloseFlushesAndRejects(t *testing.T) {
 	}
 }
 
+// TestBatcherTimerFlush checks that a lone writer commits without waiting:
+// its record is committed on arrival, with no timer and no Flush.
 func TestBatcherTimerFlush(t *testing.T) {
 	log := &MemLog{}
-	b := NewBatcher(log, 1<<20, time.Millisecond)
+	b := NewBatcher(log, 1<<20)
 	defer b.Close()
 	start := time.Now()
 	if err := b.Append(rec(1)); err != nil {
@@ -212,5 +237,92 @@ func TestBatcherTimerFlush(t *testing.T) {
 	}
 	if d := time.Since(start); d > time.Second {
 		t.Fatalf("timer flush took %v", d)
+	}
+}
+
+// gatedLog is an Appender whose first Append blocks until the test closes
+// release, so the test decides exactly what queues behind that commit. It
+// records the sequence numbers each Append received.
+type gatedLog struct {
+	entered chan struct{} // closed when the first Append starts
+	release chan struct{} // closed by the test to let the first Append return
+
+	mu    sync.Mutex
+	calls [][]uint64
+}
+
+func newGatedLog() *gatedLog {
+	return &gatedLog{entered: make(chan struct{}), release: make(chan struct{})}
+}
+
+func (g *gatedLog) Append(recs []Record) error {
+	seqs := make([]uint64, len(recs))
+	for i, r := range recs {
+		seqs[i] = r.Seq
+	}
+	g.mu.Lock()
+	first := len(g.calls) == 0
+	g.calls = append(g.calls, seqs)
+	g.mu.Unlock()
+	if first {
+		close(g.entered)
+		<-g.release
+	}
+	return nil
+}
+
+func (g *gatedLog) Close() error { return nil }
+
+func (g *gatedLog) Calls() [][]uint64 {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	return g.calls
+}
+
+// TestBatcherCommitsWhatQueuedBehindACommit pins batch formation without
+// timing: a lone record is committed on arrival, with no Flush, and the K
+// records enqueued while that commit is blocked form the next commit, or
+// ⌈K/MaxBatch⌉ commits in order when K exceeds MaxBatch.
+func TestBatcherCommitsWhatQueuedBehindACommit(t *testing.T) {
+	for _, tc := range []struct{ maxBatch, k int }{
+		{8, 1}, {8, 5}, {8, 8}, {4, 10}, {3, 12},
+	} {
+		log := newGatedLog()
+		b := NewBatcher(log, tc.maxBatch)
+
+		lone := b.Enqueue(rec(1))
+		select {
+		case <-log.entered:
+		case <-time.After(10 * time.Second):
+			t.Fatalf("maxBatch %d: a lone record was not committed without a Flush", tc.maxBatch)
+		}
+		acks := make([]<-chan Ack, tc.k)
+		for i := range acks {
+			acks[i] = b.Enqueue(rec(uint64(i + 2)))
+		}
+		close(log.release)
+		if a := <-lone; a.Err != nil {
+			t.Fatalf("lone record: %v", a.Err)
+		}
+		for i, ack := range acks {
+			if a := <-ack; a.Err != nil {
+				t.Fatalf("record %d: %v", i+2, a.Err)
+			}
+		}
+
+		want := [][]uint64{{1}}
+		for lo := 0; lo < tc.k; lo += tc.maxBatch {
+			var chunk []uint64
+			for i := lo; i < min(lo+tc.maxBatch, tc.k); i++ {
+				chunk = append(chunk, uint64(i+2))
+			}
+			want = append(want, chunk)
+		}
+		if got := log.Calls(); !reflect.DeepEqual(got, want) {
+			t.Errorf("maxBatch %d, K %d: commits %v, want %v", tc.maxBatch, tc.k, got, want)
+		}
+		if err := b.Close(); err != nil {
+			t.Fatal(err)
+		}
 	}
 }

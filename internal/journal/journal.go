@@ -10,8 +10,9 @@
 //	Planner mutation ──(MutationHook, under planner lock)──► sequence number
 //	        │                                                      │
 //	        └── wait ◄── group-commit Batcher ◄── record ──────────┘
-//	                         │  (size/time-triggered flush, one fsync
-//	                         │   per batch, per-caller ack)
+//	                         │  (commit on arrival of what is queued,
+//	                         │   ≤ MaxBatch records, one fsync per
+//	                         │   batch, per-caller ack)
 //	                         ▼
 //	                 FileLog  wal-<firstseq>.log segments
 //	                         │

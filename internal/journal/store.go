@@ -24,12 +24,11 @@ type Options struct {
 	// this many mutations. 0 means DefaultSnapshotEvery; negative
 	// disables automatic snapshots (Close still writes a final one).
 	SnapshotEvery int
-	// MaxBatch bounds the records in one group-commit batch; MaxWait
-	// bounds how long a record waits for company before the batch
-	// flushes anyway (see Batcher).
+	// MaxBatch bounds the records in one group-commit batch. A batch is
+	// committed as soon as a record arrives and holds whatever queued
+	// behind the previous commit, so no record waits for company (see
+	// Batcher).
 	MaxBatch int
-	// MaxWait is the group-commit flush deadline (see MaxBatch).
-	MaxWait time.Duration
 	// MaxSegmentBytes triggers size-based segment rotation.
 	MaxSegmentBytes int64
 }
@@ -231,7 +230,7 @@ func Open(dir string, opts Options) (*Store, error) {
 	if err != nil {
 		return nil, err
 	}
-	s.b = NewBatcher(s.log, opts.MaxBatch, opts.MaxWait)
+	s.b = NewBatcher(s.log, opts.MaxBatch)
 
 	// 4. From here on, every mutation is journaled, and snapshot cycles
 	// run on their own goroutine so no mutating caller pays for them.

@@ -38,16 +38,11 @@ type Config struct {
 	// into it, so a restarted (or promoted) follower recovers from its
 	// own disk.
 	Dir string
-	// Store tunes the follower's journal store. MaxWait defaults to
-	// 100µs rather than the store's own default: the applier is a single
-	// serial writer, so group-commit batching buys nothing and its timer
-	// would put a per-record latency floor under catch-up.
+	// Store tunes the follower's journal store, and the store Promote
+	// re-opens: group commit never waits for company, so the serial
+	// applier and a promoted leader's concurrent writers share one
+	// setting.
 	Store journal.Options
-	// PromotedStore tunes the store Promote re-opens. The zero value
-	// falls back to Store with MaxWait reset to the journal's own
-	// default: a promoted leader serves concurrent writers, where the
-	// follower's serial-applier tuning would forfeit group commit.
-	PromotedStore journal.Options
 	// Client issues the stream requests; http.DefaultClient (no timeout,
 	// as a long-poll needs) when nil.
 	Client *http.Client
@@ -156,9 +151,6 @@ func NewFollower(cfg Config) (*Follower, error) {
 	}
 	if cfg.MinBackoff < 0 || cfg.MaxBackoff < 0 {
 		return nil, fmt.Errorf("replica: negative backoff bounds (min %v, max %v)", cfg.MinBackoff, cfg.MaxBackoff)
-	}
-	if cfg.Store.MaxWait == 0 {
-		cfg.Store.MaxWait = 100 * time.Microsecond
 	}
 	if cfg.MinBackoff == 0 {
 		cfg.MinBackoff = DefaultMinBackoff
@@ -375,7 +367,7 @@ func (f *Follower) Promote() (*journal.Store, error) {
 		f.closed.Store(true)
 		return nil, err
 	}
-	st, err := journal.Open(f.cfg.Dir, f.promotedOptions())
+	st, err := journal.Open(f.cfg.Dir, f.cfg.Store)
 	if err != nil {
 		f.closed.Store(true)
 		return nil, err
@@ -386,17 +378,6 @@ func (f *Follower) Promote() (*journal.Store, error) {
 	f.closed.Store(true) // Close must not close the store the caller now owns
 	f.appliedCh.Broadcast()
 	return st, nil
-}
-
-// promotedOptions resolves the journal options for the store Promote
-// re-opens.
-func (f *Follower) promotedOptions() journal.Options {
-	opts := f.cfg.PromotedStore
-	if opts == (journal.Options{}) {
-		opts = f.cfg.Store
-		opts.MaxWait = 0 // leader writers group-commit; see Config.PromotedStore
-	}
-	return opts
 }
 
 // streamOnce opens one stream and consumes it to the end. A nil return is
