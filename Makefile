@@ -24,8 +24,8 @@ vet:
 	$(GO) vet ./...
 
 # Static-analysis gate: go vet plus stgqcheck, the project-invariant
-# analyzers (lock-vs-I/O, epoch-qualified seq ordering,
-# context propagation, metric naming). See docs/development.md.
+# analyzers (lock-vs-I/O, context propagation, metric naming). See
+# docs/development.md.
 lint: vet
 	$(GO) run ./internal/tools/stgqcheck
 

@@ -206,8 +206,8 @@ func replicatedCluster() {
 	}
 
 	// Every mutation ack carries the durable sequence number of the write.
-	writeSeq := resp.Header.Get(gateway.WriteSeqHeader)
-	fmt.Printf("last write acknowledged at %s: %s\n", gateway.WriteSeqHeader, writeSeq)
+	writeSeq := resp.Header.Get(service.WriteSeqHeader)
+	fmt.Printf("last write acknowledged at %s: %s\n", service.WriteSeqHeader, writeSeq)
 
 	// Read right back — the follower may not have applied the writes yet,
 	// but the session floor routes/barriers the query so it MUST see them.
@@ -221,7 +221,7 @@ func replicatedCluster() {
 	// session — works across gateway restarts and multiple gateways.
 	resp = request(http.MethodPost, gwURL+"/query/group",
 		service.QueryRequest{Initiator: ana.ID, P: 3, S: 1, K: 0}, &group,
-		map[string]string{gateway.WriteSeqHeader: writeSeq})
+		map[string]string{service.WriteSeqHeader: writeSeq})
 	fmt.Printf("write-seq echo read served by %s: group of %d\n",
 		resp.Header.Get(gateway.BackendHeader), len(group.Members))
 

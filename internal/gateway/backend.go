@@ -4,6 +4,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"repro/internal/journal"
 )
 
 // Backend is one upstream stgqd server in the gateway's pool. Its identity
@@ -35,17 +37,15 @@ type health struct {
 	// Role is the backend's self-reported role: "leader", "follower", or
 	// "" (in-memory).
 	Role string
-	// Epoch is the backend's leader epoch: the fencing generation of the
-	// durable history it serves, bumped on every promotion. Leader claims
-	// are ordered by (Epoch, DurableSeq) — a revived dead leader keeps
-	// its old epoch, so it can never outrank the promoted follower no
+	// Pos is the backend's durable (leader) or applied (follower)
+	// position. Its epoch is the fencing generation of the durable
+	// history the backend serves, bumped on every promotion; leader
+	// claims are ordered by Pos.Compare, so a revived dead leader, which
+	// keeps its old epoch, can never outrank the promoted follower no
 	// matter how long its orphaned history is. Durable backends from
-	// before epochs existed are normalized to 1; 0 means in-memory.
-	Epoch uint64
-	// DurableSeq is the backend's durable (leader) or applied (follower)
-	// sequence number — the uniform replication coordinate staleness
-	// estimates compare.
-	DurableSeq uint64
+	// before epochs existed are normalized to epoch 1; epoch 0 means
+	// in-memory. The seq is the coordinate staleness estimates compare.
+	Pos journal.Pos
 	// Err is the last probe failure ("" when the probe succeeded).
 	Err string
 	// At is when the probe completed.
@@ -91,7 +91,7 @@ type BackendStatus struct {
 	// StalenessSeconds estimates how far behind the leader the backend's
 	// state is (0 = caught up; -1 = unknown).
 	StalenessSeconds float64 `json:"stalenessSeconds"`
-	// Epoch is the probed leader epoch (0 = in-memory; see health.Epoch).
+	// Epoch is the probed leader epoch (0 = in-memory; see health.Pos).
 	Epoch uint64 `json:"epoch,omitempty"`
 	// DurableSeq is the probed durable/applied sequence number.
 	DurableSeq uint64 `json:"durableSeq"`

@@ -3,17 +3,17 @@ package gateway
 // The gateway result cache. Query responses are pure functions of the
 // backend state they were computed from, and every durable backend
 // stamps each query response with a lower bound on that state's position
-// (service.AppliedSeqHeader + EpochHeader). An entry keyed by the
-// canonicalized request and stamped with that (epoch, seq, time) can
-// therefore be re-served to any later reader whose consistency demands
-// the stamped position already satisfies:
+// (service.StampPos). An entry keyed by the canonicalized request and
+// stamped with that position and its time can therefore be re-served to
+// any later reader whose consistency demands the stamped position
+// already satisfies:
 //
-//   - read-your-writes floor: replica.CompareSeq(entry.epoch, entry.seq,
-//     epochFloor, minSeq) >= 0 — precisely the predicate pickFollower
-//     uses to admit a backend for a floored read;
-//   - fencing: entry.epoch at or past the highest epoch observed on any
-//     healthy backend, so results computed on an orphaned pre-failover
-//     timeline are never served after the gateway adopts a new epoch;
+//   - read-your-writes floor and fencing, in one comparison:
+//     entry.pos.Compare(journal.Pos{Epoch: fence, Seq: minSeq}) >= 0,
+//     where fence is the highest epoch observed on any healthy backend —
+//     precisely the predicate pickFollower uses to admit a backend, so
+//     results computed on an orphaned pre-failover timeline are never
+//     served after the gateway adopts a new epoch;
 //   - bounded staleness: the watermark clock's estimate for the entry's
 //     seq within the request's bound, exactly as for a live follower at
 //     that position;
@@ -29,13 +29,12 @@ import (
 	"bytes"
 	"encoding/json"
 	"net/http"
-	"strconv"
 	"strings"
 	"sync"
 	"time"
 
+	"repro/internal/journal"
 	"repro/internal/obsv"
-	"repro/internal/replica"
 	"repro/internal/service"
 )
 
@@ -72,13 +71,12 @@ var (
 )
 
 // cacheEntry is one stored query response with the replication
-// coordinate it reflects.
+// position it reflects.
 type cacheEntry struct {
-	epoch uint64
-	seq   uint64
-	at    time.Time
-	resp  *proxied
-	url   string // backend that produced the response
+	pos  journal.Pos
+	at   time.Time
+	resp *proxied
+	url  string // backend that produced the response
 }
 
 // flight is one in-progress upstream fetch for a cache key. done is
@@ -185,7 +183,7 @@ func (g *Gateway) cacheKeyFor(r *http.Request, body []byte) string {
 
 // cacheAdmissible decides whether one stored entry may serve one reader.
 // It mirrors pickFollower's backend admission exactly, with the entry's
-// stamped (epoch, seq) standing in for a probed backend position — plus
+// stamped position standing in for a probed backend position — plus
 // the TTL backstop. The entry's stamp is a lower bound on the state the
 // result reflects, so every check errs toward refusing: a refused entry
 // costs one backend round trip, an over-admitted one would violate the
@@ -197,11 +195,11 @@ func (g *Gateway) cacheAdmissible(e *cacheEntry, minSeq uint64, bound float64) b
 	g.mu.Lock()
 	floor := g.maxEpoch
 	g.mu.Unlock()
-	if e.epoch < floor || replica.CompareSeq(e.epoch, e.seq, floor, minSeq) < 0 {
+	if e.pos.Compare(journal.Pos{Epoch: floor, Seq: minSeq}) < 0 {
 		return false
 	}
 	if bound >= 0 {
-		if st := g.staleness(e.seq); st < 0 || st > bound {
+		if st := g.staleness(e.pos.Seq); st < 0 || st > bound {
 			return false
 		}
 	}
@@ -218,12 +216,8 @@ func cacheEntryFrom(p *proxied, url string) *cacheEntry {
 	if p.status != http.StatusOK && p.status != http.StatusUnprocessableEntity {
 		return nil
 	}
-	seq, err := strconv.ParseUint(p.header.Get(service.AppliedSeqHeader), 10, 64)
-	if err != nil {
-		return nil
-	}
-	epoch, err := strconv.ParseUint(p.header.Get(service.EpochHeader), 10, 64)
-	if err != nil {
+	pos, ok := service.StampedPos(p.header)
+	if !ok {
 		return nil
 	}
 	// Store a sanitized copy: the request id and timing breakdown belong
@@ -233,11 +227,10 @@ func cacheEntryFrom(p *proxied, url string) *cacheEntry {
 	h.Del(service.RequestIDHeader)
 	h.Del(obsv.ServerTimingHeader)
 	return &cacheEntry{
-		epoch: epoch,
-		seq:   seq,
-		at:    time.Now(),
-		resp:  &proxied{status: p.status, header: h, body: bytes.Clone(p.body)},
-		url:   url,
+		pos:  pos,
+		at:   time.Now(),
+		resp: &proxied{status: p.status, header: h, body: bytes.Clone(p.body)},
+		url:  url,
 	}
 }
 

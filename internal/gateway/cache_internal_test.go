@@ -2,7 +2,7 @@ package gateway
 
 // White-box admission tables for the result cache: every boundary of
 // cacheAdmissible against the G1–G5 contract of docs/consistency.md.
-// The predicate reuses replica.CompareSeq exactly as pickFollower does
+// The predicate reuses journal.Pos.Compare exactly as pickFollower does
 // for live backends, so these tables pin the cache to the same ordering
 // the router is proven against.
 
@@ -10,6 +10,8 @@ import (
 	"net/http"
 	"testing"
 	"time"
+
+	"repro/internal/journal"
 )
 
 // testGateway builds a minimal gateway with a result cache and a chosen
@@ -29,10 +31,9 @@ func testGateway(t *testing.T, maxEpoch uint64, marks []watermark) *Gateway {
 
 func entryAt(epoch, seq uint64, age time.Duration) *cacheEntry {
 	return &cacheEntry{
-		epoch: epoch,
-		seq:   seq,
-		at:    time.Now().Add(-age),
-		resp:  &proxied{status: http.StatusOK, header: http.Header{}},
+		pos:  journal.Pos{Epoch: epoch, Seq: seq},
+		at:   time.Now().Add(-age),
+		resp: &proxied{status: http.StatusOK, header: http.Header{}},
 	}
 }
 
@@ -54,7 +55,7 @@ func TestCacheAdmissionFloorBoundaries(t *testing.T) {
 		{"entry one below floor", 3, 9, 10, false},
 		{"entry far below floor", 3, 1, 10, false},
 		{"zero-seq entry, zero floor", 3, 0, 0, true},
-		{"higher-epoch entry beats any floor (CompareSeq order)", 4, 1, 10, true},
+		{"higher-epoch entry beats any floor (Pos.Compare order)", 4, 1, 10, true},
 	}
 	for _, c := range cases {
 		if got := g.cacheAdmissible(entryAt(c.epoch, c.seq, 0), c.minSeq, -1); got != c.want {

@@ -9,13 +9,13 @@ import (
 	"context"
 	"net/http"
 	"net/http/httptest"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/gateway"
+	"repro/internal/journal"
 	"repro/internal/service"
 )
 
@@ -54,8 +54,7 @@ func newStampedBackend(t *testing.T, role string, epoch, seq uint64) *stampedBac
 			if b.block != nil {
 				<-b.block
 			}
-			w.Header().Set(service.AppliedSeqHeader, strconv.FormatUint(b.seq.Load(), 10))
-			w.Header().Set(service.EpochHeader, strconv.FormatUint(b.epoch.Load(), 10))
+			service.StampPos(w.Header(), journal.Pos{Epoch: b.epoch.Load(), Seq: b.seq.Load()})
 			w.Header().Set("Content-Type", "application/json")
 			w.WriteHeader(http.StatusOK)
 			w.Write([]byte(`{"members":[],"totalDistance":0}`)) //nolint:errcheck

@@ -79,8 +79,8 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/journal"
 	"repro/internal/obsv"
-	"repro/internal/replica"
 	"repro/internal/service"
 )
 
@@ -389,11 +389,11 @@ func (g *Gateway) pickReadTiered(bound float64, minSeq uint64, exclude *Backend)
 	g.mu.Lock()
 	floor := g.maxEpoch
 	g.mu.Unlock()
-	if b := g.pickFollower(bound, minSeq, floor, exclude, leaderURL, false); b != nil {
+	if b := g.pickFollower(bound, journal.Pos{Epoch: floor, Seq: minSeq}, exclude, leaderURL, false); b != nil {
 		return b, "follower"
 	}
 	if minSeq > 0 {
-		if b := g.pickFollower(bound, 0, floor, exclude, leaderURL, true); b != nil {
+		if b := g.pickFollower(bound, journal.Pos{Epoch: floor}, exclude, leaderURL, true); b != nil {
 			return b, "barrier"
 		}
 	}
@@ -410,7 +410,7 @@ func (g *Gateway) pickReadTiered(bound float64, minSeq uint64, exclude *Backend)
 			continue
 		}
 		h := b.health()
-		if !h.Healthy || (h.Epoch > 0 && h.Epoch < floor) {
+		if !h.Healthy || (h.Pos.Epoch > 0 && h.Pos.Epoch < floor) {
 			continue // fenced durable backend; in-memory (epoch 0) stays eligible
 		}
 		if p := b.pending.Load(); best == nil || p < bestPending {
@@ -423,26 +423,27 @@ func (g *Gateway) pickReadTiered(bound float64, minSeq uint64, exclude *Backend)
 	return best, "degraded"
 }
 
-// pickFollower scans the healthy, unfenced followers within the
-// staleness bound whose probed position has reached minSeq. With
-// preferSeq set — the barrier tier — the most caught-up follower wins
-// (closest to the floor, so it clears the forwarded barrier soonest);
-// otherwise the one with the fewest pending requests (the load tier).
-func (g *Gateway) pickFollower(bound float64, minSeq, epochFloor uint64, exclude *Backend, leaderURL string, preferSeq bool) *Backend {
+// pickFollower scans the healthy followers within the staleness bound
+// whose probed position has reached floor: the fencing epoch with the
+// read-your-writes seq, so a follower below the fencing epoch never
+// qualifies. With preferSeq set — the barrier tier — the most caught-up
+// follower wins (closest to the floor, so it clears the forwarded
+// barrier soonest); otherwise the one with the fewest pending requests
+// (the load tier).
+func (g *Gateway) pickFollower(bound float64, floor journal.Pos, exclude *Backend, leaderURL string, preferSeq bool) *Backend {
 	var best *Backend
 	var bestPending int64
-	var bestEpoch, bestSeq uint64
+	var bestPos journal.Pos
 	for _, b := range g.backends {
 		if b == exclude || b.URL == leaderURL {
 			continue
 		}
 		h := b.health()
-		if !h.Healthy || h.Role != "follower" || h.Epoch < epochFloor ||
-			replica.CompareSeq(h.Epoch, h.DurableSeq, epochFloor, minSeq) < 0 {
+		if !h.Healthy || h.Role != "follower" || h.Pos.Compare(floor) < 0 {
 			continue
 		}
 		if bound >= 0 {
-			if st := g.staleness(h.DurableSeq); st < 0 || st > bound {
+			if st := g.staleness(h.Pos.Seq); st < 0 || st > bound {
 				continue
 			}
 		}
@@ -450,14 +451,14 @@ func (g *Gateway) pickFollower(bound float64, minSeq, epochFloor uint64, exclude
 		better := best == nil
 		if !better {
 			if preferSeq {
-				c := replica.CompareSeq(h.Epoch, h.DurableSeq, bestEpoch, bestSeq)
+				c := h.Pos.Compare(bestPos)
 				better = c > 0 || (c == 0 && p < bestPending)
 			} else {
 				better = p < bestPending
 			}
 		}
 		if better {
-			best, bestPending, bestEpoch, bestSeq = b, p, h.Epoch, h.DurableSeq
+			best, bestPending, bestPos = b, p, h.Pos
 		}
 	}
 	return best
@@ -525,8 +526,8 @@ func (g *Gateway) Status() StatusResponse {
 			Role:              h.Role,
 			Healthy:           h.Healthy,
 			StalenessSeconds:  -1,
-			Epoch:             h.Epoch,
-			DurableSeq:        h.DurableSeq,
+			Epoch:             h.Pos.Epoch,
+			DurableSeq:        h.Pos.Seq,
 			Pending:           b.pending.Load(),
 			Served:            b.served.Load(),
 			LatencyP99Seconds: mBackendSeconds.With(b.URL).Quantile(0.99),
@@ -540,7 +541,7 @@ func (g *Gateway) Status() StatusResponse {
 			case "leader":
 				bs.StalenessSeconds = 0
 			case "follower":
-				bs.StalenessSeconds = g.staleness(h.DurableSeq)
+				bs.StalenessSeconds = g.staleness(h.Pos.Seq)
 			}
 		}
 		resp.Backends = append(resp.Backends, bs)

@@ -44,8 +44,8 @@ func TestGatewayGeoSocial(t *testing.T) {
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("%s: status %d: %s", path, resp.StatusCode, b)
 		}
-		if resp.Header.Get(gateway.WriteSeqHeader) == "" {
-			t.Fatalf("%s: mutation response carries no %s", path, gateway.WriteSeqHeader)
+		if resp.Header.Get(service.WriteSeqHeader) == "" {
+			t.Fatalf("%s: mutation response carries no %s", path, service.WriteSeqHeader)
 		}
 		return resp
 	}
@@ -129,7 +129,7 @@ func TestGatewayGeoSocial(t *testing.T) {
 	// the leader: the replicated locations feed the same grid-pruned
 	// search on whichever non-stale backend serves it.
 	floor := fmt.Sprintf("%d", healthy.fo.Status().AppliedSeq)
-	respF, gF, bodyF := gsgselect(0, map[string]string{gateway.MinSeqHeader: floor})
+	respF, gF, bodyF := gsgselect(0, map[string]string{service.MinSeqHeader: floor})
 	if respF.StatusCode != http.StatusOK {
 		t.Fatalf("floored geo read: status %d (%s)", respF.StatusCode, bodyF)
 	}

@@ -9,7 +9,7 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/replica"
+	"repro/internal/journal"
 	"repro/internal/service"
 )
 
@@ -81,8 +81,8 @@ func (g *Gateway) ProbeOnce(ctx context.Context) {
 	// a longer (orphaned) history lets it outrank the promoted follower.
 	var maxEpoch uint64
 	for _, b := range g.backends {
-		if h := b.health(); h.Healthy && h.Epoch > maxEpoch {
-			maxEpoch = h.Epoch
+		if h := b.health(); h.Healthy && h.Pos.Epoch > maxEpoch {
+			maxEpoch = h.Pos.Epoch
 		}
 	}
 	g.mu.Lock()
@@ -90,23 +90,10 @@ func (g *Gateway) ProbeOnce(ctx context.Context) {
 	maxEpoch = g.maxEpoch
 	g.mu.Unlock()
 
-	// Adopt the best self-reported leader by (epoch, durableSeq): epochs
-	// order histories, the sequence number only breaks ties within one.
-	var leaderURL string
-	var leaderEpoch, leaderSeq uint64
-	found := false
-	for _, b := range g.backends {
-		h := b.health()
-		if !h.Healthy || h.Role != "leader" || h.Epoch < maxEpoch {
-			continue
-		}
-		if !found || replica.CompareSeq(h.Epoch, h.DurableSeq, leaderEpoch, leaderSeq) > 0 {
-			leaderURL, leaderEpoch, leaderSeq, found = b.URL, h.Epoch, h.DurableSeq, true
-		}
-	}
-	if found {
-		g.leader.Store(leaderURL)
-		g.noteLeaderSeq(leaderSeq, now)
+	// Adopt the most advanced self-reported leader at the floor.
+	if leader, pos := g.mostAdvanced("leader", maxEpoch); leader != nil {
+		g.leader.Store(leader.URL)
+		g.noteLeaderSeq(pos.Seq, now)
 		g.mu.Lock()
 		g.leaderSeenAt = now
 		g.mu.Unlock()
@@ -125,7 +112,7 @@ func (g *Gateway) ProbeOnce(ctx context.Context) {
 			if h := b.health(); h.Probed && !h.Healthy {
 				g.leader.Store("")
 			}
-		} else if h := g.probe(ctx, &Backend{URL: cur}); h.Healthy && h.Role == "leader" && h.Epoch >= maxEpoch {
+		} else if h := g.probe(ctx, &Backend{URL: cur}); h.Healthy && h.Role == "leader" && h.Pos.Epoch >= maxEpoch {
 			// Alive, still leading and at (or above) the fencing floor,
 			// merely unlisted: it counts as a seen leader, so
 			// auto-failover must not promote against it. A claim below
@@ -162,7 +149,7 @@ func (g *Gateway) maybeFailover(ctx context.Context, now time.Time) {
 	if !due {
 		return
 	}
-	// The most caught-up healthy follower by (epoch, durableSeq): its
+	// The most caught-up healthy follower by position: its
 	// history is the longest surviving prefix of the dead leader's, so
 	// promoting it loses the fewest replicated-but-unserved records —
 	// and nothing acknowledged to a client that the cluster still holds.
@@ -171,17 +158,7 @@ func (g *Gateway) maybeFailover(ctx context.Context, now time.Time) {
 	// onto, and promoting one (its bump would land exactly ON the floor,
 	// slipping past the adoption filter) would resurrect the fenced
 	// timeline and drop every write the real current epoch acknowledged.
-	var cand *Backend
-	var candEpoch, candSeq uint64
-	for _, b := range g.backends {
-		h := b.health()
-		if !h.Healthy || h.Role != "follower" || h.Epoch < floor {
-			continue
-		}
-		if cand == nil || replica.CompareSeq(h.Epoch, h.DurableSeq, candEpoch, candSeq) > 0 {
-			cand, candEpoch, candSeq = b, h.Epoch, h.DurableSeq
-		}
-	}
+	cand, _ := g.mostAdvanced("follower", floor)
 	if cand == nil {
 		g.noteFailover("auto-failover pending: no promotable follower (none healthy at the current epoch)", false)
 		return // retry every round until a candidate appears
@@ -201,12 +178,31 @@ func (g *Gateway) maybeFailover(ctx context.Context, now time.Time) {
 	cand.setHealth(g.probe(ctx, cand))
 	if h := cand.health(); h.Healthy && h.Role == "leader" {
 		g.leader.Store(cand.URL)
-		g.noteLeaderSeq(h.DurableSeq, time.Now())
+		g.noteLeaderSeq(h.Pos.Seq, time.Now())
 		g.mu.Lock()
-		g.maxEpoch = max(g.maxEpoch, h.Epoch)
+		g.maxEpoch = max(g.maxEpoch, h.Pos.Epoch)
 		g.leaderSeenAt = time.Now()
 		g.mu.Unlock()
 	}
+}
+
+// mostAdvanced returns the healthy backend in role whose position is
+// highest, with that position, among those at or above the fencing epoch
+// floor; nil when none qualifies. Epochs order histories, and the seq
+// only breaks ties within one.
+func (g *Gateway) mostAdvanced(role string, floor uint64) (*Backend, journal.Pos) {
+	var best *Backend
+	var bestPos journal.Pos
+	for _, b := range g.backends {
+		h := b.health()
+		if !h.Healthy || h.Role != role || h.Pos.Epoch < floor {
+			continue
+		}
+		if best == nil || h.Pos.Compare(bestPos) > 0 {
+			best, bestPos = b, h.Pos
+		}
+	}
+	return best, bestPos
 }
 
 // promote issues one POST /promote against a follower backend.
@@ -269,12 +265,11 @@ func (g *Gateway) probe(ctx context.Context, b *Backend) health {
 	}
 	h.Healthy = st.Healthy
 	h.Role = st.Role
-	h.DurableSeq = st.DurableSeq
-	h.Epoch = st.Epoch
-	if h.Epoch == 0 && h.Role != "" {
+	h.Pos = journal.Pos{Epoch: st.Epoch, Seq: st.DurableSeq}
+	if h.Pos.Epoch == 0 && h.Role != "" {
 		// A durable backend from before epochs existed: its history is
 		// the first (and so far only) generation.
-		h.Epoch = 1
+		h.Pos.Epoch = 1
 	}
 	return h
 }

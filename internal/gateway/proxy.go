@@ -65,7 +65,7 @@ func (g *Gateway) forwardRead(w http.ResponseWriter, r *http.Request) {
 		// probes (snapshot re-bootstrap after divergence). The barrier is
 		// what makes the guarantee a guarantee; routing only makes it
 		// cheap.
-		r.Header.Set(MinSeqHeader, strconv.FormatUint(minSeq, 10))
+		service.SetSeq(r.Header, service.MinSeqHeader, minSeq)
 	}
 	key := g.cacheKeyFor(r, body)
 	if key == "" {
@@ -164,17 +164,13 @@ func (g *Gateway) resolveRead(w http.ResponseWriter, r *http.Request, bound floa
 // malformed (a 400 was written). Both floor headers are consumed here —
 // forwardRead re-issues the combined floor as one X-STGQ-Min-Seq barrier.
 func (g *Gateway) minSeqFor(w http.ResponseWriter, r *http.Request) (minSeq uint64, ok bool) {
-	for _, h := range []string{WriteSeqHeader, MinSeqHeader} {
-		v := r.Header.Get(h)
-		if v == "" {
-			continue
-		}
-		n, err := strconv.ParseUint(v, 10, 64)
+	for _, h := range []string{service.WriteSeqHeader, service.MinSeqHeader} {
+		n, err := service.ParseSeq(r.Header, h)
 		if err != nil {
 			// A malformed floor must fail loudly: silently dropping it
 			// would serve the read without the consistency the client
 			// asked for.
-			writeError(w, http.StatusBadRequest, "bad "+h+" header: "+v)
+			writeError(w, http.StatusBadRequest, err.Error())
 			return 0, false
 		}
 		minSeq = max(minSeq, n)
@@ -182,8 +178,8 @@ func (g *Gateway) minSeqFor(w http.ResponseWriter, r *http.Request) (minSeq uint
 	if minSeq > 0 {
 		mFloorSource.With("header").Inc()
 	}
-	r.Header.Del(WriteSeqHeader)
-	r.Header.Del(MinSeqHeader)
+	r.Header.Del(service.WriteSeqHeader)
+	r.Header.Del(service.MinSeqHeader)
 	if g.sessions != nil {
 		if sid := r.Header.Get(SessionHeader); sid != "" {
 			if sessSeq := g.sessions.get(sid); sessSeq > 0 {
@@ -226,7 +222,7 @@ func (g *Gateway) noteSessionWrite(r *http.Request, p *proxied) {
 	if sid == "" {
 		return
 	}
-	if seq, err := strconv.ParseUint(p.header.Get(WriteSeqHeader), 10, 64); err == nil && seq > 0 {
+	if seq, err := service.ParseSeq(p.header, service.WriteSeqHeader); err == nil && seq > 0 {
 		g.sessions.note(sid, seq)
 	}
 }

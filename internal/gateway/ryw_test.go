@@ -62,10 +62,10 @@ func TestGatewayReadYourWrites(t *testing.T) {
 		if err := json.Unmarshal(body, &r); err != nil {
 			t.Fatal(err)
 		}
-		seq, err := strconv.ParseUint(resp.Header.Get(gateway.WriteSeqHeader), 10, 64)
+		seq, err := strconv.ParseUint(resp.Header.Get(service.WriteSeqHeader), 10, 64)
 		if err != nil || seq == 0 {
 			t.Fatalf("mutation response carries no usable %s: %q (%v)",
-				gateway.WriteSeqHeader, resp.Header.Get(gateway.WriteSeqHeader), err)
+				service.WriteSeqHeader, resp.Header.Get(service.WriteSeqHeader), err)
 		}
 		return r.ID, seq
 	}
@@ -146,7 +146,7 @@ func TestGatewayReadYourWrites(t *testing.T) {
 	}
 	// The friendship writes advanced the seq past echoSeq; echoing the
 	// person-write's seq alone must already make the person visible.
-	resp, g, body := groupQuery(echoID, map[string]string{gateway.WriteSeqHeader: strconv.FormatUint(echoSeq+3, 10)})
+	resp, g, body := groupQuery(echoID, map[string]string{service.WriteSeqHeader: strconv.FormatUint(echoSeq+3, 10)})
 	assertSees(resp, g, body, echoID, "phase 2 (write-seq echo)")
 
 	// Sanity before the failover: session state is being tracked.
@@ -167,8 +167,8 @@ func TestGatewayReadYourWrites(t *testing.T) {
 		resp, _ := doJSON(t, http.DefaultClient, http.MethodPost, gts.URL+"/people",
 			map[string]any{"name": "after-failover"}, map[string]string{gateway.SessionHeader: "session-post"})
 		if resp.StatusCode == http.StatusOK {
-			if resp.Header.Get(gateway.WriteSeqHeader) == "" {
-				t.Fatalf("post-failover mutation carries no %s", gateway.WriteSeqHeader)
+			if resp.Header.Get(service.WriteSeqHeader) == "" {
+				t.Fatalf("post-failover mutation carries no %s", service.WriteSeqHeader)
 			}
 			promoted = true
 			break
@@ -216,7 +216,7 @@ func rywLeader(t *testing.T, seq uint64) *httptest.Server {
 		service.StatusResponse{Role: "leader", Healthy: true, DurableSeq: seq, Epoch: 1},
 		func(w http.ResponseWriter, r *http.Request) {
 			if r.Method == http.MethodPost && r.URL.Path == "/people" {
-				w.Header().Set(service.WriteSeqHeader, strconv.FormatUint(seq, 10))
+				service.SetSeq(w.Header(), service.WriteSeqHeader, seq)
 			}
 			w.WriteHeader(http.StatusOK)
 			fmt.Fprint(w, `{"from":"leader"}`)
@@ -250,7 +250,7 @@ func TestGatewayWriteSeqRoutesPastStaleFollower(t *testing.T) {
 
 	resp, body := doJSON(t, http.DefaultClient, http.MethodPost, gts.URL+"/query/group",
 		map[string]any{"initiator": 0, "p": 2, "s": 1, "k": 1},
-		map[string]string{gateway.WriteSeqHeader: "9"})
+		map[string]string{service.WriteSeqHeader: "9"})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("floored read: status %d (%s), want leader retry to succeed", resp.StatusCode, body)
 	}
@@ -304,8 +304,8 @@ func TestGatewayFloorHeaderPrecedence(t *testing.T) {
 		map[string]any{"initiator": 0, "p": 2, "s": 1, "k": 1},
 		map[string]string{
 			gateway.SessionHeader:  "s1",
-			gateway.WriteSeqHeader: "7",
-			gateway.MinSeqHeader:   "31",
+			service.WriteSeqHeader: "7",
+			service.MinSeqHeader:   "31",
 		})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("combined-floor read: status %d (%s)", resp.StatusCode, body)
@@ -348,11 +348,11 @@ func TestGatewayMalformedFloorHeaders(t *testing.T) {
 	defer gts.Close()
 
 	for _, tc := range []struct{ header, value string }{
-		{gateway.WriteSeqHeader, "banana"},
-		{gateway.WriteSeqHeader, "-3"},
-		{gateway.WriteSeqHeader, "1.5"},
-		{gateway.MinSeqHeader, "banana"},
-		{gateway.MinSeqHeader, "-1"},
+		{service.WriteSeqHeader, "banana"},
+		{service.WriteSeqHeader, "-3"},
+		{service.WriteSeqHeader, "1.5"},
+		{service.MinSeqHeader, "banana"},
+		{service.MinSeqHeader, "-1"},
 	} {
 		resp, _ := doJSON(t, http.DefaultClient, http.MethodPost, gts.URL+"/query/group",
 			map[string]any{"initiator": 0, "p": 2, "s": 1, "k": 1},
@@ -487,7 +487,7 @@ func TestGatewaySessionTrackingDisabled(t *testing.T) {
 	}
 	resp, _ = doJSON(t, http.DefaultClient, http.MethodPost, gts.URL+"/query/group",
 		map[string]any{"initiator": 0, "p": 2, "s": 1, "k": 1},
-		map[string]string{gateway.WriteSeqHeader: "9"})
+		map[string]string{service.WriteSeqHeader: "9"})
 	if resp.StatusCode != http.StatusOK || sawMinSeq != "9" {
 		t.Fatalf("write-seq echo inert with tracking disabled (barrier %q, status %d)", sawMinSeq, resp.StatusCode)
 	}

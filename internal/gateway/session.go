@@ -1,10 +1,6 @@
 package gateway
 
-import (
-	"sync"
-
-	"repro/internal/service"
-)
+import "sync"
 
 // SessionHeader is the request header naming a client's sticky
 // read-your-writes session: an opaque identifier the client keeps for
@@ -19,16 +15,6 @@ import (
 // X-STGQ-Write-Seq themselves.
 const SessionHeader = "X-STGQ-Session"
 
-// WriteSeqHeader mirrors service.WriteSeqHeader: on a mutation
-// response, the durable sequence number of the acknowledged write; on a
-// read request to the gateway, a client-echoed read-your-writes floor.
-const WriteSeqHeader = service.WriteSeqHeader
-
-// MinSeqHeader mirrors service.MinSeqHeader: the read-barrier floor the
-// gateway forwards to the chosen backend (clients may also set it
-// directly; the gateway takes the maximum of every supplied floor).
-const MinSeqHeader = service.MinSeqHeader
-
 // DefaultSessionCap bounds the session table when Config.SessionCap is
 // zero. 4096 concurrent interactive sessions per gateway is far past
 // any single front door this system targets; an evicted session
@@ -41,7 +27,7 @@ const DefaultSessionCap = 4096
 // session may be evicted while active and re-inserted on its next
 // write), and losing an entry only loses the routing hint — the
 // consistency contract survives via the leader fallback and the
-// client-echoed WriteSeqHeader.
+// client-echoed service.WriteSeqHeader.
 type sessionTable struct {
 	mu    sync.Mutex
 	cap   int

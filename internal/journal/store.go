@@ -387,6 +387,9 @@ func (s *Store) Planner() *stgq.Planner { return s.pl }
 // Epoch returns the store's leader epoch.
 func (s *Store) Epoch() uint64 { return s.epoch.Load() }
 
+// Pos returns the store's durable position: its epoch and DurableSeq.
+func (s *Store) Pos() Pos { return Pos{Epoch: s.Epoch(), Seq: s.DurableSeq()} }
+
 // EpochStart returns the sequence number at which the store's epoch
 // began (0 for a never-promoted history). Streams advertise it as the
 // fork point followers compare their position against.

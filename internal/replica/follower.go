@@ -202,14 +202,15 @@ func (f *Follower) Planner() *stgq.Planner { return f.store().Planner() }
 // JournalStats returns the follower's own journal statistics.
 func (f *Follower) JournalStats() journal.Stats { return f.store().Stats() }
 
-// Epoch returns the follower's local leader epoch without touching the
-// store lock.
-func (f *Follower) Epoch() uint64 { return f.epoch.Load() }
-
-// AppliedSeq returns the highest journal sequence number applied to the
-// follower's planner (equal to Status().AppliedSeq, without building the
-// full status).
-func (f *Follower) AppliedSeq() uint64 { return f.applied.Load() }
+// Pos returns the follower's applied position — its local leader epoch
+// and the highest journal sequence number applied to its planner —
+// without touching the store lock or building the full status. The seq
+// is read first: an epoch adopted in between then pairs the newer epoch
+// with a seq at or before its fork point, which both histories share.
+func (f *Follower) Pos() journal.Pos {
+	seq := f.applied.Load()
+	return journal.Pos{Epoch: f.epoch.Load(), Seq: seq}
+}
 
 // WaitApplied blocks until the follower's applied position has reached
 // seq (AppliedSeq >= seq), the context is done, or the follower has

@@ -17,6 +17,7 @@ import (
 	"strconv"
 	"time"
 
+	"repro/internal/journal"
 	"repro/internal/obsv"
 )
 
@@ -48,10 +49,54 @@ const MinSeqHeader = "X-STGQ-Min-Seq"
 const AppliedSeqHeader = "X-STGQ-Applied-Seq"
 
 // EpochHeader is the response header carrying the leader epoch of the
-// history the answering server follows, alongside AppliedSeqHeader. A
-// (epoch, seq) pair orders cached results across failovers exactly as
-// replica.CompareSeq orders backends.
+// history the answering server follows, alongside AppliedSeqHeader. The
+// two headers are one journal.Pos, which orders cached results across
+// failovers exactly as it orders backends.
 const EpochHeader = "X-STGQ-Epoch"
+
+// The position codec: the only code that reads or writes the four
+// headers above. Values are decimal uint64s.
+
+// SetSeq writes seq as the value of a seq-valued header (WriteSeqHeader
+// or MinSeqHeader).
+func SetSeq(h http.Header, name string, seq uint64) {
+	h.Set(name, strconv.FormatUint(seq, 10))
+}
+
+// ParseSeq reads a seq-valued header. An absent header reads as 0 (no
+// floor); a malformed one is an error whose text names the header and
+// the value, fit for a 400 response.
+func ParseSeq(h http.Header, name string) (uint64, error) {
+	v := h.Get(name)
+	if v == "" {
+		return 0, nil
+	}
+	seq, err := strconv.ParseUint(v, 10, 64)
+	if err != nil {
+		return 0, errors.New("bad " + name + " header: " + v)
+	}
+	return seq, nil
+}
+
+// StampPos writes pos as AppliedSeqHeader and EpochHeader.
+func StampPos(h http.Header, pos journal.Pos) {
+	h.Set(AppliedSeqHeader, strconv.FormatUint(pos.Seq, 10))
+	h.Set(EpochHeader, strconv.FormatUint(pos.Epoch, 10))
+}
+
+// StampedPos reads the position StampPos wrote; ok is false unless both
+// headers are present and well-formed.
+func StampedPos(h http.Header) (pos journal.Pos, ok bool) {
+	seq, err := strconv.ParseUint(h.Get(AppliedSeqHeader), 10, 64)
+	if err != nil {
+		return pos, false
+	}
+	epoch, err := strconv.ParseUint(h.Get(EpochHeader), 10, 64)
+	if err != nil {
+		return pos, false
+	}
+	return journal.Pos{Epoch: epoch, Seq: seq}, true
+}
 
 // DefaultBarrierWait bounds how long a query holding a MinSeqHeader
 // barrier waits for replication to catch up before answering 412. It
@@ -71,7 +116,7 @@ func (s *Server) noteWriteSeq(w http.ResponseWriter) {
 	st := s.store
 	s.mu.RUnlock()
 	if st != nil {
-		w.Header().Set(WriteSeqHeader, strconv.FormatUint(st.DurableSeq(), 10))
+		SetSeq(w.Header(), WriteSeqHeader, st.DurableSeq())
 	}
 }
 
@@ -86,14 +131,11 @@ func (s *Server) noteAppliedSeq(w http.ResponseWriter) {
 	s.mu.RLock()
 	st, fo := s.store, s.follower
 	s.mu.RUnlock()
-	h := w.Header()
 	switch {
 	case fo != nil:
-		h.Set(AppliedSeqHeader, strconv.FormatUint(fo.AppliedSeq(), 10))
-		h.Set(EpochHeader, strconv.FormatUint(fo.Epoch(), 10))
+		StampPos(w.Header(), fo.Pos())
 	case st != nil:
-		h.Set(AppliedSeqHeader, strconv.FormatUint(st.DurableSeq(), 10))
-		h.Set(EpochHeader, strconv.FormatUint(st.Epoch(), 10))
+		StampPos(w.Header(), st.Pos())
 	}
 }
 
@@ -103,17 +145,13 @@ func (s *Server) noteAppliedSeq(w http.ResponseWriter) {
 // bounded wait (BarrierWait, default DefaultBarrierWait) — including on
 // an in-memory server, which has no sequence coordinate at all.
 func (s *Server) awaitMinSeq(w http.ResponseWriter, r *http.Request) bool {
-	v := r.Header.Get(MinSeqHeader)
-	if v == "" {
-		return true
-	}
-	seq, err := strconv.ParseUint(v, 10, 64)
+	seq, err := ParseSeq(r.Header, MinSeqHeader)
 	if err != nil {
-		writeJSON(w, http.StatusBadRequest, errorResponse{Error: "bad " + MinSeqHeader + " header: " + v})
+		writeJSON(w, http.StatusBadRequest, errorResponse{Error: err.Error()})
 		return false
 	}
 	if seq == 0 {
-		return true // everything is at least at seq 0
+		return true // no barrier: everything is at least at seq 0
 	}
 	s.mu.RLock()
 	st, fo := s.store, s.follower

@@ -7,10 +7,6 @@
 //   - lockio: no sync.Mutex/RWMutex held across blocking I/O (os.File
 //     writes/fsync, net/http calls) in the journal, gateway and replica
 //     packages — the group-commit path is the hot one.
-//   - seqepoch: no raw <,>,<=,>= comparison of durable-seq values in
-//     gateway/replica; cross-history ordering must go through the
-//     epoch-qualified replica.CompareSeq. PR 4's split-brain came from
-//     ranking leaders by bare durable seq.
 //   - ctxflow: context.Background()/context.TODO() and context-less
 //     net/http helpers (http.Get, ...) are forbidden in request-path
 //     packages; handlers and dial loops must propagate a caller's
@@ -58,7 +54,6 @@ type analyzer struct {
 // analyzers is the registry, in report order.
 var analyzers = []*analyzer{
 	anaLockIO,
-	anaSeqEpoch,
 	anaCtxFlow,
 	anaMetricNames,
 }

@@ -63,20 +63,6 @@ func TestLockIOCorpus(t *testing.T) {
 	wantFindings(t, fs, 0)
 }
 
-// TestSeqEpochCorpus pins the PR 4 split-brain class: raw <,> on
-// durable seqs are findings; CompareSeq-style helpers and equality
-// tests are clean.
-func TestSeqEpochCorpus(t *testing.T) {
-	fs, _ := runCorpus(t, "testdata/seqepoch/bad", "seqepoch")
-	wantFindings(t, fs, 3,
-		"h.DurableSeq > best.DurableSeq",
-		"a.DurableSeq < b.DurableSeq",
-		"a.DurableSeq >= b.DurableSeq")
-
-	fs, _ = runCorpus(t, "testdata/seqepoch/good", "seqepoch")
-	wantFindings(t, fs, 0)
-}
-
 // TestCtxFlowCorpus pins the uncancellable-work class:
 // context.Background/TODO and the context-less http.Get are findings;
 // NewRequestWithContext and .Get on non-http receivers are clean.
@@ -137,7 +123,7 @@ func TestSuppressionDirectives(t *testing.T) {
 // that did not run this invocation must not be reported stale, or
 // -only runs would flag every suppression for the skipped analyzers.
 func TestStaleDirectiveOnlyForRanAnalyzers(t *testing.T) {
-	fs, _ := runCorpus(t, "testdata/directive/good", "seqepoch")
+	fs, _ := runCorpus(t, "testdata/directive/good", "ctxflow")
 	wantFindings(t, fs, 0)
 }
 
@@ -147,7 +133,7 @@ func TestSelectAnalyzers(t *testing.T) {
 	if err != nil || len(all) != len(analyzers) {
 		t.Fatalf("default selection: %v, %d analyzers", err, len(all))
 	}
-	only, err := selectAnalyzers("lockio,seqepoch", "")
+	only, err := selectAnalyzers("lockio,ctxflow", "")
 	if err != nil || len(only) != 2 {
 		t.Fatalf("-only: %v, %d analyzers", err, len(only))
 	}
@@ -162,8 +148,7 @@ func TestSelectAnalyzers(t *testing.T) {
 
 // TestRepoClean runs every analyzer over the real repository and
 // asserts the gate is green: this is the test that fails when someone
-// adds an unqualified durable-seq comparison to the gateway or holds a
-// lock across an fsync.
+// holds a lock across an fsync or drops a request's context.
 func TestRepoClean(t *testing.T) {
 	fs, _, err := check(filepath.FromSlash("../../.."), analyzers)
 	if err != nil {
