@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: check build test vet lint fmt-check fmt bench bench-smoke bench-ab race batcher-stress e2e-failover e2e-ryw e2e-geo docs-check
+.PHONY: check build test vet lint fmt-check fmt bench bench-smoke bench-ab race batcher-stress e2e-failover e2e-ryw e2e-geo docs-check serving-deps
 
 check: fmt-check lint build test
 
@@ -22,6 +22,16 @@ batcher-stress:
 
 vet:
 	$(GO) vet ./...
+
+# The serving binaries link none of the paper's comparators (the
+# exhaustive baseline, the integer program and its MIP solver): those run
+# from cmd/stgq and the experiments only. See docs/development.md.
+serving-deps:
+	@deps="$$($(GO) list -deps ./cmd/stgqd ./cmd/stgqgw)" || exit 1; \
+	bad="$$(printf '%s\n' "$$deps" | grep -xE 'repro/internal/(mip|ipmodel|baseline)')"; \
+	if [ -n "$$bad" ]; then \
+		echo "stgqd/stgqgw link comparator packages:"; echo "$$bad"; exit 1; \
+	fi; echo "serving-deps: stgqd and stgqgw link no comparator"
 
 # Static-analysis gate: go vet plus stgqcheck, the project-invariant
 # analyzers (lock-vs-I/O, context propagation, metric naming). See

@@ -16,7 +16,11 @@ import (
 	"os"
 
 	stgq "repro"
+	"repro/internal/baseline"
+	"repro/internal/core"
 	"repro/internal/dataset"
+	"repro/internal/ipmodel"
+	"repro/internal/socialgraph"
 )
 
 func main() {
@@ -55,20 +59,14 @@ func main() {
 		fmt.Printf("initiator not given; using vertex %d (degree %d)\n", q, d.Graph.Degree(int(q)))
 	}
 
-	var alg stgq.Algorithm
 	switch *algName {
-	case "select":
-		alg = stgq.AlgDefault
-	case "baseline":
-		alg = stgq.AlgBaseline
-	case "ip":
-		alg = stgq.AlgIP
+	case "select", "baseline", "ip":
 	default:
 		fmt.Fprintf(os.Stderr, "stgq: unknown -alg %q\n", *algName)
 		os.Exit(2)
 	}
 
-	base := stgq.SGQuery{Initiator: q, P: *p, S: *s, K: *k, Algorithm: alg}
+	base := stgq.SGQuery{Initiator: q, P: *p, S: *s, K: *k}
 
 	switch {
 	case *manual:
@@ -85,7 +83,7 @@ func main() {
 		printMembers(plan.Members)
 		fmt.Printf("activity period: %s\n", plan.Window.Format())
 	case *m >= 1:
-		plan, err := pl.PlanActivity(stgq.STGQuery{SGQuery: base, M: *m})
+		plan, err := planActivity(pl, stgq.STGQuery{SGQuery: base, M: *m}, *algName)
 		if err != nil {
 			queryFatal(err)
 		}
@@ -98,7 +96,7 @@ func main() {
 			fmt.Printf("stats: %+v\n", plan.Stats)
 		}
 	default:
-		res, err := pl.FindGroup(base)
+		res, err := findGroup(pl, base, *algName)
 		if err != nil {
 			queryFatal(err)
 		}
@@ -108,6 +106,62 @@ func main() {
 			fmt.Printf("stats: %+v\n", res.Stats)
 		}
 	}
+}
+
+// findGroup answers q with the engine alg names: the planner's SGSelect,
+// or one of the paper's comparators run on the view the planner searches.
+func findGroup(pl *stgq.Planner, q stgq.SGQuery, alg string) (*stgq.GroupResult, error) {
+	if alg == "select" {
+		return pl.FindGroup(q)
+	}
+	rg, _, _, err := pl.QueryView(q.Initiator, q.S, false)
+	if err != nil {
+		return nil, err
+	}
+	var grp *core.Group
+	if alg == "baseline" {
+		grp, err = baseline.SGQ(rg, q.P, q.K, nil)
+	} else {
+		grp, err = ipmodel.SGQReduced(rg, q.P, q.K, ipmodel.SolveOptions{})
+	}
+	if err != nil {
+		return nil, err
+	}
+	return &stgq.GroupResult{Members: viewMembers(rg, grp.Members), TotalDistance: grp.TotalDistance}, nil
+}
+
+// planActivity is findGroup for a social-temporal query.
+func planActivity(pl *stgq.Planner, q stgq.STGQuery, alg string) (*stgq.PlanResult, error) {
+	if alg == "select" {
+		return pl.PlanActivity(q)
+	}
+	rg, cal, users, err := pl.QueryView(q.Initiator, q.S, true)
+	if err != nil {
+		return nil, err
+	}
+	var ans *core.STGroup
+	if alg == "baseline" {
+		ans, err = baseline.STGQ(rg, cal, users, q.P, q.K, q.M, stgq.DefaultOptions())
+	} else {
+		ans, err = ipmodel.STGQReduced(rg, cal, users, q.P, q.K, q.M, ipmodel.SolveOptions{})
+	}
+	if err != nil {
+		return nil, err
+	}
+	return &stgq.PlanResult{
+		GroupResult: stgq.GroupResult{Members: viewMembers(rg, ans.Members), TotalDistance: ans.TotalDistance},
+		Window:      stgq.TimeWindow{Start: ans.Interval.Start, End: ans.Interval.End + 1},
+		PivotSlot:   ans.Pivot,
+	}, nil
+}
+
+// viewMembers names the radius-graph vertices of an answer.
+func viewMembers(rg *socialgraph.RadiusGraph, vs []int) []stgq.Member {
+	members := make([]stgq.Member, len(vs))
+	for i, v := range vs {
+		members[i] = stgq.Member{ID: stgq.PersonID(rg.Orig[v]), Name: rg.Labels[v], Distance: rg.Dist[v]}
+	}
+	return members
 }
 
 func printMembers(members []stgq.Member) {

@@ -14,6 +14,7 @@ import (
 	"log"
 
 	stgq "repro"
+	"repro/internal/baseline"
 )
 
 func main() {
@@ -107,15 +108,19 @@ func main() {
 	fmt.Printf("trip, m=3: %v leaving ts%d–ts%d, distance %g\n",
 		names(trip.Members), trip.Window.Start+1, trip.Window.End, trip.TotalDistance)
 
-	// Cross-check every answer against the exhaustive baseline.
+	// Cross-check every answer against the exhaustive baseline, run on the
+	// view the planner searched.
 	for _, q := range []stgq.SGQuery{
 		{Initiator: affleck, P: 4, S: 1, K: 3},
 		{Initiator: affleck, P: 4, S: 1, K: 0},
 		{Initiator: affleck, P: 6, S: 2, K: 2},
 	} {
 		fast, err1 := pl.FindGroup(q)
-		q.Algorithm = stgq.AlgBaseline
-		slow, err2 := pl.FindGroup(q)
+		rg, _, _, err := pl.QueryView(q.Initiator, q.S, false)
+		if err != nil {
+			log.Fatal(err)
+		}
+		slow, err2 := baseline.SGQ(rg, q.P, q.K, nil)
 		if !errors.Is(err1, err2) && (err1 != nil || err2 != nil) {
 			log.Fatalf("engines disagree on feasibility: %v vs %v", err1, err2)
 		}

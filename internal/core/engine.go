@@ -3,6 +3,7 @@ package core
 import (
 	"math"
 	"math/bits"
+	"sync/atomic"
 
 	"repro/internal/bitset"
 	"repro/internal/schedule"
@@ -57,6 +58,10 @@ type engine struct {
 	// budgetHit is set once Options.MaxVertices admission tests have run;
 	// every frame then unwinds immediately (anytime cutoff).
 	budgetHit bool
+	// examined, when non-nil, counts the admission tests of every worker
+	// of one query (STGSelectParallel), so Options.MaxVertices bounds the
+	// query rather than one worker's pivot.
+	examined *atomic.Int64
 
 	removedPool [][]int
 
@@ -426,8 +431,14 @@ func (e *engine) temporalX(u int) int {
 // extensibility.
 func (e *engine) admit(u, theta, phi int) verdict {
 	e.stats.VerticesExamined++
-	if e.opt.MaxVertices > 0 && e.stats.VerticesExamined >= e.opt.MaxVertices {
-		e.budgetHit = true
+	if e.opt.MaxVertices > 0 {
+		n := e.stats.VerticesExamined
+		if e.examined != nil {
+			n = e.examined.Add(1)
+		}
+		if n >= e.opt.MaxVertices {
+			e.budgetHit = true
+		}
 	}
 	vsNew := e.vsCount + 1
 

@@ -4,6 +4,7 @@ import (
 	"math"
 	"runtime"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/bitset"
 	"repro/internal/schedule"
@@ -17,6 +18,10 @@ import (
 // pivot prunes the others, exactly as in the sequential algorithm — the
 // result is the same optimum (though ties may resolve to a different
 // optimal group than the sequential order would).
+//
+// Options.MaxVertices bounds the admission tests of the whole query, summed
+// over workers: once it is reached every worker stops, and the result is
+// the best incumbent with ErrBudgetExceeded, as from STGSelect.
 //
 // workers ≤ 1 falls back to the sequential STGSelect. The paper's
 // algorithms are single-threaded (it was CPLEX that used all 8 cores of
@@ -50,6 +55,7 @@ func STGSelectParallel(rg *socialgraph.RadiusGraph, cal *schedule.Calendar, calU
 		total    Stats
 		wg       sync.WaitGroup
 		next     int
+		examined atomic.Int64
 	)
 	shared := func() float64 {
 		mu.Lock()
@@ -85,9 +91,10 @@ func STGSelectParallel(rg *socialgraph.RadiusGraph, cal *schedule.Calendar, calU
 			e.tmp = t
 			e.initTemporalRHS(m)
 			e.sharedBound = shared
+			e.examined = &examined
 			defer func() { offer(nil, e.stats) }() // flush trailing skip counts
 			eligible := bitset.New(e.n)
-			for {
+			for !e.budgetHit {
 				pivot, ok := take()
 				if !ok {
 					return
@@ -131,10 +138,17 @@ func STGSelectParallel(rg *socialgraph.RadiusGraph, cal *schedule.Calendar, calU
 	}
 	wg.Wait()
 
+	budgetHit := opt.MaxVertices > 0 && examined.Load() >= opt.MaxVertices
 	if best == nil {
+		if budgetHit {
+			return nil, total, ErrBudgetExceeded
+		}
 		return nil, total, ErrNoFeasibleGroup
 	}
 	// Widen the clipped interval exactly as the sequential path does.
 	best.Interval = widenInterval(cal, calUser, best.Members, best.Pivot)
+	if budgetHit {
+		return best, total, ErrBudgetExceeded
+	}
 	return best, total, nil
 }

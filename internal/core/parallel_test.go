@@ -6,6 +6,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"repro/internal/dataset"
 	"repro/internal/schedule"
 )
 
@@ -114,5 +115,42 @@ func TestQuickParallelSTGSelect(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestParallelBudgetBoundsWholeQuery: Options.MaxVertices bounds the
+// admission tests of the whole query, summed over pivots and workers, as
+// it does for STGSelect. A budget hit is reported as ErrBudgetExceeded,
+// never as an unproven ErrNoFeasibleGroup.
+func TestParallelBudgetBoundsWholeQuery(t *testing.T) {
+	const workers = 2
+	d := dataset.Synthetic(600, 1, 7)
+	budget := DefaultOptions()
+	budget.MaxVertices = 20
+	for q := 0; q < 5; q++ {
+		rg, err := d.Graph.ExtractRadiusGraph(q, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		opt, _, err := STGSelect(rg, d.Cal, rg.Orig, 5, 1, 6, DefaultOptions())
+		if err != nil {
+			t.Fatalf("q=%d unbudgeted: %v", q, err)
+		}
+		_, _, seqErr := STGSelect(rg, d.Cal, rg.Orig, 5, 1, 6, budget)
+		par, stats, parErr := STGSelectParallel(rg, d.Cal, rg.Orig, 5, 1, 6, budget, workers)
+		if !errors.Is(seqErr, ErrBudgetExceeded) || !errors.Is(parErr, ErrBudgetExceeded) {
+			t.Errorf("q=%d: sequential %v, parallel %v; want ErrBudgetExceeded from both", q, seqErr, parErr)
+		}
+		// Each worker runs at most one admission test past the budget, and
+		// then takes no further pivot.
+		if stats.VerticesExamined > budget.MaxVertices+workers-1 {
+			t.Errorf("q=%d: %d admission tests under a budget of %d", q, stats.VerticesExamined, budget.MaxVertices)
+		}
+		if taken := stats.PivotsProcessed + stats.PivotsSkipped; taken >= int64(len(d.Cal.PivotSlots(6))) {
+			t.Errorf("q=%d: all %d pivots taken after the budget was spent", q, taken)
+		}
+		if par != nil && par.TotalDistance < opt.TotalDistance {
+			t.Errorf("q=%d: anytime answer %v beats the optimum %v", q, par.TotalDistance, opt.TotalDistance)
+		}
 	}
 }

@@ -12,7 +12,7 @@
 //	POST   /availability  {"person":0,"from":36,"to":44,"available":true} → {}
 //	POST   /policies      {"person":0,"policy":"friends"}        → {}
 //	POST   /people/{id}/location {"x": 120.5, "y": -430.25}      → {}
-//	POST   /query/group    {"initiator":0,"p":4,"s":1,"k":1,...}  → group
+//	POST   /query/group    {"initiator":0,"p":4,"s":1,"k":1}      → group
 //	POST   /query/activity {"initiator":0,"p":4,"s":1,"k":1,"m":4} → plan
 //	POST   /query/gsgselect {"initiator":0,"p":4,"s":1,"k":1,"m":4,"x":0,"y":0,"radius":800} → geo plan
 //	POST   /query/manual   {"initiator":0,"p":4,"s":1,"m":4}      → manual plan
@@ -21,7 +21,10 @@
 //	GET    /replication/stream                                   → journal stream (durable servers)
 //
 // Infeasible queries return 422; malformed requests 400; unknown people
-// 404.
+// 404. A request body with a field its endpoint does not define is
+// malformed. Each query endpoint runs one engine: SGSelect, STGSelect,
+// GSGSelect and PCArrange, in the order above; the paper's exhaustive
+// and integer-programming comparators are not reachable over HTTP.
 //
 // The six mutating endpoints above are rows of one route table
 // (mutationRoutes) served by one handler: decode the request into a
@@ -73,7 +76,6 @@ package service
 import (
 	"encoding/json"
 	"errors"
-	"fmt"
 	"net/http"
 	"strconv"
 	"sync"
@@ -297,8 +299,6 @@ type QueryRequest struct {
 	K int `json:"k"`
 	// M is the activity length in slots (temporal queries only).
 	M int `json:"m,omitempty"`
-	// Algorithm: "", "select", "baseline", or "ip".
-	Algorithm string `json:"algorithm,omitempty"`
 }
 
 // MemberJSON is one attendee in a response.
@@ -514,18 +514,6 @@ func (s *Server) mutationHandler(rt mutationRoute) http.HandlerFunc {
 	}
 }
 
-func parseAlgorithm(name string) (stgq.Algorithm, error) {
-	switch name {
-	case "", "select":
-		return stgq.AlgDefault, nil
-	case "baseline":
-		return stgq.AlgBaseline, nil
-	case "ip":
-		return stgq.AlgIP, nil
-	}
-	return 0, fmt.Errorf("%w: unknown algorithm %q", stgq.ErrBadQuery, name)
-}
-
 func (s *Server) handleGroupQuery(w http.ResponseWriter, r *http.Request) {
 	if !s.awaitMinSeq(w, r) {
 		return
@@ -535,16 +523,12 @@ func (s *Server) handleGroupQuery(w http.ResponseWriter, r *http.Request) {
 	if !decode(w, r, &req) {
 		return
 	}
-	alg, err := parseAlgorithm(req.Algorithm)
-	if err != nil {
-		writeErr(w, err)
-		return
-	}
 	var res *stgq.GroupResult
+	var err error
 	timeEngine(obsv.StagesFrom(r.Context()), func() {
 		res, err = s.planner().FindGroup(stgq.SGQuery{
 			Initiator: stgq.PersonID(req.Initiator),
-			P:         req.P, S: req.S, K: req.K, Algorithm: alg,
+			P:         req.P, S: req.S, K: req.K,
 		})
 	})
 	if err != nil {
@@ -563,17 +547,13 @@ func (s *Server) handleActivityQuery(w http.ResponseWriter, r *http.Request) {
 	if !decode(w, r, &req) {
 		return
 	}
-	alg, err := parseAlgorithm(req.Algorithm)
-	if err != nil {
-		writeErr(w, err)
-		return
-	}
 	var plan *stgq.PlanResult
+	var err error
 	timeEngine(obsv.StagesFrom(r.Context()), func() {
 		plan, err = s.planner().PlanActivity(stgq.STGQuery{
 			SGQuery: stgq.SGQuery{
 				Initiator: stgq.PersonID(req.Initiator),
-				P:         req.P, S: req.S, K: req.K, Algorithm: alg,
+				P:         req.P, S: req.S, K: req.K,
 			},
 			M: req.M,
 		})
@@ -599,17 +579,13 @@ func (s *Server) handleGeoQuery(w http.ResponseWriter, r *http.Request) {
 	if !decode(w, r, &req) {
 		return
 	}
-	alg, err := parseAlgorithm(req.Algorithm)
-	if err != nil {
-		writeErr(w, err)
-		return
-	}
 	var plan *stgq.GeoPlanResult
+	var err error
 	timeEngine(obsv.StagesFrom(r.Context()), func() {
 		plan, err = s.planner().PlanGeoActivity(stgq.GSGQuery{
 			SGQuery: stgq.SGQuery{
 				Initiator: stgq.PersonID(req.Initiator),
-				P:         req.P, S: req.S, K: req.K, Algorithm: alg,
+				P:         req.P, S: req.S, K: req.K,
 			},
 			M: req.M, X: req.X, Y: req.Y, Radius: req.Radius,
 		})

@@ -99,22 +99,20 @@ func TestEndToEndQueries(t *testing.T) {
 		t.Errorf("status = %+v", status)
 	}
 
-	// SGQ through every engine.
-	for _, alg := range []string{"", "select", "baseline", "ip"} {
-		var grp GroupResponse
-		code := post(t, ts, "/query/group",
-			QueryRequest{Initiator: ids["v7"], P: 4, S: 1, K: 1, Algorithm: alg}, &grp)
-		if code != http.StatusOK {
-			t.Fatalf("alg %q: status %d", alg, code)
-		}
-		if grp.TotalDistance != 62 {
-			t.Errorf("alg %q: distance %v, want 62", alg, grp.TotalDistance)
-		}
+	// SGQ.
+	var grp GroupResponse
+	code := post(t, ts, "/query/group",
+		QueryRequest{Initiator: ids["v7"], P: 4, S: 1, K: 1}, &grp)
+	if code != http.StatusOK {
+		t.Fatalf("group: status %d", code)
+	}
+	if grp.TotalDistance != 62 {
+		t.Errorf("group: distance %v, want 62", grp.TotalDistance)
 	}
 
 	// STGQ.
 	var plan PlanResponse
-	code := post(t, ts, "/query/activity",
+	code = post(t, ts, "/query/activity",
 		QueryRequest{Initiator: ids["v7"], P: 4, S: 1, K: 1, M: 3}, &plan)
 	if code != http.StatusOK {
 		t.Fatalf("activity: status %d", code)
@@ -159,9 +157,31 @@ func TestErrorMapping(t *testing.T) {
 		t.Errorf("s=0: status %d, want 400", code)
 	}
 	// Unknown algorithm → 400.
-	code = post(t, ts, "/query/group", QueryRequest{Initiator: ids["v7"], P: 3, S: 1, K: 1, Algorithm: "magic"}, nil)
+	code = post(t, ts, "/query/group", json.RawMessage(fmt.Sprintf(`{"initiator":%d,"p":3,"s":1,"k":1,"algorithm":"magic"}`, ids["v7"])), nil)
 	if code != http.StatusBadRequest {
 		t.Errorf("bad algorithm: status %d, want 400", code)
+	}
+	// Each query endpoint runs one engine, so a request naming any
+	// algorithm, the default's name included, has an unknown field → 400,
+	// while the same body without it is answered.
+	for _, q := range []struct {
+		path, fields string
+		status       int
+	}{
+		{"/query/group", `"p":4,"s":1,"k":1`, http.StatusOK},
+		{"/query/activity", `"p":4,"s":1,"k":1,"m":3`, http.StatusOK},
+		{"/query/gsgselect", `"p":4,"s":1,"k":1,"x":0,"y":0,"radius":500`, http.StatusUnprocessableEntity},
+	} {
+		plain := fmt.Sprintf(`{"initiator":%d,%s}`, ids["v7"], q.fields)
+		if code := post(t, ts, q.path, json.RawMessage(plain), nil); code != q.status {
+			t.Errorf("%s %s: status %d, want %d", q.path, plain, code, q.status)
+		}
+		for _, alg := range []string{"baseline", "ip", "select"} {
+			named := fmt.Sprintf(`{"initiator":%d,%s,"algorithm":%q}`, ids["v7"], q.fields, alg)
+			if code := post(t, ts, q.path, json.RawMessage(named), nil); code != http.StatusBadRequest {
+				t.Errorf("%s %s: status %d, want 400", q.path, named, code)
+			}
+		}
 	}
 	// Malformed JSON → 400.
 	resp, err := http.Post(ts.URL+"/query/group", "application/json", bytes.NewReader([]byte("{nope")))

@@ -73,8 +73,8 @@ func (pl *Planner) NumLocated() int {
 // social and acquaintance constraints of SGQuery, an activity point with
 // a spatial radius, and optionally (M ≥ 1) the shared-availability
 // window of STGQuery. It follows the GSGQ/SSGQ successors of the paper
-// (Zhu et al. 1406.7367, Shen et al. 1505.02681). Only AlgDefault is
-// supported.
+// (Zhu et al. 1406.7367, Shen et al. 1505.02681) and is answered by
+// GSGSelect.
 type GSGQuery struct {
 	SGQuery
 	// M is the activity length in consecutive time slots; 0 disables the
@@ -107,9 +107,6 @@ type GeoPlanResult struct {
 // combined social + spatial cost. With M ≥ 1 the temporal machinery of
 // PlanActivity applies on top.
 func (pl *Planner) PlanGeoActivity(q GSGQuery) (*GeoPlanResult, error) {
-	if q.Algorithm != AlgDefault {
-		return nil, fmt.Errorf("%w: geo-social queries support only the default algorithm", ErrBadQuery)
-	}
 	if q.M < 0 {
 		return nil, fmt.Errorf("%w: activity length m=%d < 0", ErrBadQuery, q.M)
 	}
@@ -120,16 +117,11 @@ func (pl *Planner) PlanGeoActivity(q GSGQuery) (*GeoPlanResult, error) {
 		return nil, fmt.Errorf("%w: spatial radius %v must be positive and finite", ErrBadQuery, q.Radius)
 	}
 	withCal := q.M >= 1
-	rg, cal, spat, err := pl.geoQueryView(q.Initiator, q.S, withCal, geo.Point{X: q.X, Y: q.Y}, q.Radius)
+	rg, cal, users, spat, err := pl.geoQueryView(q.Initiator, q.S, withCal, geo.Point{X: q.X, Y: q.Y}, q.Radius)
 	if err != nil {
 		return nil, err
 	}
-	var calUser []int
-	if withCal {
-		calUser = calUsers(rg.N())
-	}
-	opts := q.options()
-	ans, stats, err := core.GSGSelect(rg, spat, cal, calUser, q.P, q.K, q.M, opts)
+	ans, stats, err := core.GSGSelect(rg, spat, cal, users, q.P, q.K, q.M, q.options())
 	if err != nil {
 		return nil, err
 	}
@@ -143,18 +135,18 @@ func (pl *Planner) PlanGeoActivity(q GSGQuery) (*GeoPlanResult, error) {
 	return res, nil
 }
 
-// geoQueryView is queryView plus a spatial snapshot: the per-radius-graph
+// geoQueryView is QueryView plus a spatial snapshot: the per-radius-graph
 // vertex distances to the activity point (-1 = no location or outside
 // the radius), captured under the same lock acquisition so the spatial
 // and social views are mutually consistent.
-func (pl *Planner) geoQueryView(initiator PersonID, s int, withCalendar bool, center geo.Point, radius float64) (*socialgraph.RadiusGraph, *schedule.Calendar, []float64, error) {
+func (pl *Planner) geoQueryView(initiator PersonID, s int, withCalendar bool, center geo.Point, radius float64) (*socialgraph.RadiusGraph, *schedule.Calendar, []int, []float64, error) {
 	pl.mu.RLock()
 	defer pl.mu.RUnlock()
-	rg, cal, err := pl.viewRLocked(initiator, s, withCalendar)
+	rg, cal, users, err := pl.viewRLocked(initiator, s, withCalendar)
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, nil, nil, nil, err
 	}
-	return rg, cal, pl.spatialRLocked(rg, center, radius), nil
+	return rg, cal, users, pl.spatialRLocked(rg, center, radius), nil
 }
 
 // spatialRLocked builds the spatial-distance vector for a radius graph:

@@ -122,7 +122,7 @@ func TestSpatialVectorMatchesGridScan(t *testing.T) {
 			}
 		}
 		for trial := 0; trial < 40; trial++ {
-			rg, _, err := pl.queryView(PersonID(r.Intn(n)), 1+r.Intn(3), false)
+			rg, _, _, err := pl.QueryView(PersonID(r.Intn(n)), 1+r.Intn(3), false)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -15,8 +15,9 @@
 // Both problems are NP-hard; the default algorithms (SGSelect and
 // STGSelect) are exact branch-and-bound searches with the paper's pruning
 // strategies and handle realistic ego-network sizes interactively.
-// Alternative exact engines (exhaustive baseline, integer programming) are
-// selectable for cross-checking and benchmarking.
+// The exact comparators of the paper's evaluation (the exhaustive baseline
+// and the integer program) are not query engines: they run on the same
+// query view (Planner.QueryView) for cross-checking and benchmarking.
 //
 // # Quick start
 //
@@ -112,12 +113,10 @@ import (
 	"slices"
 	"sync"
 
-	"repro/internal/baseline"
 	"repro/internal/coordinate"
 	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/geo"
-	"repro/internal/ipmodel"
 	"repro/internal/schedule"
 	"repro/internal/socialgraph"
 )
@@ -558,12 +557,15 @@ func (pl *Planner) Export(onLocked func()) *dataset.Dataset {
 	return &dataset.Dataset{Graph: g, Cal: cal, Community: community, Days: days, Policies: policies, Locations: locations}
 }
 
-// queryView captures everything a query needs under one read-lock
-// acquisition: the feasible radius graph and, when withCalendar is set,
-// the initiator-visible calendar. Both are immutable, so the search itself
-// runs without holding any lock, and nothing here writes planner state,
-// so concurrent queries share the lock.
-func (pl *Planner) queryView(initiator PersonID, s int, withCalendar bool) (*socialgraph.RadiusGraph, *schedule.Calendar, error) {
+// QueryView returns the immutable view a query searches, captured under
+// one read-lock acquisition: the initiator's radius graph over s hops
+// and, when withCalendar is set, the calendar of its members as the
+// initiator may see it, with the vertex → calendar-user mapping. FindGroup
+// searches the graph, PlanActivity the whole view; the paper's comparators
+// (internal/baseline, internal/ipmodel) take the same arguments, so a
+// cross-check runs them on exactly what the planner searched. Nothing in
+// the view is written afterwards, so it is searched without any lock.
+func (pl *Planner) QueryView(initiator PersonID, s int, withCalendar bool) (*socialgraph.RadiusGraph, *schedule.Calendar, []int, error) {
 	pl.mu.RLock()
 	defer pl.mu.RUnlock()
 	return pl.viewRLocked(initiator, s, withCalendar)
@@ -573,23 +575,23 @@ func (pl *Planner) queryView(initiator PersonID, s int, withCalendar bool) (*soc
 // the read lock. The radius graph is extracted from the graph on every
 // query, by a frontier pass that costs the initiator's s-hop ball, not
 // the population. The calendar holds the radius graph's members only —
-// user i is vertex i, so the engine's vertex → calendar-user mapping is
+// user i is vertex i, so the vertex → calendar-user mapping is
 // calUsers(rg.N()) — and shares the store's rows except for members whose
 // SharePolicy hides their schedule from the initiator, who get an all-busy
 // row.
-func (pl *Planner) viewRLocked(initiator PersonID, s int, withCalendar bool) (*socialgraph.RadiusGraph, *schedule.Calendar, error) {
+func (pl *Planner) viewRLocked(initiator PersonID, s int, withCalendar bool) (*socialgraph.RadiusGraph, *schedule.Calendar, []int, error) {
 	if int(initiator) < 0 || int(initiator) >= pl.g.NumVertices() {
-		return nil, nil, fmt.Errorf("%w: person %d", ErrPersonNotFound, initiator)
+		return nil, nil, nil, fmt.Errorf("%w: person %d", ErrPersonNotFound, initiator)
 	}
 	if s < 1 {
-		return nil, nil, fmt.Errorf("%w: social radius s=%d < 1", ErrBadQuery, s)
+		return nil, nil, nil, fmt.Errorf("%w: social radius s=%d < 1", ErrBadQuery, s)
 	}
 	rg, err := pl.g.ExtractRadiusGraph(int(initiator), s)
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, nil, err
 	}
 	if !withCalendar {
-		return rg, nil, nil
+		return rg, nil, nil, nil
 	}
 	// members[v] is the store row of vertex v, or -1 (all-busy) when the
 	// initiator may not read it.
@@ -600,11 +602,11 @@ func (pl *Planner) viewRLocked(initiator PersonID, s int, withCalendar bool) (*s
 			members[v] = -1
 		}
 	}
-	return rg, pl.cal.View(members), nil
+	return rg, pl.cal.View(members), calUsers(rg.N()), nil
 }
 
-// calUsers is the vertex → calendar-user mapping of a query view (see
-// viewRLocked): the identity over n users.
+// calUsers is the identity mapping over n users: vertex i → calendar
+// user i.
 func calUsers(n int) []int {
 	users := make([]int, n)
 	for i := range users {
@@ -613,58 +615,34 @@ func calUsers(n int) []int {
 	return users
 }
 
-// FindGroup answers a social group query.
+// FindGroup answers a social group query with SGSelect.
 func (pl *Planner) FindGroup(q SGQuery) (*GroupResult, error) {
-	rg, _, err := pl.queryView(q.Initiator, q.S, false)
+	rg, _, _, err := pl.QueryView(q.Initiator, q.S, false)
 	if err != nil {
 		return nil, err
 	}
-	opts := q.options()
-	var (
-		grp   *core.Group
-		stats core.Stats
-	)
-	switch q.Algorithm {
-	case AlgDefault:
-		grp, stats, err = core.SGSelect(rg, q.P, q.K, nil, opts)
-	case AlgBaseline:
-		grp, err = baseline.SGQ(rg, q.P, q.K, nil)
-	case AlgIP:
-		grp, err = ipmodel.SGQReduced(rg, q.P, q.K, ipmodel.SolveOptions{})
-	default:
-		return nil, fmt.Errorf("%w: unknown algorithm %d", ErrBadQuery, q.Algorithm)
-	}
+	grp, stats, err := core.SGSelect(rg, q.P, q.K, nil, q.options())
 	if err != nil {
 		return nil, err
 	}
 	return groupResult(rg, grp, stats), nil
 }
 
-// PlanActivity answers a social-temporal group query.
+// PlanActivity answers a social-temporal group query with STGSelect, or
+// STGSelectParallel when q.Parallel > 1.
 func (pl *Planner) PlanActivity(q STGQuery) (*PlanResult, error) {
-	rg, cal, err := pl.queryView(q.Initiator, q.S, true)
+	rg, cal, users, err := pl.QueryView(q.Initiator, q.S, true)
 	if err != nil {
 		return nil, err
 	}
-	calUser := calUsers(rg.N())
-	opts := q.options()
 	var (
 		ans   *core.STGroup
 		stats core.Stats
 	)
-	switch q.Algorithm {
-	case AlgDefault:
-		if q.Parallel > 1 {
-			ans, stats, err = core.STGSelectParallel(rg, cal, calUser, q.P, q.K, q.M, opts, q.Parallel)
-		} else {
-			ans, stats, err = core.STGSelect(rg, cal, calUser, q.P, q.K, q.M, opts)
-		}
-	case AlgBaseline:
-		ans, err = baseline.STGQ(rg, cal, calUser, q.P, q.K, q.M, opts)
-	case AlgIP:
-		ans, err = ipmodel.STGQReduced(rg, cal, calUser, q.P, q.K, q.M, ipmodel.SolveOptions{})
-	default:
-		return nil, fmt.Errorf("%w: unknown algorithm %d", ErrBadQuery, q.Algorithm)
+	if q.Parallel > 1 {
+		ans, stats, err = core.STGSelectParallel(rg, cal, users, q.P, q.K, q.M, q.options(), q.Parallel)
+	} else {
+		ans, stats, err = core.STGSelect(rg, cal, users, q.P, q.K, q.M, q.options())
 	}
 	if err != nil {
 		return nil, err
@@ -680,11 +658,11 @@ func (pl *Planner) PlanActivity(q STGQuery) (*PlanResult, error) {
 // against (PCArrange, Section 5.1). The result reports the observed
 // acquaintance bound k_h of the manually assembled group.
 func (pl *Planner) PlanManually(q STGQuery) (*ManualPlan, error) {
-	rg, cal, err := pl.queryView(q.Initiator, q.S, true)
+	rg, cal, users, err := pl.QueryView(q.Initiator, q.S, true)
 	if err != nil {
 		return nil, err
 	}
-	res, err := coordinate.PCArrange(rg, cal, calUsers(rg.N()), q.P, q.M)
+	res, err := coordinate.PCArrange(rg, cal, users, q.P, q.M)
 	if err != nil {
 		return nil, err
 	}
@@ -704,12 +682,11 @@ func (pl *Planner) PlanManually(q STGQuery) (*ManualPlan, error) {
 // planner matches or beats the target total distance (typically the manual
 // plan's), returning that k and the plan.
 func (pl *Planner) PlanWithSmallestK(q STGQuery, targetDistance float64) (int, *PlanResult, error) {
-	rg, cal, err := pl.queryView(q.Initiator, q.S, true)
+	rg, cal, users, err := pl.QueryView(q.Initiator, q.S, true)
 	if err != nil {
 		return 0, nil, err
 	}
-	opts := q.options()
-	res, err := coordinate.STGArrange(rg, cal, calUsers(rg.N()), q.P, q.M, targetDistance, q.P-1, opts)
+	res, err := coordinate.STGArrange(rg, cal, users, q.P, q.M, targetDistance, q.P-1, q.options())
 	if err != nil {
 		return 0, nil, err
 	}

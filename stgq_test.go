@@ -4,14 +4,19 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	stgq "repro"
+	"repro/internal/baseline"
+	"repro/internal/core"
 	"repro/internal/dataset"
+	"repro/internal/ipmodel"
 	"repro/internal/schedule"
+	"repro/internal/socialgraph"
 )
 
 // examplePlanner builds the Figure 3 instance through the public API.
@@ -54,47 +59,104 @@ func examplePlanner(t testing.TB) (*stgq.Planner, map[string]stgq.PersonID) {
 	return pl, ids
 }
 
+// engineAnswer is one exact engine's answer to a query, for comparing the
+// planner's engine with the paper's comparators on the same query view.
+type engineAnswer struct {
+	engine  string
+	dist    float64
+	members []string
+	window  stgq.TimeWindow
+}
+
+func memberNames(ms []stgq.Member) []string {
+	names := make([]string, len(ms))
+	for i, m := range ms {
+		names[i] = m.Name
+	}
+	return names
+}
+
+func vertexNames(rg *socialgraph.RadiusGraph, vs []int) []string {
+	names := make([]string, len(vs))
+	for i, v := range vs {
+		names[i] = rg.Labels[v]
+	}
+	return names
+}
+
+// TestFindGroupAllEngines: FindGroup (SGSelect), the exhaustive baseline
+// and the Appendix-D integer program agree on the Figure 3 SGQ, the
+// comparators running on the view FindGroup searched.
 func TestFindGroupAllEngines(t *testing.T) {
 	pl, ids := examplePlanner(t)
-	for _, alg := range []stgq.Algorithm{stgq.AlgDefault, stgq.AlgBaseline, stgq.AlgIP} {
-		res, err := pl.FindGroup(stgq.SGQuery{
-			Initiator: ids["v7"], P: 4, S: 1, K: 1, Algorithm: alg,
-		})
-		if err != nil {
-			t.Fatalf("%v: %v", alg, err)
+	q := stgq.SGQuery{Initiator: ids["v7"], P: 4, S: 1, K: 1}
+	res, err := pl.FindGroup(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rg, _, _, err := pl.QueryView(q.Initiator, q.S, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	base, err := baseline.SGQ(rg, q.P, q.K, nil)
+	if err != nil {
+		t.Fatalf("baseline: %v", err)
+	}
+	ip, err := ipmodel.SGQReduced(rg, q.P, q.K, ipmodel.SolveOptions{})
+	if err != nil {
+		t.Fatalf("IP: %v", err)
+	}
+	for _, got := range []engineAnswer{
+		{engine: "SGSelect", dist: res.TotalDistance, members: memberNames(res.Members)},
+		{engine: "baseline", dist: base.TotalDistance, members: vertexNames(rg, base.Members)},
+		{engine: "IP", dist: ip.TotalDistance, members: vertexNames(rg, ip.Members)},
+	} {
+		if got.dist != 62 {
+			t.Errorf("%s: distance = %v, want 62", got.engine, got.dist)
 		}
-		if res.TotalDistance != 62 {
-			t.Errorf("%v: distance = %v, want 62", alg, res.TotalDistance)
-		}
-		if len(res.Members) != 4 {
-			t.Errorf("%v: %d members, want 4", alg, len(res.Members))
+		if len(got.members) != 4 {
+			t.Errorf("%s: %d members, want 4", got.engine, len(got.members))
 		}
 	}
 }
 
+// TestPlanActivityAllEngines: PlanActivity (STGSelect), the baseline and
+// the integer program agree on the Figure 3 STGQ, the comparators running
+// on the view PlanActivity searched.
 func TestPlanActivityAllEngines(t *testing.T) {
 	pl, ids := examplePlanner(t)
-	for _, alg := range []stgq.Algorithm{stgq.AlgDefault, stgq.AlgBaseline, stgq.AlgIP} {
-		res, err := pl.PlanActivity(stgq.STGQuery{
-			SGQuery: stgq.SGQuery{Initiator: ids["v7"], P: 4, S: 1, K: 1, Algorithm: alg},
-			M:       3,
-		})
-		if err != nil {
-			t.Fatalf("%v: %v", alg, err)
+	q := stgq.STGQuery{SGQuery: stgq.SGQuery{Initiator: ids["v7"], P: 4, S: 1, K: 1}, M: 3}
+	res, err := pl.PlanActivity(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rg, cal, users, err := pl.QueryView(q.Initiator, q.S, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	base, err := baseline.STGQ(rg, cal, users, q.P, q.K, q.M, stgq.DefaultOptions())
+	if err != nil {
+		t.Fatalf("baseline: %v", err)
+	}
+	ip, err := ipmodel.STGQReduced(rg, cal, users, q.P, q.K, q.M, ipmodel.SolveOptions{})
+	if err != nil {
+		t.Fatalf("IP: %v", err)
+	}
+	window := func(iv core.Period) stgq.TimeWindow { return stgq.TimeWindow{Start: iv.Start, End: iv.End + 1} }
+	for _, got := range []engineAnswer{
+		{engine: "STGSelect", dist: res.TotalDistance, members: memberNames(res.Members), window: res.Window},
+		{engine: "baseline", dist: base.TotalDistance, members: vertexNames(rg, base.Members), window: window(base.Interval)},
+		{engine: "IP", dist: ip.TotalDistance, members: vertexNames(rg, ip.Members), window: window(ip.Interval)},
+	} {
+		if got.dist != 67 {
+			t.Errorf("%s: distance = %v, want 67", got.engine, got.dist)
 		}
-		if res.TotalDistance != 67 {
-			t.Errorf("%v: distance = %v, want 67", alg, res.TotalDistance)
-		}
-		if res.Window.Start != 1 || res.Window.End != 5 {
-			t.Errorf("%v: window = %+v, want [1,5)", alg, res.Window)
-		}
-		names := map[string]bool{}
-		for _, m := range res.Members {
-			names[m.Name] = true
+		if got.window.Start != 1 || got.window.End != 5 {
+			t.Errorf("%s: window = %+v, want [1,5)", got.engine, got.window)
 		}
 		for _, want := range []string{"v2", "v4", "v6", "v7"} {
-			if !names[want] {
-				t.Errorf("%v: members missing %s", alg, want)
+			if !slices.Contains(got.members, want) {
+				t.Errorf("%s: members %v missing %s", got.engine, got.members, want)
 			}
 		}
 	}
@@ -159,9 +221,6 @@ func TestQueryErrors(t *testing.T) {
 	}
 	if _, err := pl.FindGroup(stgq.SGQuery{Initiator: ids["v7"], P: 40, S: 1, K: 1}); !errors.Is(err, stgq.ErrNoFeasibleGroup) {
 		t.Errorf("oversized p: %v", err)
-	}
-	if _, err := pl.FindGroup(stgq.SGQuery{Initiator: ids["v7"], P: 3, S: 1, K: 1, Algorithm: stgq.Algorithm(9)}); !errors.Is(err, stgq.ErrBadQuery) {
-		t.Errorf("unknown algorithm: %v", err)
 	}
 	if err := pl.SetAvailable(ids["v7"], -1, 3); !errors.Is(err, stgq.ErrBadQuery) {
 		t.Errorf("negative slot: %v", err)
@@ -230,8 +289,13 @@ func TestFromDataset(t *testing.T) {
 	if len(res.Members) != 4 || res.TotalDistance <= 0 {
 		t.Errorf("implausible result: %+v", res)
 	}
-	// Cross-check against the baseline engine on the same dataset.
-	base, err := pl.FindGroup(stgq.SGQuery{Initiator: q, P: 4, S: 1, K: 2, Algorithm: stgq.AlgBaseline})
+	// Cross-check against the exhaustive baseline on the view FindGroup
+	// searched.
+	rg, _, _, err := pl.QueryView(q, 1, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	base, err := baseline.SGQ(rg, 4, 2, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -21,7 +21,7 @@ func sameCalendar(a, b *schedule.Calendar) bool {
 }
 
 // TestViewAndDatasetIsolatedFromWrites pins the copy-on-write contract of
-// the availability store from both sides. A view captured by queryView
+// the availability store from both sides. A view captured by QueryView
 // shares the store's rows, yet keeps reading what it captured while every
 // member is being rewritten (run under -race: the readers and the writers
 // below overlap on purpose); and the calendar handed to FromDataset, whose
@@ -32,7 +32,7 @@ func TestViewAndDatasetIsolatedFromWrites(t *testing.T) {
 	pl := FromDataset(d)
 	initiator := PersonID(d.PickInitiator(50))
 
-	rg, cal, err := pl.queryView(initiator, 2, true)
+	rg, cal, _, err := pl.QueryView(initiator, 2, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +77,7 @@ func TestViewAndDatasetIsolatedFromWrites(t *testing.T) {
 	if !sameCalendar(cal, captured) {
 		t.Fatal("captured view changed after its members were rewritten")
 	}
-	if _, after, err := pl.queryView(initiator, 2, true); err != nil || sameCalendar(after, captured) {
+	if _, after, _, err := pl.QueryView(initiator, 2, true); err != nil || sameCalendar(after, captured) {
 		t.Fatalf("a view captured after the writes must see them (err %v)", err)
 	}
 	if !sameCalendar(d.Cal, pristine) {
@@ -109,7 +109,7 @@ func TestHiddenMembersKeepTheIndexedPath(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	rg, cal, err := pl.queryView(ids[0], 2, true)
+	rg, cal, _, err := pl.QueryView(ids[0], 2, true)
 	if err != nil {
 		t.Fatal(err)
 	}

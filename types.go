@@ -24,33 +24,6 @@ var (
 	ErrCannotCoordinate = coordinate.ErrCannotCoordinate
 )
 
-// Algorithm selects the query engine.
-type Algorithm int
-
-const (
-	// AlgDefault uses the paper's exact algorithms SGSelect / STGSelect.
-	AlgDefault Algorithm = iota
-	// AlgBaseline uses exhaustive enumeration (per activity period for
-	// STGQ). Exact but slow; the comparison series of Figures 1(a)–1(f).
-	AlgBaseline
-	// AlgIP solves the Appendix-D integer program with the built-in
-	// branch-and-bound MIP solver. Exact but slowest; the "IP" series of
-	// Figures 1(a) and 1(d).
-	AlgIP
-)
-
-func (a Algorithm) String() string {
-	switch a {
-	case AlgDefault:
-		return "SGSelect/STGSelect"
-	case AlgBaseline:
-		return "Baseline"
-	case AlgIP:
-		return "IP"
-	}
-	return fmt.Sprintf("Algorithm(%d)", int(a))
-}
-
 // Options exposes the search tuning knobs of the core engine (θ/φ of the
 // access-ordering conditions and the ablation switches). The zero value
 // means "paper defaults".
@@ -76,8 +49,6 @@ type SGQuery struct {
 	// K is the acquaintance constraint: each attendee may be unacquainted
 	// with at most K other attendees (0 = the group must be a clique).
 	K int
-	// Algorithm selects the engine (default: SGSelect).
-	Algorithm Algorithm
 	// Options tunes the search; nil means paper defaults.
 	Options *Options
 }
@@ -95,8 +66,8 @@ type STGQuery struct {
 	// M is the activity length in consecutive time slots.
 	M int
 	// Parallel, when > 1, searches pivot time slots on that many worker
-	// goroutines sharing the incumbent bound (AlgDefault only). The answer
-	// distance is identical to the sequential search.
+	// goroutines sharing the incumbent bound. The answer distance is
+	// identical to the sequential search.
 	Parallel int
 }
 
@@ -123,7 +94,7 @@ type GroupResult struct {
 	// distance.
 	Members       []Member
 	TotalDistance float64
-	// Stats reports search effort (zero for non-default algorithms).
+	// Stats reports search effort (zero for PlanWithSmallestK).
 	Stats Stats
 }
 
