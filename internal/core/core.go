@@ -137,24 +137,6 @@ type Stats struct {
 	CorePeeled int64
 }
 
-// Add accumulates other into s.
-func (s *Stats) Add(other Stats) {
-	s.VerticesExamined += other.VerticesExamined
-	s.NodesExpanded += other.NodesExpanded
-	s.SolutionsFound += other.SolutionsFound
-	s.DistancePrunes += other.DistancePrunes
-	s.AcquaintancePrunes += other.AcquaintancePrunes
-	s.AvailabilityPrunes += other.AvailabilityPrunes
-	s.ExteriorRejects += other.ExteriorRejects
-	s.InteriorRejects += other.InteriorRejects
-	s.TemporalRejects += other.TemporalRejects
-	s.ThetaRelaxations += other.ThetaRelaxations
-	s.PhiRelaxations += other.PhiRelaxations
-	s.PivotsProcessed += other.PivotsProcessed
-	s.PivotsSkipped += other.PivotsSkipped
-	s.CorePeeled += other.CorePeeled
-}
-
 // Group is an SGQ answer: the member vertices (radius-graph indices,
 // ascending, always containing the initiator at index 0) and their total
 // social distance to the initiator.

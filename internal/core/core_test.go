@@ -291,6 +291,11 @@ func TestSTGSelectNoCommonWindow(t *testing.T) {
 	if _, _, err := STGSelect(rg, cal, calUser, 3, 2, 3, DefaultOptions()); !errors.Is(err, ErrNoFeasibleGroup) {
 		t.Errorf("err = %v, want ErrNoFeasibleGroup", err)
 	}
+	// Everyone busy over the whole horizon: every pivot is skipped.
+	busy := schedule.NewCalendar(g.NumVertices(), 12)
+	if _, _, err := STGSelect(rg, busy, calUser, 3, 2, 3, DefaultOptions()); !errors.Is(err, ErrNoFeasibleGroup) {
+		t.Errorf("all-busy calendar: err = %v, want ErrNoFeasibleGroup", err)
+	}
 }
 
 func TestSTGSelectP1(t *testing.T) {
@@ -737,18 +742,6 @@ func TestRestrictConfinesCandidates(t *testing.T) {
 	}
 	if grp.TotalDistance != 67 {
 		t.Errorf("restricted distance = %v, want 67", grp.TotalDistance)
-	}
-}
-
-func TestStatsAdd(t *testing.T) {
-	a := Stats{VerticesExamined: 1, NodesExpanded: 2, SolutionsFound: 3, DistancePrunes: 4,
-		AcquaintancePrunes: 5, AvailabilityPrunes: 6, ExteriorRejects: 7, InteriorRejects: 8,
-		TemporalRejects: 9, ThetaRelaxations: 10, PhiRelaxations: 11, PivotsProcessed: 12, PivotsSkipped: 13,
-		CorePeeled: 14}
-	b := a
-	a.Add(b)
-	if a.VerticesExamined != 2 || a.PivotsSkipped != 26 || a.TemporalRejects != 18 || a.CorePeeled != 28 {
-		t.Errorf("Add wrong: %+v", a)
 	}
 }
 

@@ -3,7 +3,6 @@ package core
 import (
 	"math"
 	"math/bits"
-	"sync/atomic"
 
 	"repro/internal/bitset"
 	"repro/internal/schedule"
@@ -50,18 +49,9 @@ type engine struct {
 	// minimum stays a sound lower bound as VA only ever shrinks.
 	minCost float64
 
-	// sharedBound, when non-nil, supplies the best total distance known to
-	// any concurrent worker (STGSelectParallel); distance pruning uses the
-	// tighter of the local and shared incumbents.
-	sharedBound func() float64
-
 	// budgetHit is set once Options.MaxVertices admission tests have run;
 	// every frame then unwinds immediately (anytime cutoff).
 	budgetHit bool
-	// examined, when non-nil, counts the admission tests of every worker
-	// of one query (STGSelectParallel), so Options.MaxVertices bounds the
-	// query rather than one worker's pivot.
-	examined *atomic.Int64
 
 	removedPool [][]int
 
@@ -431,14 +421,8 @@ func (e *engine) temporalX(u int) int {
 // extensibility.
 func (e *engine) admit(u, theta, phi int) verdict {
 	e.stats.VerticesExamined++
-	if e.opt.MaxVertices > 0 {
-		n := e.stats.VerticesExamined
-		if e.examined != nil {
-			n = e.examined.Add(1)
-		}
-		if n >= e.opt.MaxVertices {
-			e.budgetHit = true
-		}
+	if e.opt.MaxVertices > 0 && e.stats.VerticesExamined >= e.opt.MaxVertices {
+		e.budgetHit = true
 	}
 	vsNew := e.vsCount + 1
 
@@ -490,12 +474,6 @@ func (e *engine) pruneFrame() bool {
 	// beat the incumbent.
 	if !e.opt.DisableDistancePruning {
 		if first := e.va.NextSet(0); first != -1 {
-			bound := e.bestDist
-			if e.sharedBound != nil {
-				if sb := e.sharedBound(); sb < bound {
-					bound = sb
-				}
-			}
 			// Vertices are indexed in ascending distance, so the first VA
 			// member has the minimum distance — unless a spatial term is
 			// folded in, in which case the reset-time minimum over the
@@ -504,7 +482,7 @@ func (e *engine) pruneFrame() bool {
 			if e.spat != nil {
 				minCost = e.minCost
 			}
-			if bound-e.td < float64(need)*minCost {
+			if e.bestDist-e.td < float64(need)*minCost {
 				e.stats.DistancePrunes++
 				return true
 			}

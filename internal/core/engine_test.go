@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/bitset"
+	"repro/internal/dataset"
 	"repro/internal/schedule"
 	"repro/internal/socialgraph"
 )
@@ -338,6 +339,38 @@ func TestSearchBudget(t *testing.T) {
 	opt.MaxVertices = 4
 	if _, _, err := STGSelect(rg, cal, calUser, 12, 0, 2, opt); err != ErrBudgetExceeded {
 		t.Fatalf("STGSelect budget err = %v", err)
+	}
+
+	// The budget bounds the admission tests of the whole query, summed
+	// over pivots: once it is spent no further pivot is taken, and an
+	// exhausted budget is reported as ErrBudgetExceeded, never as an
+	// unproven ErrNoFeasibleGroup.
+	d := dataset.Synthetic(600, 1, 7)
+	budget := DefaultOptions()
+	budget.MaxVertices = 20
+	pivots := int64(len(d.Cal.PivotSlots(6)))
+	for q := 0; q < 5; q++ {
+		rg, err := d.Graph.ExtractRadiusGraph(q, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		best, _, err := STGSelect(rg, d.Cal, rg.Orig, 5, 1, 6, DefaultOptions())
+		if err != nil {
+			t.Fatalf("q=%d unbudgeted: %v", q, err)
+		}
+		grp, stats, err := STGSelect(rg, d.Cal, rg.Orig, 5, 1, 6, budget)
+		if err != ErrBudgetExceeded {
+			t.Errorf("q=%d: err = %v, want ErrBudgetExceeded", q, err)
+		}
+		if stats.VerticesExamined > budget.MaxVertices {
+			t.Errorf("q=%d: %d admission tests under a budget of %d", q, stats.VerticesExamined, budget.MaxVertices)
+		}
+		if taken := stats.PivotsProcessed + stats.PivotsSkipped; taken >= pivots {
+			t.Errorf("q=%d: all %d pivots taken after the budget was spent", q, taken)
+		}
+		if grp != nil && grp.TotalDistance < best.TotalDistance {
+			t.Errorf("q=%d: anytime answer %v beats the optimum %v", q, grp.TotalDistance, best.TotalDistance)
+		}
 	}
 }
 

@@ -19,8 +19,7 @@ import (
 // runs spatial first (ineligible vertices never reach the calendar or
 // search machinery), and the branch-and-bound folds the spatial term into
 // the incumbent total-distance bound, which keeps Lemma-2 distance
-// pruning live across pivots the same way STGSelectParallel shares the
-// incumbent across pivot workers.
+// pruning live across pivots.
 //
 // spat holds, per radius-graph vertex, the spatial distance in meters to
 // the activity point; a negative entry marks the vertex spatially

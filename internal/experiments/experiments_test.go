@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"strings"
+	"sync"
 	"testing"
 	"time"
 )
@@ -10,11 +11,36 @@ func quickCfg() Config {
 	return Config{Seed: 42, Trials: 1, Quick: true}
 }
 
-func TestFig1aShape(t *testing.T) {
+var (
+	quickOnce sync.Once
+	quickFigs []Figure
+)
+
+// quickFigures runs the quick sweep of every figure once per package; the
+// shape tests below all assert on its figures.
+func quickFigures(t *testing.T) []Figure {
+	t.Helper()
 	if testing.Short() {
-		t.Skip("timing sweep")
+		t.Skip("full harness sweep")
 	}
-	fig := Fig1a(quickCfg())
+	quickOnce.Do(func() { quickFigs = All(quickCfg()) })
+	return quickFigs
+}
+
+// quickFigure returns the quick sweep's figure id.
+func quickFigure(t *testing.T, id string) Figure {
+	t.Helper()
+	for _, f := range quickFigures(t) {
+		if f.ID == id {
+			return f
+		}
+	}
+	t.Fatalf("no figure %s in the quick sweep", id)
+	return Figure{}
+}
+
+func TestFig1aShape(t *testing.T) {
+	fig := quickFigure(t, "1a")
 	if len(fig.Rows) == 0 {
 		t.Fatal("no rows")
 	}
@@ -35,10 +61,7 @@ func TestFig1aShape(t *testing.T) {
 }
 
 func TestFig1eShape(t *testing.T) {
-	if testing.Short() {
-		t.Skip("timing sweep")
-	}
-	fig := Fig1e(quickCfg())
+	fig := quickFigure(t, "1e")
 	for _, r := range fig.Rows {
 		if r.Values["Baseline"] <= r.Values["STGSelect"] {
 			t.Errorf("%s: baseline (%v) should exceed STGSelect (%v)",
@@ -47,29 +70,34 @@ func TestFig1eShape(t *testing.T) {
 	}
 }
 
+// TestQualityShape reads the Quality sweep through Figures 1(g) and 1(h):
+// a row carries a series exactly when that arrangement succeeded.
 func TestQualityShape(t *testing.T) {
-	if testing.Short() {
-		t.Skip("quality sweep")
+	k, dist := quickFigure(t, "1g"), quickFigure(t, "1h")
+	if len(k.Rows) != len(dist.Rows) {
+		t.Fatalf("1g has %d rows, 1h %d", len(k.Rows), len(dist.Rows))
 	}
-	pts := Quality(quickCfg())
 	anyManual := false
-	for _, pt := range pts {
-		if !pt.ManualOK {
+	for i, kr := range k.Rows {
+		manualK, manualOK := kr.Values["PCArrange k_h"]
+		if !manualOK {
 			continue
 		}
 		anyManual = true
-		if !pt.ArrangeOK {
-			t.Errorf("p=%d: STGArrange failed though PCArrange succeeded", pt.P)
+		arrangeK, arrangeOK := kr.Values["STGArrange k"]
+		if !arrangeOK {
+			t.Errorf("%s: STGArrange failed though PCArrange succeeded", kr.X)
 			continue
 		}
 		// Figure 1(g): the automatic planner needs at most the manual k_h.
-		if pt.ArrangeK > pt.ManualK {
-			t.Errorf("p=%d: STGArrange k=%d exceeds PCArrange k_h=%d", pt.P, pt.ArrangeK, pt.ManualK)
+		if arrangeK > manualK {
+			t.Errorf("%s: STGArrange k=%v exceeds PCArrange k_h=%v", kr.X, arrangeK, manualK)
 		}
 		// Figure 1(h): and is no farther socially.
-		if pt.ArrangeDistance > pt.ManualDistance {
-			t.Errorf("p=%d: STGArrange distance %v exceeds PCArrange %v",
-				pt.P, pt.ArrangeDistance, pt.ManualDistance)
+		dr := dist.Rows[i]
+		if dr.Values["STGArrange"] > dr.Values["PCArrange"] {
+			t.Errorf("%s: STGArrange distance %v exceeds PCArrange %v",
+				dr.X, dr.Values["STGArrange"], dr.Values["PCArrange"])
 		}
 	}
 	if !anyManual {
@@ -79,10 +107,7 @@ func TestQualityShape(t *testing.T) {
 
 // TestAllFiguresRun smoke-tests every runner end to end in quick mode.
 func TestAllFiguresRun(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full harness sweep")
-	}
-	figs := All(quickCfg())
+	figs := quickFigures(t)
 	if len(figs) != 8 {
 		t.Fatalf("All returned %d figures, want 8", len(figs))
 	}

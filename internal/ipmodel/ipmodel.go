@@ -11,8 +11,8 @@
 //   - Reduced — an exact compilation: the s-edge minimum distances are
 //     pre-computed by the same dynamic program SGSelect uses (Definition 1),
 //     eliminating the path variables; availability constraints are compiled
-//     to φ_u + τ_t ≤ 1 for every (attendee, period) pair where u is busy
-//     somewhere in the period. The reduced model has the same optima (the
+//     to one row per attendee, φ_u + Σ τ_t ≤ 1 over the periods t in which
+//     u is busy somewhere. The reduced model has the same optima (the
 //     path constraints of the full model exist only to *define* δ_u as the
 //     hop-bounded shortest distance, which the DP computes directly) and is
 //     the variant benchmarked at larger sizes. Tests assert Full ≡ Reduced ≡
@@ -55,36 +55,17 @@ func SGQReduced(rg *socialgraph.RadiusGraph, p, k int, opt SolveOptions) (*core.
 // constraints (9) and (10) compiled per activity period:
 //
 //	Σ_t τ_t = 1                    over feasible period starts t
-//	φ_u + τ_t ≤ 1                  whenever u is busy during [t, t+m−1]
+//	φ_u + Σ_{t∈B_u} τ_t ≤ 1        per vertex u, B_u = {t : u busy during [t, t+m−1]}
+//
+// Because exactly one τ_t is 1, the per-vertex row accepts the same integer
+// points as the paper's φ_u + τ_t ≤ 1 for every t ∈ B_u, and its LP
+// relaxation is no looser; it keeps the model at n + 1 temporal rows
+// instead of up to n·(H − m + 1).
 func STGQReduced(rg *socialgraph.RadiusGraph, cal *schedule.Calendar, calUser []int, p, k, m int, opt SolveOptions) (*core.STGroup, error) {
-	if m < 1 || len(calUser) != rg.N() {
-		return nil, core.ErrBadParams
+	prob, phi, tau, err := buildReducedTemporal(rg, cal, calUser, p, k, m)
+	if err != nil {
+		return nil, err
 	}
-	prob, phi := buildReducedSocial(rg, p, k)
-	n := rg.N()
-
-	horizon := cal.Horizon()
-	nStarts := horizon - m + 1
-	if nStarts <= 0 {
-		return nil, core.ErrNoFeasibleGroup
-	}
-	tau := make([]int, nStarts)
-	tauSum := map[int]float64{}
-	for t := 0; t < nStarts; t++ {
-		tau[t] = prob.AddBinary(0)
-		tauSum[tau[t]] = 1
-	}
-	prob.AddConstraint(tauSum, mip.EQ, 1) // constraint (9)
-	for u := 0; u < n; u++ {
-		for t := 0; t < nStarts; t++ {
-			if !cal.AvailableDuring(calUser[u], t, m) {
-				// Constraint (10) compiled: u cannot attend a period it is
-				// busy in.
-				prob.AddConstraint(map[int]float64{phi[u]: 1, tau[t]: 1}, mip.LE, 1)
-			}
-		}
-	}
-
 	sol, err := prob.Solve(mip.SolveOptions{MaxNodes: opt.MaxNodes})
 	if err != nil {
 		return nil, mapErr(err)
@@ -94,8 +75,8 @@ func STGQReduced(rg *socialgraph.RadiusGraph, cal *schedule.Calendar, calUser []
 		return nil, err
 	}
 	start := -1
-	for t := 0; t < nStarts; t++ {
-		if sol.X[tau[t]] > 0.5 {
+	for t, v := range tau {
+		if sol.X[v] > 0.5 {
 			start = t
 			break
 		}
@@ -103,6 +84,7 @@ func STGQReduced(rg *socialgraph.RadiusGraph, cal *schedule.Calendar, calUser []
 	if start < 0 {
 		return nil, fmt.Errorf("ipmodel: no period selected in feasible solution")
 	}
+	horizon := cal.Horizon()
 	lo, hi := start, start+m-1
 	for lo-1 >= 0 && allAvail(cal, calUser, grp.Members, lo-1) {
 		lo--
@@ -118,6 +100,39 @@ func STGQReduced(rg *socialgraph.RadiusGraph, cal *schedule.Calendar, calUser []
 		}
 	}
 	return &core.STGroup{Group: *grp, Interval: core.Period{Start: lo, End: hi}, Pivot: pivot}, nil
+}
+
+// buildReducedTemporal builds STGQReduced's model and returns it with the
+// φ and τ variable indices.
+func buildReducedTemporal(rg *socialgraph.RadiusGraph, cal *schedule.Calendar, calUser []int, p, k, m int) (*mip.Problem, []int, []int, error) {
+	if m < 1 || len(calUser) != rg.N() {
+		return nil, nil, nil, core.ErrBadParams
+	}
+	nStarts := cal.Horizon() - m + 1
+	if nStarts <= 0 {
+		return nil, nil, nil, core.ErrNoFeasibleGroup
+	}
+	prob, phi := buildReducedSocial(rg, p, k)
+	tau := make([]int, nStarts)
+	tauSum := map[int]float64{}
+	for t := range tau {
+		tau[t] = prob.AddBinary(0)
+		tauSum[tau[t]] = 1
+	}
+	prob.AddConstraint(tauSum, mip.EQ, 1) // constraint (9)
+	for u := 0; u < rg.N(); u++ {
+		// Constraint (10) compiled: u cannot attend a period it is busy in.
+		busy := map[int]float64{phi[u]: 1}
+		for t := range tau {
+			if !cal.AvailableDuring(calUser[u], t, m) {
+				busy[tau[t]] = 1
+			}
+		}
+		if len(busy) > 1 {
+			prob.AddConstraint(busy, mip.LE, 1)
+		}
+	}
+	return prob, phi, tau, nil
 }
 
 func buildReducedSocial(rg *socialgraph.RadiusGraph, p, k int) (*mip.Problem, []int) {

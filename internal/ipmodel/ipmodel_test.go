@@ -155,6 +155,38 @@ func TestSTGQReducedValidation(t *testing.T) {
 	}
 }
 
+// TestSTGQReducedRowCount: constraint (10) is one row per vertex, so the
+// temporal model adds at most n + 1 rows to the social model, however
+// long the horizon.
+func TestSTGQReducedRowCount(t *testing.T) {
+	r := rand.New(rand.NewSource(1))
+	rg, err := randomGraph(r, 12).ExtractRadiusGraph(0, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := rg.N()
+	cal := schedule.NewCalendar(n, 48)
+	for u := 0; u < n; u++ {
+		for s := 0; s < cal.Horizon(); s++ {
+			if r.Float64() < 0.75 {
+				cal.SetAvailable(u, s)
+			}
+		}
+	}
+	calUser := make([]int, n)
+	for i := range calUser {
+		calUser[i] = i
+	}
+	social, _ := buildReducedSocial(rg, 3, 1)
+	prob, _, _, err := buildReducedTemporal(rg, cal, calUser, 3, 1, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, limit := prob.NumConstraints(), social.NumConstraints()+n+1; got > limit {
+		t.Errorf("%d rows for %d vertices; want at most %d", got, n, limit)
+	}
+}
+
 func randomGraph(r *rand.Rand, n int) *socialgraph.Graph {
 	g := socialgraph.New()
 	g.AddVertices(n)

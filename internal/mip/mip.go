@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"sync"
 )
 
 // Problem is a mixed 0/1-integer linear program in minimization form.
@@ -74,12 +73,6 @@ type Solution struct {
 type SolveOptions struct {
 	// MaxNodes bounds the search tree size (0 = default 1<<22).
 	MaxNodes int
-	// Parallel is the number of worker goroutines exploring the tree
-	// (0 or 1 = sequential). The root is split breadth-first into a
-	// frontier of subtrees, one DFS worker per frontier node, all sharing
-	// the incumbent bound — the stdlib counterpart of the paper's remark
-	// that CPLEX exploited all eight cores of their test machine.
-	Parallel int
 }
 
 // Solve runs branch and bound with LP-relaxation bounds and returns the
@@ -98,83 +91,43 @@ func (p *Problem) Solve(opt SolveOptions) (*Solution, error) {
 		}
 	}
 
-	sh := &shared{best: math.Inf(1), maxNodes: int64(opt.MaxNodes)}
-	lower := append([]float64(nil), p.lower...)
-	upper := append([]float64(nil), p.upper...)
-
-	var err error
-	if opt.Parallel > 1 {
-		err = p.solveParallel(sh, lower, upper, opt.Parallel)
-	} else {
-		s := &bbState{p: p, sh: sh}
-		err = s.branch(lower, upper, 0)
-	}
+	s := &bbState{p: p, best: math.Inf(1), maxNodes: opt.MaxNodes}
+	err := s.branch(append([]float64(nil), p.lower...), append([]float64(nil), p.upper...))
 	if err != nil && err != errBudget {
 		return nil, err
 	}
-	if sh.bestX == nil {
+	if s.bestX == nil {
 		if err == errBudget {
 			return nil, ErrNodeLimit
 		}
 		return nil, ErrInfeasible
 	}
 	return &Solution{
-		X:         sh.bestX,
-		Objective: sh.best,
-		Nodes:     int(sh.nodes),
+		X:         s.bestX,
+		Objective: s.best,
+		Nodes:     s.nodes,
 		Proven:    err == nil,
 	}, nil
 }
 
 var errBudget = fmt.Errorf("mip: internal budget sentinel")
 
-// shared is the cross-worker incumbent and node budget.
-type shared struct {
-	mu       sync.Mutex
+// bbState is one depth-first search: the incumbent and the node budget.
+type bbState struct {
+	p        *Problem
 	best     float64
 	bestX    []float64
-	nodes    int64
-	maxNodes int64
-}
-
-// tick consumes one node from the budget; false means the budget is gone.
-func (sh *shared) tick() bool {
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if sh.nodes >= sh.maxNodes {
-		return false
-	}
-	sh.nodes++
-	return true
-}
-
-func (sh *shared) bound() float64 {
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	return sh.best
-}
-
-// offer installs a new incumbent if it improves on the current one.
-func (sh *shared) offer(obj float64, x []float64) {
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if obj < sh.best {
-		sh.best = obj
-		sh.bestX = x
-	}
-}
-
-type bbState struct {
-	p  *Problem
-	sh *shared
+	nodes    int
+	maxNodes int
 }
 
 // branch solves the LP relaxation under the given bounds and recurses on the
 // most fractional integer variable.
-func (s *bbState) branch(lower, upper []float64, depth int) error {
-	if !s.sh.tick() {
+func (s *bbState) branch(lower, upper []float64) error {
+	if s.nodes >= s.maxNodes {
 		return errBudget
 	}
+	s.nodes++
 	x, obj, err := s.p.relax(lower, upper)
 	if err == ErrInfeasible {
 		return nil
@@ -182,13 +135,14 @@ func (s *bbState) branch(lower, upper []float64, depth int) error {
 	if err != nil {
 		return err
 	}
-	if obj >= s.sh.bound()-1e-9 {
+	if obj >= s.best-1e-9 {
 		return nil // bound: cannot improve the incumbent
 	}
 
 	frac := mostFractional(s.p, x)
 	if frac == -1 {
-		s.sh.offer(obj, roundIntegers(s.p, x))
+		// The bound test above ensures obj improves on the incumbent.
+		s.best, s.bestX = obj, roundIntegers(s.p, x)
 		return nil
 	}
 
@@ -209,7 +163,7 @@ func (s *bbState) branch(lower, upper []float64, depth int) error {
 		}
 		savedLo, savedHi := lower[frac], upper[frac]
 		lower[frac], upper[frac] = lo, hi
-		err := s.branch(lower, upper, depth+1)
+		err := s.branch(lower, upper)
 		lower[frac], upper[frac] = savedLo, savedHi
 		if err != nil {
 			return err
@@ -245,70 +199,6 @@ func roundIntegers(p *Problem, x []float64) []float64 {
 		}
 	}
 	return xi
-}
-
-// solveParallel splits the root breadth-first into up to `workers` open
-// subproblems and explores each with a DFS worker sharing the incumbent.
-func (p *Problem) solveParallel(sh *shared, lower, upper []float64, workers int) error {
-	type node struct {
-		lower, upper []float64
-	}
-	frontier := []node{{lower, upper}}
-
-	// Breadth-first expansion until the frontier is wide enough.
-	for len(frontier) > 0 && len(frontier) < workers {
-		nd := frontier[0]
-		frontier = frontier[1:]
-		if !sh.tick() {
-			return errBudget
-		}
-		x, obj, err := p.relax(nd.lower, nd.upper)
-		if err == ErrInfeasible {
-			continue
-		}
-		if err != nil {
-			return err
-		}
-		if obj >= sh.bound()-1e-9 {
-			continue
-		}
-		frac := mostFractional(p, x)
-		if frac == -1 {
-			sh.offer(obj, roundIntegers(p, x))
-			continue
-		}
-		floorV := math.Floor(x[frac])
-		for _, child := range [][2]float64{{nd.lower[frac], floorV}, {floorV + 1, nd.upper[frac]}} {
-			if child[0] > child[1]+eps {
-				continue
-			}
-			lo := append([]float64(nil), nd.lower...)
-			hi := append([]float64(nil), nd.upper...)
-			lo[frac], hi[frac] = child[0], child[1]
-			frontier = append(frontier, node{lo, hi})
-		}
-	}
-
-	var wg sync.WaitGroup
-	errCh := make(chan error, len(frontier))
-	for _, nd := range frontier {
-		wg.Add(1)
-		go func(nd node) {
-			defer wg.Done()
-			s := &bbState{p: p, sh: sh}
-			if err := s.branch(nd.lower, nd.upper, 0); err != nil {
-				errCh <- err
-			}
-		}(nd)
-	}
-	wg.Wait()
-	close(errCh)
-	for err := range errCh {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // relax builds and solves the LP relaxation under the given bounds.

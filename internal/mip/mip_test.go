@@ -100,6 +100,18 @@ func TestIntegerRounding(t *testing.T) {
 	if sol.X[x] != 1 {
 		t.Errorf("x = %v, want 1", sol.X[x])
 	}
+
+	// An integral root LP is the incumbent: one node, proven optimal.
+	p = NewProblem()
+	b := p.AddBinary(-1)
+	p.AddConstraint(map[int]float64{b: 1}, LE, 1)
+	sol, err = p.Solve(SolveOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sol.Objective != -1 || sol.X[b] != 1 || sol.Nodes != 1 || !sol.Proven {
+		t.Errorf("integral root: sol = %+v", sol)
+	}
 }
 
 func TestFixedVariableSubstitution(t *testing.T) {

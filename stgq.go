@@ -628,22 +628,13 @@ func (pl *Planner) FindGroup(q SGQuery) (*GroupResult, error) {
 	return groupResult(rg, grp, stats), nil
 }
 
-// PlanActivity answers a social-temporal group query with STGSelect, or
-// STGSelectParallel when q.Parallel > 1.
+// PlanActivity answers a social-temporal group query with STGSelect.
 func (pl *Planner) PlanActivity(q STGQuery) (*PlanResult, error) {
 	rg, cal, users, err := pl.QueryView(q.Initiator, q.S, true)
 	if err != nil {
 		return nil, err
 	}
-	var (
-		ans   *core.STGroup
-		stats core.Stats
-	)
-	if q.Parallel > 1 {
-		ans, stats, err = core.STGSelectParallel(rg, cal, users, q.P, q.K, q.M, q.options(), q.Parallel)
-	} else {
-		ans, stats, err = core.STGSelect(rg, cal, users, q.P, q.K, q.M, q.options())
-	}
+	ans, stats, err := core.STGSelect(rg, cal, users, q.P, q.K, q.M, q.options())
 	if err != nil {
 		return nil, err
 	}

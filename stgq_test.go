@@ -162,28 +162,6 @@ func TestPlanActivityAllEngines(t *testing.T) {
 	}
 }
 
-func TestPlanActivityParallel(t *testing.T) {
-	pl, ids := examplePlanner(t)
-	seq, err := pl.PlanActivity(stgq.STGQuery{
-		SGQuery: stgq.SGQuery{Initiator: ids["v7"], P: 4, S: 1, K: 1},
-		M:       3,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	par, err := pl.PlanActivity(stgq.STGQuery{
-		SGQuery:  stgq.SGQuery{Initiator: ids["v7"], P: 4, S: 1, K: 1},
-		M:        3,
-		Parallel: 4,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if par.TotalDistance != seq.TotalDistance {
-		t.Errorf("parallel %v != sequential %v", par.TotalDistance, seq.TotalDistance)
-	}
-}
-
 func TestManualVsAutomaticPlanning(t *testing.T) {
 	pl, ids := examplePlanner(t)
 	manual, err := pl.PlanManually(stgq.STGQuery{

@@ -65,10 +65,6 @@ type STGQuery struct {
 	SGQuery
 	// M is the activity length in consecutive time slots.
 	M int
-	// Parallel, when > 1, searches pivot time slots on that many worker
-	// goroutines sharing the incumbent bound. The answer distance is
-	// identical to the sequential search.
-	Parallel int
 }
 
 // Member is one attendee in an answer.
