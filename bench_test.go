@@ -1,11 +1,10 @@
-// Ablation benches for each pruning/ordering strategy on the paper's
-// real-194 instances, plus the journal append path, radius extraction and
-// dataset generation. Run with:
+// Benchmarks of the journal append path, radius extraction and dataset
+// generation. Run with:
 //
 //	go test -run='^$' -bench=. -benchmem
 //
-// The paper's figures (Figure 1(a)–(h)) are printed by cmd/stgqexp, which
-// runs the internal/experiments sweeps.
+// The paper's figures (Figure 1(a)–(h)) and the pruning ablation are
+// printed by cmd/stgqexp, which runs the internal/experiments sweeps.
 package stgq_test
 
 import (
@@ -15,106 +14,22 @@ import (
 	"testing"
 
 	stgq "repro"
-	"repro/internal/baseline"
-	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/experiments"
 	"repro/internal/journal"
-	"repro/internal/socialgraph"
 )
 
 const benchSeed = 42
 
-// Shared instances, built once.
+// The shared SGQ instance, built once.
 var (
 	sgOnce sync.Once
 	sgData *dataset.Dataset
 	sgInit int
-	sgRG2  *socialgraph.RadiusGraph // s=2
-
-	stOnce  sync.Once
-	stData  *dataset.Dataset
-	stRG    *socialgraph.RadiusGraph
-	stUsers []int
 )
 
 func sgInstance() {
-	sgOnce.Do(func() {
-		sgData, sgInit = experiments.RealSGQ(benchSeed)
-		sgRG2 = experiments.Radius(sgData, sgInit, 2)
-	})
-}
-
-func stInstance() {
-	stOnce.Do(func() {
-		var stInit int
-		stData, stInit = experiments.RealSTGQ(benchSeed, 7)
-		stRG = experiments.Radius(stData, stInit, 2)
-		stUsers = dataset.CalUsers(stRG)
-	})
-}
-
-// --- Ablations: the contribution of each strategy ------------------------
-
-func benchAblationSG(b *testing.B, mutate func(*core.Options)) {
-	sgInstance()
-	opt := core.DefaultOptions()
-	mutate(&opt)
-	for i := 0; i < b.N; i++ {
-		if _, _, err := core.SGSelect(sgRG2, 7, 2, nil, opt); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkAblationSGFull(b *testing.B) {
-	benchAblationSG(b, func(*core.Options) {})
-}
-
-func BenchmarkAblationSGNoDistancePruning(b *testing.B) {
-	benchAblationSG(b, func(o *core.Options) { o.DisableDistancePruning = true })
-}
-
-func BenchmarkAblationSGNoAcquaintancePruning(b *testing.B) {
-	benchAblationSG(b, func(o *core.Options) { o.DisableAcquaintancePruning = true })
-}
-
-func BenchmarkAblationSGNoOrdering(b *testing.B) {
-	benchAblationSG(b, func(o *core.Options) { o.DisableAccessOrdering = true })
-}
-
-func benchAblationSTG(b *testing.B, mutate func(*core.Options)) {
-	stInstance()
-	opt := core.DefaultOptions()
-	mutate(&opt)
-	for i := 0; i < b.N; i++ {
-		if _, _, err := core.STGSelect(stRG, stData.Cal, stUsers, 6, 2, 4, opt); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkAblationSTGFull(b *testing.B) {
-	benchAblationSTG(b, func(*core.Options) {})
-}
-
-func BenchmarkAblationSTGNoAvailabilityPruning(b *testing.B) {
-	benchAblationSTG(b, func(o *core.Options) { o.DisableAvailabilityPruning = true })
-}
-
-func BenchmarkAblationSTGNoTemporalExtensibility(b *testing.B) {
-	benchAblationSTG(b, func(o *core.Options) { o.DisableTemporalExtensibility = true })
-}
-
-// BenchmarkAblationSTGNoPivot approximates disabling pivot time slots: the
-// sequential per-period solver re-searches every window with SGSelect.
-func BenchmarkAblationSTGNoPivot(b *testing.B) {
-	stInstance()
-	for i := 0; i < b.N; i++ {
-		if _, err := baseline.STGQ(stRG, stData.Cal, stUsers, 6, 2, 4, core.DefaultOptions()); err != nil {
-			b.Fatal(err)
-		}
-	}
+	sgOnce.Do(func() { sgData, sgInit = experiments.RealSGQ(benchSeed) })
 }
 
 // --- write path: journal append throughput --------------------------------

@@ -19,8 +19,9 @@
 // shutdown). Restarting with the same -data-dir recovers the full state —
 // including after a kill -9, which at worst truncates a torn final record
 // that was never acknowledged. Combining -data with -data-dir bulk-imports
-// the dataset as the durable store's initial snapshot; a non-empty store
-// is never overwritten (the import is skipped with a warning, so restarts
+// the dataset as the durable store's initial snapshot (a file the next
+// boot could not replay is refused); a non-empty store is never
+// overwritten (the import is skipped with a warning, so restarts
 // with the same command line come back up). SIGINT/SIGTERM drain in-flight requests,
 // flush the journal and write a final snapshot before exiting.
 //

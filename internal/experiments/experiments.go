@@ -1,7 +1,7 @@
 // Package experiments regenerates every table and figure of the paper's
 // evaluation (Section 5, Figure 1(a)–(h)). Each runner returns a Figure
-// whose rows mirror the series the paper plots; cmd/stgqexp prints them and
-// bench_test.go measures the same workloads under testing.B.
+// whose rows mirror the series the paper plots, and Ablation prices each
+// pruning strategy in search effort; cmd/stgqexp prints them.
 //
 // Absolute numbers differ from the paper's 2008-era IBM x3650 — what must
 // hold is the shape: who wins, by how much, and how the gap moves with each
@@ -11,6 +11,7 @@ package experiments
 import (
 	"fmt"
 	"math"
+	"reflect"
 	"sort"
 	"strings"
 	"time"
@@ -89,7 +90,7 @@ type Figure struct {
 	ID     string
 	Title  string
 	XLabel string
-	Unit   string // "ns", "ms", or "" for quality metrics
+	Unit   string // "ns", "ms", "count", or "" for quality metrics
 	Series []string
 	Rows   []Row
 }
@@ -103,14 +104,19 @@ type Row struct {
 // String renders the figure as an aligned text table.
 func (f Figure) String() string {
 	var b strings.Builder
+	xw := len(f.XLabel)
+	for _, r := range f.Rows {
+		xw = max(xw, len(r.X))
+	}
+	xw = max(xw+1, 14)
 	fmt.Fprintf(&b, "Figure %s — %s\n", f.ID, f.Title)
-	fmt.Fprintf(&b, "%-14s", f.XLabel)
+	fmt.Fprintf(&b, "%-*s", xw, f.XLabel)
 	for _, s := range f.Series {
 		fmt.Fprintf(&b, "%20s", s)
 	}
 	b.WriteByte('\n')
 	for _, r := range f.Rows {
-		fmt.Fprintf(&b, "%-14s", r.X)
+		fmt.Fprintf(&b, "%-*s", xw, r.X)
 		for _, s := range f.Series {
 			v, ok := r.Values[s]
 			switch {
@@ -118,6 +124,8 @@ func (f Figure) String() string {
 				fmt.Fprintf(&b, "%20s", "—")
 			case f.Unit == "ns":
 				fmt.Fprintf(&b, "%20s", formatDuration(time.Duration(v)))
+			case f.Unit == "count" && v == math.Trunc(v):
+				fmt.Fprintf(&b, "%20.0f", v)
 			default:
 				fmt.Fprintf(&b, "%20.2f", v)
 			}
@@ -481,19 +489,62 @@ func Fig1h(cfg Config) Figure {
 	return fig
 }
 
+// Ablation — what each pruning strategy buys: one STGQ (p=6, s=2, k=2,
+// m=4, real-194, 7 days; 1 day when quick) with nothing disabled, then
+// with each core.Options Disable* toggle on in turn, counted in
+// core.Stats. The strategies are exact, so the total distance is the same
+// on every row.
+func Ablation(cfg Config) Figure {
+	days := 7
+	if cfg.Quick {
+		days = 1
+	}
+	d, q := RealSTGQ(cfg.Seed, days)
+	rg := Radius(d, q, 2)
+	calUser := dataset.CalUsers(rg)
+	fig := Figure{
+		ID: "ablation", Title: fmt.Sprintf("pruning ablation: STGQ search effort (p=6, s=2, k=2, m=4, real-194, %d-day schedules)", days),
+		XLabel: "disabled", Unit: "count",
+		Series: []string{"NodesExpanded", "VerticesExamined", "PivotsProcessed", "TotalDistance"},
+	}
+	toggles := []string{"none"}
+	opts := reflect.TypeFor[core.Options]()
+	for i := range opts.NumField() {
+		if name, ok := strings.CutPrefix(opts.Field(i).Name, "Disable"); ok {
+			toggles = append(toggles, name)
+		}
+	}
+	for _, toggle := range toggles {
+		opt := core.DefaultOptions()
+		if toggle != "none" {
+			reflect.ValueOf(&opt).Elem().FieldByName("Disable" + toggle).SetBool(true)
+		}
+		row := Row{X: toggle, Values: map[string]float64{}}
+		if ans, st, err := core.STGSelect(rg, d.Cal, calUser, 6, 2, 4, opt); err == nil {
+			row.Values["NodesExpanded"] = float64(st.NodesExpanded)
+			row.Values["VerticesExamined"] = float64(st.VerticesExamined)
+			row.Values["PivotsProcessed"] = float64(st.PivotsProcessed)
+			row.Values["TotalDistance"] = ans.TotalDistance
+		}
+		fig.Rows = append(fig.Rows, row)
+	}
+	return fig
+}
+
 // All runs every figure in order.
 func All(cfg Config) []Figure {
 	return []Figure{
 		Fig1a(cfg), Fig1b(cfg), Fig1c(cfg), Fig1d(cfg),
-		Fig1e(cfg), Fig1f(cfg), Fig1g(cfg), Fig1h(cfg),
+		Fig1e(cfg), Fig1f(cfg), Fig1g(cfg), Fig1h(cfg), Ablation(cfg),
 	}
 }
 
-// ByID returns the runner for one figure id ("1a".."1h").
+// ByID returns the runner for one figure id ("1a".."1h", "ablation").
 func ByID(id string) (func(Config) Figure, bool) {
 	m := map[string]func(Config) Figure{
 		"1a": Fig1a, "1b": Fig1b, "1c": Fig1c, "1d": Fig1d,
 		"1e": Fig1e, "1f": Fig1f, "1g": Fig1g, "1h": Fig1h,
+		"ablation": Ablation,
 	}
 	f, ok := m[id]
 	return f, ok

@@ -108,8 +108,8 @@ func TestQualityShape(t *testing.T) {
 // TestAllFiguresRun smoke-tests every runner end to end in quick mode.
 func TestAllFiguresRun(t *testing.T) {
 	figs := quickFigures(t)
-	if len(figs) != 8 {
-		t.Fatalf("All returned %d figures, want 8", len(figs))
+	if len(figs) != 9 {
+		t.Fatalf("All returned %d figures, want 9 (1a..1h and the ablation)", len(figs))
 	}
 	for _, f := range figs {
 		if len(f.Rows) == 0 {
@@ -170,7 +170,7 @@ func TestChartRendering(t *testing.T) {
 }
 
 func TestByID(t *testing.T) {
-	for _, id := range []string{"1a", "1b", "1c", "1d", "1e", "1f", "1g", "1h"} {
+	for _, id := range []string{"1a", "1b", "1c", "1d", "1e", "1f", "1g", "1h", "ablation"} {
 		if _, ok := ByID(id); !ok {
 			t.Errorf("missing figure %s", id)
 		}
@@ -259,5 +259,31 @@ func TestMedianTime(t *testing.T) {
 	medianTime(0, func() bool { n++; return true })
 	if n != 1 {
 		t.Errorf("clamped trials ran %d times", n)
+	}
+}
+
+// TestAblationShape: the ablation has a row for the default options and
+// one per Disable* toggle, every row with all four series, and the same
+// optimum on every row (the strategies are exact). Switching distance
+// pruning off must cost search effort.
+func TestAblationShape(t *testing.T) {
+	fig := quickFigure(t, "ablation")
+	if len(fig.Rows) != 7 || fig.Rows[0].X != "none" {
+		t.Fatalf("rows %v: want none plus six toggles", fig.Rows)
+	}
+	byX := map[string]Row{}
+	for _, r := range fig.Rows {
+		for _, s := range fig.Series {
+			if _, ok := r.Values[s]; !ok {
+				t.Fatalf("%s: missing series %s", r.X, s)
+			}
+		}
+		if r.Values["TotalDistance"] != fig.Rows[0].Values["TotalDistance"] {
+			t.Errorf("%s changed the optimum: %v vs %v", r.X, r.Values["TotalDistance"], fig.Rows[0].Values["TotalDistance"])
+		}
+		byX[r.X] = r
+	}
+	if full, off := byX["none"].Values["NodesExpanded"], byX["DistancePruning"].Values["NodesExpanded"]; off <= full {
+		t.Errorf("distance pruning off expanded %v nodes, with it %v", off, full)
 	}
 }

@@ -116,7 +116,7 @@ func TestEpochSeededStores(t *testing.T) {
 	}
 
 	rst := t.TempDir()
-	if err := ResetFromSnapshot(rst, 42, 7, 30, ds); err != nil {
+	if err := ResetFromSnapshot(rst, 42, 7, 30, ds.Cal.Horizon(), snapshotOf(t, ds)); err != nil {
 		t.Fatal(err)
 	}
 	s, err = Open(rst, Options{})

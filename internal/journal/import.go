@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 
+	stgq "repro"
 	"repro/internal/dataset"
 )
 
@@ -18,7 +19,10 @@ var ErrNotEmpty = errors.New("journal: data dir is not empty")
 // starting a durable store from a generated dataset. A subsequent Open
 // recovers the dataset and journals new mutations on top of it. The
 // import refuses with ErrNotEmpty when dir already holds a snapshot,
-// journal segments or a meta file.
+// journal segments or a meta file. Before anything is written, the
+// snapshot is replayed onto an empty planner as the next boot will replay
+// it, so a dataset that recovery would refuse (say, a name over
+// stgq.MaxNameLen) is refused here, with the person or edge named.
 func ImportDataset(dir string, ds *dataset.Dataset) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return fmt.Errorf("journal: %w", err)
@@ -35,7 +39,14 @@ func ImportDataset(dir string, ds *dataset.Dataset) error {
 	if !empty {
 		return fmt.Errorf("%w: %s", ErrNotEmpty, dir)
 	}
-	return seedDir(dir, 0, 1, 0, ds)
+	frames, err := encodeSnapshot(ds)
+	if err != nil {
+		return err
+	}
+	if err := replaySnapshot(frames, stgq.NewPlanner(ds.Cal.Horizon())); err != nil {
+		return fmt.Errorf("journal: import: %w", err)
+	}
+	return seedDir(dir, 0, 1, 0, ds.Cal.Horizon(), frames)
 }
 
 // resetMarkerName flags a ResetFromSnapshot in progress. Any state found
@@ -46,16 +57,17 @@ const resetMarkerName = "RESETTING"
 
 // ResetFromSnapshot replaces whatever durable state dir holds with the
 // given snapshot: every segment, snapshot and meta file is removed, then
-// the dataset is written as the snapshot for seq at the given leader
-// epoch and epoch fork point (a replication follower adopts both along
-// with the leader's state; epoch 0 is normalized to 1). A replication
+// frames (snapshot frames as Store.ReplicationSnapshot returns them) are
+// written as the snapshot for seq at the given schedule horizon, leader
+// epoch and epoch fork point (a replication follower adopts all three
+// along with the leader's state; epoch 0 is normalized to 1). A replication
 // follower uses it to bootstrap from the leader when its own position
 // has been compacted away. The store of dir must be closed. The
 // wipe-and-seed runs under a durable RESETTING marker: a crash anywhere
 // inside leaves the marker behind, and ResetPending/AbortReset let the
 // next boot detect the torso and discard it instead of resuming from
 // half-wiped state.
-func ResetFromSnapshot(dir string, seq, epoch, epochStart uint64, ds *dataset.Dataset) error {
+func ResetFromSnapshot(dir string, seq, epoch, epochStart uint64, horizon int, frames []byte) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return fmt.Errorf("journal: %w", err)
 	}
@@ -75,7 +87,7 @@ func ResetFromSnapshot(dir string, seq, epoch, epochStart uint64, ds *dataset.Da
 	if err := wipeStoreFiles(dir); err != nil {
 		return err
 	}
-	if err := seedDir(dir, seq, epoch, epochStart, ds); err != nil {
+	if err := seedDir(dir, seq, epoch, epochStart, horizon, frames); err != nil {
 		return err
 	}
 	if err := os.Remove(filepath.Join(dir, resetMarkerName)); err != nil {
@@ -112,15 +124,16 @@ func AbortReset(dir string) error {
 	return nil
 }
 
-// seedDir writes the meta file and the snapshot that together make dir
-// recover to ds at the given sequence number, epoch and epoch fork
-// point.
-func seedDir(dir string, seq, epoch, epochStart uint64, ds *dataset.Dataset) error {
-	m := storeMeta{HorizonSlots: ds.Cal.Horizon(), Epoch: max(epoch, 1), EpochStartSeq: epochStart}
-	if err := writeMeta(dir, m); err != nil {
+// seedDir writes the snapshot and the meta file that together make dir
+// recover to the state of frames at the given sequence number, horizon,
+// epoch and epoch fork point. The meta file goes last: a crash before it
+// leaves a snapshot that Open refuses, never a meta file that recovers an
+// empty planner.
+func seedDir(dir string, seq, epoch, epochStart uint64, horizon int, frames []byte) error {
+	if err := writeSnapshot(dir, seq, frames); err != nil {
 		return err
 	}
-	return writeSnapshot(dir, seq, ds)
+	return writeMeta(dir, storeMeta{HorizonSlots: horizon, Epoch: max(epoch, 1), EpochStartSeq: epochStart})
 }
 
 // storeEmpty reports whether dir holds no durable store state (snapshots,

@@ -2,12 +2,25 @@ package journal
 
 import (
 	"errors"
+	"math"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
+	stgq "repro"
 	"repro/internal/dataset"
 )
+
+// snapshotOf encodes ds as the snapshot frames ResetFromSnapshot takes.
+func snapshotOf(t *testing.T, ds *dataset.Dataset) []byte {
+	t.Helper()
+	frames, err := encodeSnapshot(ds)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return frames
+}
 
 func TestImportDatasetIntoEmptyStore(t *testing.T) {
 	dir := t.TempDir()
@@ -41,6 +54,38 @@ func TestImportDatasetIntoEmptyStore(t *testing.T) {
 	defer s2.Close()
 	if got := s2.Planner().NumPeople(); got != ds.Graph.NumVertices()+1 {
 		t.Fatalf("restart lost the post-import mutation: %d people", got)
+	}
+}
+
+// TestImportRefusesWhatReplayRefuses: a dataset the next boot could not
+// replay is refused before anything is written, with the person named.
+func TestImportRefusesWhatReplayRefuses(t *testing.T) {
+	cases := map[string]struct {
+		spoil func(*dataset.Dataset)
+		want  string
+	}{
+		"name too long": {func(ds *dataset.Dataset) {
+			ds.Graph.AddVertex(strings.Repeat("x", stgq.MaxNameLen+1)) //nolint:errcheck // a fresh label cannot clash
+		}, "add-person of person 10"},
+		"unknown policy":   {func(ds *dataset.Dataset) { ds.Policies = map[int]int{3: 9} }, "set-policy of person 3"},
+		"policy of nobody": {func(ds *dataset.Dataset) { ds.Policies = map[int]int{12: 1} }, "set-policy of person 12"},
+		"non-finite location": {func(ds *dataset.Dataset) {
+			ds.Locations = map[int][2]float64{4: {math.Inf(1), 0}}
+		}, "set-location of person 4"},
+	}
+	for name, tc := range cases {
+		t.Run(name, func(t *testing.T) {
+			ds := dataset.Synthetic(10, 7, 1)
+			tc.spoil(ds)
+			dir := t.TempDir()
+			err := ImportDataset(dir, ds)
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("import: err = %v, want one naming %q", err, tc.want)
+			}
+			if empty, err := storeEmpty(dir); err != nil || !empty {
+				t.Fatalf("a refused import left state behind (empty=%v, err=%v)", empty, err)
+			}
+		})
 	}
 }
 
@@ -110,7 +155,8 @@ func TestInterruptedResetIsDiscarded(t *testing.T) {
 		t.Fatalf("condemned state survived AbortReset (empty=%v, err=%v)", empty, err)
 	}
 	// And a completed reset leaves no marker behind.
-	if err := ResetFromSnapshot(dir, 9, 1, 0, dataset.Real194(42, 7)); err != nil {
+	ds := dataset.Real194(42, 7)
+	if err := ResetFromSnapshot(dir, 9, 1, 0, ds.Cal.Horizon(), snapshotOf(t, ds)); err != nil {
 		t.Fatal(err)
 	}
 	if ResetPending(dir) {
@@ -132,7 +178,7 @@ func TestResetFromSnapshotReplacesState(t *testing.T) {
 	}
 
 	ds := dataset.Real194(7, 7)
-	if err := ResetFromSnapshot(dir, 123, 3, 99, ds); err != nil {
+	if err := ResetFromSnapshot(dir, 123, 3, 99, ds.Cal.Horizon(), snapshotOf(t, ds)); err != nil {
 		t.Fatal(err)
 	}
 	s2, err := Open(dir, Options{})

@@ -1,9 +1,11 @@
 // Package journal is the durable event-journal persistence subsystem of
 // the planner service. It records every Planner mutation (each
 // stgq.Mutation that Planner.Apply commits) as a typed, versioned record
-// in a write-ahead journal, folds the journal into periodic snapshots that
-// reuse the internal/dataset serialization, and rebuilds the Planner on
-// startup from the latest snapshot plus the journal tail.
+// in a write-ahead journal, folds the journal into periodic snapshots, and
+// rebuilds the Planner on startup from the latest snapshot plus the
+// journal tail. A snapshot is itself a compacted journal prefix in the
+// same CRC frames, so recovery, a follower's bootstrap and a -data import
+// share one replay path, Apply.
 //
 // # Architecture
 //
@@ -16,7 +18,7 @@
 //	                         ▼
 //	                 FileLog  wal-<firstseq>.log segments
 //	                         │
-//	             Snapshot    snap-<seq>.json  (dataset serialization)
+//	             Snapshot    snap-<seq>.frames  (journal frames 1..N)
 //	             every N mutations; sealed segments whose records are
 //	             all covered by a snapshot are deleted (compaction)
 //
@@ -31,11 +33,12 @@
 //
 // # Recovery
 //
-// Open loads the newest snap-<seq>.json (if any), replays every journal
-// record with a higher sequence number in order, and truncates a torn
-// final record (a crash mid-append) off the last segment. Records are
-// CRC-checked; a corrupt record anywhere but the tail of the final segment
-// aborts recovery rather than silently skipping history.
+// Open replays the newest snap-<seq>.frames (if any) onto an empty planner
+// of the horizon meta.json records, replays every journal record with a
+// higher sequence number in order, and truncates a torn final record (a
+// crash mid-append) off the last segment. Records are CRC-checked; a
+// corrupt record anywhere but the tail of the final segment (a snapshot
+// has none) aborts recovery rather than silently skipping history.
 //
 // # Leader epochs
 //

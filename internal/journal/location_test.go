@@ -1,17 +1,15 @@
 package journal
 
 import (
-	"bytes"
 	"testing"
 
 	stgq "repro"
-	"repro/internal/dataset"
 )
 
 // TestLocationSurvivesRestartAndSnapshot pins the two durability paths
 // of a MutSetLocation record: journal-tail replay after a restart, and —
 // after a snapshot folds the record in and compaction retires its
-// segment — the dataset serialization of the snapshot itself.
+// segment — the snapshot's own frames.
 func TestLocationSurvivesRestartAndSnapshot(t *testing.T) {
 	dir := t.TempDir()
 	st, err := Open(dir, Options{HorizonSlots: 14, SnapshotEvery: -1})
@@ -77,42 +75,4 @@ func TestLocationSurvivesRestartAndSnapshot(t *testing.T) {
 		t.Fatalf("replayed %d records despite covering snapshot", got)
 	}
 	assertLocations("after snapshot recovery", st.Planner())
-}
-
-// TestLegacyDatasetWithoutLocations pins backward compatibility: a
-// dataset file written before the locations field existed must load
-// cleanly, with every person unlocated (excluded from spatial pruning).
-func TestLegacyDatasetWithoutLocations(t *testing.T) {
-	// Export a dataset and strip the locations by round-tripping a
-	// planner that never saw a SetLocation.
-	pl := stgq.NewPlanner(14)
-	pl.MustAddPerson("ana")
-	pl.MustAddPerson("bo")
-	var buf bytes.Buffer
-	if err := pl.Export(nil).Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if bytes.Contains(buf.Bytes(), []byte(`"locations"`)) {
-		t.Fatal("location-free dataset serialized a locations field")
-	}
-	d, err := dataset.Load(&buf)
-	if err != nil {
-		t.Fatalf("legacy dataset (no locations field) failed to load: %v", err)
-	}
-	if d.Locations != nil {
-		t.Fatalf("legacy dataset loaded locations %v, want none", d.Locations)
-	}
-	restored := stgq.FromDataset(d)
-	if got := restored.NumLocated(); got != 0 {
-		t.Fatalf("legacy dataset restored %d located people, want 0", got)
-	}
-	// Geo-social queries over a location-free population are infeasible,
-	// not an error class of their own.
-	_, err = restored.PlanGeoActivity(stgq.GSGQuery{
-		SGQuery: stgq.SGQuery{Initiator: 0, P: 1, S: 1, K: 0},
-		Radius:  1000,
-	})
-	if err == nil || !bytes.Contains([]byte(err.Error()), []byte("no feasible group")) {
-		t.Fatalf("geo query on unlocated population: err = %v, want no-feasible-group", err)
-	}
 }

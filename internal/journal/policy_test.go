@@ -9,7 +9,7 @@ import (
 // TestPolicySurvivesRestartAndSnapshot pins the two durability paths of a
 // MutSetPolicy record: journal-tail replay after a restart, and — after a
 // snapshot folds the record in and compaction retires its segment — the
-// dataset serialization of the snapshot itself.
+// snapshot's own frames.
 func TestPolicySurvivesRestartAndSnapshot(t *testing.T) {
 	dir := t.TempDir()
 	st, err := Open(dir, Options{HorizonSlots: 14, SnapshotEvery: -1})

@@ -168,23 +168,28 @@ func Open(dir string, opts Options) (*Store, error) {
 		}
 	}
 
-	// 1. Latest snapshot, if any; the recorded horizon overrides the
-	// caller's for journal-only recovery.
+	// 1. The newest snapshot, replayed onto an empty planner of the
+	// recorded horizon (the caller's only counts for a new store).
 	meta, haveMeta, err := loadMeta(dir)
 	if err != nil {
 		return nil, err
 	}
-	ds, snapSeq, haveSnap, err := loadLatestSnapshot(dir)
+	if legacy, _ := listNumbered(dir, snapPrefix, legacySnapSuffix); len(legacy) > 0 {
+		return nil, fmt.Errorf("journal: %s is a dataset-JSON snapshot of an older version; import it into an empty data dir instead", legacy[0].path)
+	}
+	frames, snapSeq, haveSnap, err := readLatestSnapshot(dir)
 	if err != nil {
 		return nil, err
 	}
-	switch {
-	case haveSnap:
-		s.pl = stgq.FromDataset(ds)
-	case haveMeta:
-		s.pl = stgq.NewPlanner(meta.HorizonSlots)
-	default:
-		s.pl = stgq.NewPlanner(opts.HorizonSlots)
+	if !haveMeta {
+		if haveSnap {
+			return nil, fmt.Errorf("%w: snapshot at seq %d without %s", ErrCorrupt, snapSeq, metaFileName)
+		}
+		meta.HorizonSlots = opts.HorizonSlots
+	}
+	s.pl = stgq.NewPlanner(meta.HorizonSlots)
+	if err := replaySnapshot(frames, s.pl); err != nil {
+		return nil, fmt.Errorf("journal: snapshot %s: %w", filepath.Base(snapshotPath(dir, snapSeq)), err)
 	}
 	// Every store runs at an epoch ≥ 1; metas from before epochs existed
 	// (or absent entirely) are normalized to 1 and rewritten so BumpEpoch
@@ -511,7 +516,11 @@ func (s *Store) snapshotLocked() error {
 	if durable := max(s.b.DurableSeq(), s.rec.LastSeq); durable < seq {
 		return fmt.Errorf("journal: skipping snapshot at seq %d: only %d durable", seq, durable)
 	}
-	if err := writeSnapshot(s.dir, seq, ds); err != nil {
+	frames, err := encodeSnapshot(ds)
+	if err != nil {
+		return err
+	}
+	if err := writeSnapshot(s.dir, seq, frames); err != nil {
 		return err
 	}
 	mSnapshotSeconds.ObserveSince(snapStart)

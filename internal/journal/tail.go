@@ -1,7 +1,6 @@
 package journal
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -234,63 +233,25 @@ func (s *Store) WaitDurable(ctx context.Context, afterSeq uint64) error {
 	}
 }
 
-// ReplicationSnapshot returns a reader over a snapshot a follower can
-// bootstrap from, plus the sequence number it covers: the newest on-disk
-// snapshot when one exists, otherwise one is forced. A store that has
-// never journaled a record serializes its (typically empty) recovered
-// planner at sequence 0 instead.
-func (s *Store) ReplicationSnapshot() (io.ReadCloser, uint64, error) {
-	for attempt := 0; ; attempt++ {
-		rc, seq, err := s.openLatestSnapshot()
-		if err == nil {
-			return rc, seq, nil
-		}
-		if !errors.Is(err, os.ErrNotExist) {
+// ReplicationSnapshot returns the frames of the newest snapshot, which a
+// follower bootstraps from (ResetFromSnapshot takes them as they are), and
+// the sequence number it covers. Without one it takes one first; a store
+// that never journaled a record still has none, and its snapshot is no
+// frames at sequence 0.
+func (s *Store) ReplicationSnapshot() ([]byte, uint64, error) {
+	s.snapMu.Lock() // no snapshot cycle retires the file mid-read
+	defer s.snapMu.Unlock()
+	frames, seq, ok, err := readLatestSnapshot(s.dir)
+	if !ok && err == nil {
+		if err := s.snapshotLocked(); err != nil {
 			return nil, 0, err
 		}
-		if attempt > 0 {
-			break
-		}
-		if err := s.Snapshot(); err != nil {
-			return nil, 0, err
-		}
+		frames, seq, ok, err = readLatestSnapshot(s.dir)
 	}
-	// Still no snapshot file: Snapshot skipped because nothing was ever
-	// journaled. Serialize the live planner at sequence 0.
-	var seq uint64
-	ds := s.pl.Export(func() { seq = s.seq.Load() })
-	if seq != 0 {
-		return nil, 0, fmt.Errorf("journal: no snapshot on disk despite %d journaled mutations", seq)
+	if !ok && err == nil && s.lastSnap.Load() != 0 {
+		return nil, 0, fmt.Errorf("journal: snapshot at seq %d missing from disk", s.lastSnap.Load())
 	}
-	var buf bytes.Buffer
-	if err := ds.Save(&buf); err != nil {
-		return nil, 0, fmt.Errorf("journal: %w", err)
-	}
-	return io.NopCloser(&buf), 0, nil
-}
-
-// openLatestSnapshot opens the newest snapshot file, retrying when a
-// concurrent snapshot cycle deletes it mid-open. os.ErrNotExist means the
-// directory holds no snapshot at all.
-func (s *Store) openLatestSnapshot() (io.ReadCloser, uint64, error) {
-	for try := 0; try < 3; try++ {
-		snaps, err := listNumbered(s.dir, snapPrefix, snapSuffix)
-		if err != nil {
-			return nil, 0, fmt.Errorf("journal: %w", err)
-		}
-		if len(snaps) == 0 {
-			return nil, 0, os.ErrNotExist
-		}
-		newest := snaps[len(snaps)-1]
-		f, err := os.Open(newest.path)
-		if err == nil {
-			return f, newest.seq, nil
-		}
-		if !os.IsNotExist(err) {
-			return nil, 0, fmt.Errorf("journal: %w", err)
-		}
-	}
-	return nil, 0, os.ErrNotExist
+	return frames, seq, err
 }
 
 // Notifier is a broadcast edge: waiters grab the current channel with

@@ -10,7 +10,6 @@ import (
 	"time"
 
 	stgq "repro"
-	"repro/internal/dataset"
 )
 
 // fillStore applies n simple journaled mutations and returns the store's
@@ -216,21 +215,26 @@ func TestReadCommittedAfterCompaction(t *testing.T) {
 		t.Fatalf("post-snapshot read: %+v, %v", recs, err)
 	}
 	// And the bootstrap path serves the snapshot that covers the gap.
-	rc, seq, err := s.ReplicationSnapshot()
+	frames, seq, err := s.ReplicationSnapshot()
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer rc.Close()
 	if seq != 20 {
 		t.Fatalf("snapshot seq %d, want 20", seq)
 	}
-	ds, err := dataset.Load(rc)
-	if err != nil {
+	if pl := replayed(t, frames, 8); pl.NumPeople() != 20 {
+		t.Fatalf("snapshot holds %d people, want 20", pl.NumPeople())
+	}
+}
+
+// replayed replays snapshot frames onto an empty planner of the horizon.
+func replayed(t *testing.T, frames []byte, horizon int) *stgq.Planner {
+	t.Helper()
+	pl := stgq.NewPlanner(horizon)
+	if err := replaySnapshot(frames, pl); err != nil {
 		t.Fatal(err)
 	}
-	if ds.Graph.NumVertices() != 20 {
-		t.Fatalf("snapshot holds %d people, want 20", ds.Graph.NumVertices())
-	}
+	return pl
 }
 
 func TestReplicationSnapshotForcesOne(t *testing.T) {
@@ -241,27 +245,20 @@ func TestReplicationSnapshotForcesOne(t *testing.T) {
 	}
 	defer s.Close()
 
-	// Empty store, nothing journaled: an empty dataset at seq 0.
-	rc, seq, err := s.ReplicationSnapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
-	ds, err := dataset.Load(rc)
-	rc.Close()
-	if err != nil || seq != 0 || ds.Graph.NumVertices() != 0 || ds.Cal.Horizon() != 8 {
-		t.Fatalf("empty-store snapshot: seq %d, err %v, ds %+v", seq, err, ds)
+	// Empty store, nothing journaled: no frames at seq 0.
+	frames, seq, err := s.ReplicationSnapshot()
+	if err != nil || seq != 0 || len(frames) != 0 {
+		t.Fatalf("empty-store snapshot: seq %d, err %v, %d bytes", seq, err, len(frames))
 	}
 
 	// With journaled-but-never-snapshotted state, one is forced.
 	fillStore(t, s, 3)
-	rc, seq, err = s.ReplicationSnapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
-	ds, err = dataset.Load(rc)
-	rc.Close()
-	if err != nil || seq != 3 || ds.Graph.NumVertices() != 3 {
+	frames, seq, err = s.ReplicationSnapshot()
+	if err != nil || seq != 3 {
 		t.Fatalf("forced snapshot: seq %d, err %v", seq, err)
+	}
+	if pl := replayed(t, frames, 8); pl.NumPeople() != 3 {
+		t.Fatalf("forced snapshot holds %d people, want 3", pl.NumPeople())
 	}
 }
 

@@ -14,7 +14,6 @@ import (
 	"time"
 
 	stgq "repro"
-	"repro/internal/dataset"
 	"repro/internal/journal"
 )
 
@@ -425,15 +424,12 @@ func (f *Follower) streamOnce(ctx context.Context) error {
 	switch hdr.Kind {
 	case kindSnapshot:
 		mFramesIn.With("snapshot").Inc()
-		var raw json.RawMessage
-		if err := dec.Decode(&raw); err != nil {
-			return fmt.Errorf("replica: snapshot frame: %w", err)
-		}
-		ds, err := dataset.Load(bytes.NewReader(raw))
+		frames, err := readSnapshot(dec)
 		if err != nil {
-			return fmt.Errorf("replica: snapshot: %w", err)
+			return fmt.Errorf("replica: snapshot at seq %d: %w", hdr.Seq, err)
 		}
-		if err := f.resetFromSnapshot(hdr.Seq, leaderEpoch, hdr.Fork, ds); err != nil {
+		f.touch()
+		if err := f.resetFromSnapshot(hdr.Seq, leaderEpoch, hdr.Fork, hdr.Horizon, frames); err != nil {
 			return err
 		}
 		f.forceBootstrap.Store(false)
@@ -570,10 +566,41 @@ func (f *Follower) applyFrame(ctx context.Context, frame []byte) error {
 	return nil
 }
 
+// readSnapshot collects the frames of a snapshot stream up to its end
+// message, checking each with DecodeFrame and its numbering (1..N). A
+// stream that ends or breaks before the end message is an error, and
+// nothing has touched the store by then.
+func readSnapshot(dec *json.Decoder) ([]byte, error) {
+	var frames []byte
+	for n := uint64(1); ; n++ {
+		var msg wireMsg
+		if err := dec.Decode(&msg); err != nil {
+			return nil, fmt.Errorf("cut short after %d frames: %w", n-1, err)
+		}
+		switch msg.Kind {
+		case kindSnapshotEnd:
+			return frames, nil
+		case kindRecord:
+			rec, err := journal.DecodeFrame(msg.Frame)
+			if err != nil {
+				return nil, fmt.Errorf("frame %d: %w", n, err)
+			}
+			if rec.Seq != n {
+				return nil, fmt.Errorf("%w: frame %d numbered %d", journal.ErrCorrupt, n, rec.Seq)
+			}
+			frames = append(frames, msg.Frame...)
+		case kindError:
+			return nil, fmt.Errorf("leader: %s", msg.Err)
+		default:
+			return nil, fmt.Errorf("unexpected frame kind %q", msg.Kind)
+		}
+	}
+}
+
 // resetFromSnapshot replaces the follower's store with the leader's
-// snapshot at seq, adopting the leader's epoch (begun at epochStart)
-// with it.
-func (f *Follower) resetFromSnapshot(seq, epoch, epochStart uint64, ds *dataset.Dataset) error {
+// snapshot frames at seq, adopting the leader's horizon and epoch (begun
+// at epochStart) with it.
+func (f *Follower) resetFromSnapshot(seq, epoch, epochStart uint64, horizon int, frames []byte) error {
 	f.ingestMu.Lock()
 	defer f.ingestMu.Unlock()
 	if f.sealed.Load() {
@@ -592,7 +619,7 @@ func (f *Follower) resetFromSnapshot(seq, epoch, epochStart uint64, ds *dataset.
 	// A close error cannot stop the reset: the local state is being
 	// discarded either way.
 	_ = f.st.Close()
-	if err := journal.ResetFromSnapshot(f.cfg.Dir, seq, epoch, epochStart, ds); err != nil {
+	if err := journal.ResetFromSnapshot(f.cfg.Dir, seq, epoch, epochStart, horizon, frames); err != nil {
 		return err
 	}
 	st, err := journal.Open(f.cfg.Dir, f.cfg.Store)

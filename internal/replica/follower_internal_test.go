@@ -36,7 +36,17 @@ func TestResetFromSnapshotTogglesBootstrapping(t *testing.T) {
 	}
 	f.bootstrapping.Store(false)
 
-	if err := f.resetFromSnapshot(5, 3, 0, ds); err != nil {
+	var frames []byte
+	var n uint64
+	for m := range stgq.DatasetMutations(ds) {
+		n++
+		frame, err := journal.EncodeFrame(journal.Record{Seq: n, Mut: m})
+		if err != nil {
+			t.Fatal(err)
+		}
+		frames = append(frames, frame...)
+	}
+	if err := f.resetFromSnapshot(5, 3, 0, ds.Cal.Horizon(), frames); err != nil {
 		t.Fatal(err)
 	}
 	st := f.Status()

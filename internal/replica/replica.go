@@ -50,8 +50,14 @@
 //
 // or, when the position is compacted (or a bootstrap is forced):
 //
-//	← {"k":"snapshot","seq":<snapSeq>,"epoch":<e>}          header, then
-//	← <dataset JSON>                                        one frame
+//	← {"k":"snapshot","seq":<snapSeq>,"epoch":<e>,"fork":<f>,"horizon":<h>}  header, then
+//	← {"k":"r","frame":"<base64 journal frame>"}            the snapshot's frames
+//	← {"k":"snapshot-end"}                                  end of the snapshot
+//
+// A snapshot is journal frames too, numbered 1..N and CRC-checked like
+// live records. The follower resets its store only once the end message
+// arrives, so a stream cut short leaves it untouched; then it reconnects
+// for the records after the snapshot.
 //
 // The leader closes every stream after MaxConnected; followers reconnect
 // (with backoff after errors) and resume from their own last sequence
@@ -89,18 +95,18 @@ package replica
 
 // Frame kinds of the ndjson stream.
 const (
-	kindRecords   = "records"  // header: record frames follow
-	kindSnapshot  = "snapshot" // header: one dataset JSON frame follows
-	kindRecord    = "r"
-	kindHeartbeat = "hb"
-	kindError     = "err"
+	kindRecords     = "records"  // header: record frames follow
+	kindSnapshot    = "snapshot" // header: the snapshot's frames follow
+	kindSnapshotEnd = "snapshot-end"
+	kindRecord      = "r"
+	kindHeartbeat   = "hb"
+	kindError       = "err"
 )
 
-// wireMsg is one ndjson frame — a union of the header, record, heartbeat
-// and error shapes (the dataset frame of a snapshot stream is raw dataset
-// JSON instead). A record travels as the journal frame it was committed
-// as, so the follower decodes it with the same codec (and CRC check) its
-// own recovery uses.
+// wireMsg is one ndjson frame — a union of the header, record, heartbeat,
+// end and error shapes. A record, live or of a snapshot, travels as its
+// journal frame, so the follower decodes it with the same codec (and CRC
+// check) its own recovery uses.
 type wireMsg struct {
 	Kind  string `json:"k"`
 	After uint64 `json:"after,omitempty"` // kindRecords: resume position
@@ -116,7 +122,10 @@ type wireMsg struct {
 	// applied position is at or before the fork; a longer local tail is
 	// the dead leader's orphaned writes and forces a re-bootstrap.
 	Fork uint64 `json:"fork,omitempty"`
-	Err  string `json:"err,omitempty"`
+	// Horizon is the leader's schedule horizon in slots, sent on
+	// snapshot headers: the follower's store adopts it with the state.
+	Horizon int    `json:"horizon,omitempty"`
+	Err     string `json:"err,omitempty"`
 	// Frame is a record (kindRecord) as the journal's own CRC frame
 	// (journal.EncodeFrame): the bytes the leader's segment holds.
 	Frame []byte `json:"frame,omitempty"`

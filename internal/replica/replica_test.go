@@ -1,6 +1,7 @@
 package replica_test
 
 import (
+	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
@@ -381,6 +382,93 @@ func TestFollowerJoinsAfterLeaderRecoveredFromSnapshot(t *testing.T) {
 	}
 	if got, want := planOn(t, f.ts, 8), planOn(t, leader.ts, 8); !bytes.Equal(got, want) {
 		t.Fatalf("follower diverged:\n  follower %s\n  leader   %s", got, want)
+	}
+}
+
+// TestCutShortSnapshotLeavesFollowerUntouched: a snapshot stream that
+// ends after its header, or partway through its frames, changes neither
+// the follower's store nor its applied position, and the follower
+// re-bootstraps on its next connect.
+func TestCutShortSnapshotLeavesFollowerUntouched(t *testing.T) {
+	for name, keep := range map[string]int{"after header": 0, "mid-frames": 7} {
+		t.Run(name, func(t *testing.T) {
+			leader := startLeader(t, t.TempDir(), journal.Options{HorizonSlots: 14, SnapshotEvery: -1})
+			buildPopulation(t, leader.st.Planner(), 10)
+
+			// A frontdoor that, while cutting, forwards a snapshot
+			// stream's header and its first keep frames, then hangs up.
+			var cutting atomic.Bool
+			var cuts atomic.Int32
+			proxy := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				req, err := http.NewRequestWithContext(r.Context(), http.MethodGet, leader.ts.URL+r.URL.Path+"?"+r.URL.RawQuery, nil)
+				if err != nil {
+					http.Error(w, err.Error(), http.StatusBadGateway)
+					return
+				}
+				resp, err := http.DefaultClient.Do(req)
+				if err != nil {
+					http.Error(w, err.Error(), http.StatusBadGateway)
+					return
+				}
+				defer resp.Body.Close()
+				w.WriteHeader(resp.StatusCode)
+				br := bufio.NewReader(resp.Body)
+				snapshot, sent := false, 0
+				for {
+					line, err := br.ReadBytes('\n')
+					if sent == 0 {
+						snapshot = bytes.Contains(line, []byte(`"k":"snapshot"`))
+					}
+					if snapshot && cutting.Load() && sent > keep {
+						cuts.Add(1)
+						return
+					}
+					if _, werr := w.Write(line); werr != nil || err != nil {
+						return
+					}
+					w.(http.Flusher).Flush()
+					sent++
+				}
+			}))
+			t.Cleanup(proxy.Close)
+
+			fdir := t.TempDir()
+			f := startFollower(t, fdir, proxy.URL)
+			waitCaughtUp(t, f.fo, leader.st)
+			stale, people := f.fo.Status().AppliedSeq, f.fo.Planner().NumPeople()
+			f.stop()
+
+			// The leader compacts past the follower, so its next
+			// connect is answered with a snapshot.
+			buildPopulation(t, leader.st.Planner(), 10)
+			if err := leader.st.Snapshot(); err != nil {
+				t.Fatal(err)
+			}
+			cutting.Store(true)
+			f2 := startFollower(t, fdir, proxy.URL)
+			deadline := time.Now().Add(15 * time.Second)
+			for cuts.Load() < 2 { // the second cut proves the first was handled
+				if time.Now().After(deadline) {
+					t.Fatalf("no snapshot stream was cut: %+v", f2.fo.Status())
+				}
+				time.Sleep(2 * time.Millisecond)
+			}
+			st := f2.fo.Status()
+			if st.AppliedSeq != stale || st.Bootstraps != 0 || f2.fo.Planner().NumPeople() != people {
+				t.Fatalf("a cut-short snapshot touched the follower: %+v, %d people (want seq %d, %d people)",
+					st, f2.fo.Planner().NumPeople(), stale, people)
+			}
+			waitForError(t, f2.fo, "cut short")
+
+			cutting.Store(false)
+			waitCaughtUp(t, f2.fo, leader.st)
+			if f2.fo.Status().Bootstraps == 0 {
+				t.Fatalf("follower caught up without a bootstrap: %+v", f2.fo.Status())
+			}
+			if got, want := planOn(t, f2.ts, 15), planOn(t, leader.ts, 15); !bytes.Equal(got, want) {
+				t.Fatalf("follower diverged:\n  follower %s\n  leader   %s", got, want)
+			}
+		})
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
-	"io"
 	"net/http"
 	"strconv"
 	"time"
@@ -91,23 +90,40 @@ func (st *Streamer) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	st.serveRecords(w, r, after, cur, recs, chunk)
 }
 
-// serveSnapshot sends a snapshot header followed by one dataset frame.
+// serveSnapshot sends a snapshot header, the snapshot's frames and the
+// end message.
 func (st *Streamer) serveSnapshot(w http.ResponseWriter) {
-	rc, seq, err := st.Store.ReplicationSnapshot()
+	frames, seq, err := st.Store.ReplicationSnapshot()
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return
 	}
-	defer rc.Close()
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	enc := json.NewEncoder(w)
-	if err := enc.Encode(wireMsg{Kind: kindSnapshot, Seq: seq, Epoch: st.Store.Epoch(), Fork: st.Store.EpochStart()}); err != nil {
+	if !send(enc, wireMsg{Kind: kindSnapshot, Seq: seq, Epoch: st.Store.Epoch(), Fork: st.Store.EpochStart(), Horizon: st.Store.Planner().Horizon()}) {
 		return
 	}
+	for len(frames) > 0 {
+		frame, rest, err := journal.SplitFrame(frames)
+		if err != nil {
+			send(enc, wireMsg{Kind: kindError, Err: err.Error()})
+			return
+		}
+		if !send(enc, wireMsg{Kind: kindRecord, Frame: frame}) {
+			return
+		}
+		frames = rest
+	}
+	send(enc, wireMsg{Kind: kindSnapshotEnd})
+}
+
+// send writes one message, counting it; false means the client is gone.
+func send(enc *json.Encoder, m wireMsg) bool {
+	if enc.Encode(m) != nil {
+		return false
+	}
 	mFramesOut.Inc()
-	// The snapshot file is itself one newline-terminated JSON document —
-	// exactly one ndjson frame.
-	_, _ = io.Copy(w, rc)
+	return true
 }
 
 // serveRecords streams record frames, long-polling for new commits and
@@ -129,17 +145,10 @@ func (st *Streamer) serveRecords(w http.ResponseWriter, r *http.Request, after u
 		}
 	}
 	enc := json.NewEncoder(w)
-	send := func(m wireMsg) bool {
-		if enc.Encode(m) != nil {
-			return false
-		}
-		mFramesOut.Inc()
-		return true
-	}
 
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	epoch := st.Store.Epoch()
-	if !send(wireMsg{Kind: kindRecords, After: after, Seq: st.Store.DurableSeq(), Epoch: epoch, Fork: st.Store.EpochStart()}) {
+	if !send(enc, wireMsg{Kind: kindRecords, After: after, Seq: st.Store.DurableSeq(), Epoch: epoch, Fork: st.Store.EpochStart()}) {
 		return
 	}
 	deadline := time.Now().Add(maxConn)
@@ -147,10 +156,10 @@ func (st *Streamer) serveRecords(w http.ResponseWriter, r *http.Request, after u
 		for _, rec := range recs {
 			frame, err := journal.EncodeFrame(rec)
 			if err != nil {
-				send(wireMsg{Kind: kindError, Err: err.Error()})
+				send(enc, wireMsg{Kind: kindError, Err: err.Error()})
 				return
 			}
-			if !send(wireMsg{Kind: kindRecord, Frame: frame}) {
+			if !send(enc, wireMsg{Kind: kindRecord, Frame: frame}) {
 				return
 			}
 		}
@@ -166,7 +175,7 @@ func (st *Streamer) serveRecords(w http.ResponseWriter, r *http.Request, after u
 				return // client gone
 			}
 			if errors.Is(werr, context.DeadlineExceeded) {
-				if !send(wireMsg{Kind: kindHeartbeat, Seq: st.Store.DurableSeq(), Epoch: epoch}) {
+				if !send(enc, wireMsg{Kind: kindHeartbeat, Seq: st.Store.DurableSeq(), Epoch: epoch}) {
 					return
 				}
 				flush()
@@ -174,7 +183,7 @@ func (st *Streamer) serveRecords(w http.ResponseWriter, r *http.Request, after u
 				continue
 			}
 			// Store closed (leader shutting down) or other terminal error.
-			send(wireMsg{Kind: kindError, Err: werr.Error()})
+			send(enc, wireMsg{Kind: kindError, Err: werr.Error()})
 			return
 		}
 		var err error
@@ -183,7 +192,7 @@ func (st *Streamer) serveRecords(w http.ResponseWriter, r *http.Request, after u
 			// ErrCompacted mid-stream (a very slow follower crossed a
 			// compaction) included: report and close; the reconnect is
 			// answered with a snapshot bootstrap.
-			send(wireMsg{Kind: kindError, Err: err.Error()})
+			send(enc, wireMsg{Kind: kindError, Err: err.Error()})
 			return
 		}
 	}

@@ -45,12 +45,12 @@
 // repro/internal/journal package adds durability on top of the mutation
 // hook seam (SetMutationHook): each successful mutation is encoded as a
 // typed, versioned record, group-committed to a write-ahead journal, and
-// periodically folded into snapshots that reuse the internal/dataset
-// serialization. On restart the journal store rebuilds the Planner by
-// loading the latest snapshot and replaying the journal tail (any torn
-// final record is truncated). A mutation call only returns once its record
-// is durable, so an acknowledged write survives a crash. The stgqd server
-// exposes this with its -data-dir flag.
+// periodically folded into snapshots written in the same record format
+// (DatasetMutations of the exported state). On restart the journal store
+// rebuilds the Planner by replaying the latest snapshot and then the
+// journal tail (any torn final record is truncated). A mutation call only
+// returns once its record is durable, so an acknowledged write survives a
+// crash. The stgqd server exposes this with its -data-dir flag.
 //
 // # Replication
 //
@@ -110,9 +110,12 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"iter"
+	"maps"
 	"slices"
 	"sync"
 
+	"repro/internal/bitset"
 	"repro/internal/coordinate"
 	"repro/internal/core"
 	"repro/internal/dataset"
@@ -274,7 +277,6 @@ type Planner struct {
 	g         *socialgraph.Graph
 	horizon   int
 	cal       *schedule.Calendar
-	community []int // dataset-loaded community assignments, for Export
 	policies  map[PersonID]SharePolicy
 	locations map[PersonID]geo.Point
 	hook      MutationHook
@@ -481,9 +483,9 @@ func (pl *Planner) checkPersonLocked(p PersonID) error {
 // and starts from its calendar without ever writing to it: the store
 // shares d.Cal's rows, and a later SetAvailable/SetBusy replaces the row
 // it edits. People the dataset's calendar does not cover start all-busy,
-// like anyone added later. Privacy policies recorded in the dataset (a
-// durable store's snapshot) are restored; unknown policy values fall back
-// to ShareAll. Locations are restored into the planner's location map;
+// like anyone added later. Privacy policies recorded in the dataset (as
+// Export writes them) are restored; unknown policy values fall back to
+// ShareAll. Locations are restored into the planner's location map;
 // people without one stay unlocated (excluded from geo-social queries).
 func FromDataset(d *dataset.Dataset) *Planner {
 	var policies map[PersonID]SharePolicy
@@ -502,16 +504,56 @@ func FromDataset(d *dataset.Dataset) *Planner {
 		users[u] = -1
 	}
 	pl := &Planner{
-		g:         d.Graph,
-		horizon:   d.Cal.Horizon(),
-		cal:       d.Cal.View(users),
-		community: d.Community,
-		policies:  policies,
+		g:        d.Graph,
+		horizon:  d.Cal.Horizon(),
+		cal:      d.Cal.View(users),
+		policies: policies,
 	}
 	for v, xy := range d.Locations {
 		pl.putLocation(PersonID(v), geo.Point{X: xy[0], Y: xy[1]})
 	}
 	return pl
+}
+
+// DatasetMutations returns the mutations that rebuild d on an empty
+// planner of horizon d.Cal.Horizon(), in the order a durable snapshot
+// stores them: MutAddPerson per person in id order, MutConnect per edge
+// (A < B), MutSetAvailable per free run of each calendar row, then
+// MutSetPolicy per non-default policy and MutSetLocation per location, in
+// person order. Unlike FromDataset, replaying them through Planner.Apply
+// validates d as any journal record is validated.
+func DatasetMutations(d *dataset.Dataset) iter.Seq[Mutation] {
+	return func(yield func(Mutation) bool) {
+		ok := true
+		for v := 0; ok && v < d.Graph.NumVertices(); v++ {
+			ok = yield(Mutation{Op: MutAddPerson, Person: PersonID(v), Name: d.Graph.Label(v)})
+		}
+		for u := 0; ok && u < d.Graph.NumVertices(); u++ {
+			d.Graph.Neighbors(u, func(v int, dist float64) {
+				ok = ok && (u > v || yield(Mutation{Op: MutConnect, A: PersonID(u), B: PersonID(v), Distance: dist}))
+			})
+		}
+		h := d.Cal.Horizon()
+		words := make([]uint64, (h+63)/64)
+		for u := 0; ok && u < d.Cal.Users(); u++ {
+			row := d.Cal.Row(u)
+			for i := range words {
+				words[i] = row.Bits(64*i, min(64, h-64*i))
+			}
+			for t := row.NextSet(0); ok && t >= 0; {
+				lo, hi, _ := bitset.LongestRunContaining(words, t)
+				ok = yield(Mutation{Op: MutSetAvailable, Person: PersonID(u), From: lo, To: hi + 1})
+				t = row.NextSet(hi + 1)
+			}
+		}
+		for _, v := range slices.Sorted(maps.Keys(d.Policies)) {
+			pol := SharePolicy(d.Policies[v])
+			ok = ok && (pol == ShareAll || yield(Mutation{Op: MutSetPolicy, Person: PersonID(v), Policy: pol}))
+		}
+		for _, v := range slices.Sorted(maps.Keys(d.Locations)) {
+			ok = ok && yield(Mutation{Op: MutSetLocation, Person: PersonID(v), X: d.Locations[v][0], Y: d.Locations[v][1]})
+		}
+	}
 }
 
 // Export returns a consistent point-in-time copy of the planner's state as
@@ -521,17 +563,15 @@ func FromDataset(d *dataset.Dataset) *Planner {
 // held — no mutation can land, but other readers may run beside it —
 // letting callers capture state that must be consistent with the exported
 // copy; the journal store uses it to pin the snapshot's sequence number.
-// Privacy policies are part of the export, so a durable store's snapshots
-// preserve them across compaction.
+// Privacy policies and locations are part of the export, so a durable
+// store's snapshots preserve them across compaction; community
+// assignments are not planner state and are left out.
 func (pl *Planner) Export(onLocked func()) *dataset.Dataset {
 	pl.mu.RLock()
 	// Clone the calendar too: handing out the store's rows would let a
 	// caller's SetRange edit the planner behind its lock.
 	cal := pl.cal.ExtendedClone(0)
 	g := pl.g.Clone()
-	n := pl.g.NumVertices()
-	community := make([]int, n)
-	copy(community, pl.community) // people added later default to community 0
 	var policies map[int]int
 	if len(pl.policies) > 0 {
 		policies = make(map[int]int, len(pl.policies))
@@ -554,7 +594,7 @@ func (pl *Planner) Export(onLocked func()) *dataset.Dataset {
 	if schedule.SlotsPerDay > 0 {
 		days = (pl.horizon + schedule.SlotsPerDay - 1) / schedule.SlotsPerDay
 	}
-	return &dataset.Dataset{Graph: g, Cal: cal, Community: community, Days: days, Policies: policies, Locations: locations}
+	return &dataset.Dataset{Graph: g, Cal: cal, Days: days, Policies: policies, Locations: locations}
 }
 
 // QueryView returns the immutable view a query searches, captured under
