@@ -52,13 +52,15 @@ fmt:
 bench:
 	bash bench/stgqbench/run.sh
 
-# One-iteration smoke of the hot write, proxy, spatial-index and engine
-# paths: catches a broken journal append, gateway proxy pipeline, grid
-# query or pivot preparation at build time without the cost of a real
-# benchmark run. STGSelect reports allocs/op, which must not grow with the
-# candidates (pivot windows live in one slab per query). The
-# write-then-read and the radius-graph extraction benchmarks run at 100k
-# people, where allocs/op and B/op must follow the s-hop ball.
+# One-iteration smoke of the hot write, proxy, spatial-index, engine and
+# bootstrap paths: catches a broken journal append, gateway proxy
+# pipeline, grid query, pivot preparation or follower bootstrap at build
+# time without the cost of a real benchmark run. STGSelect reports
+# allocs/op, which must not grow with the candidates (pivot windows live
+# in one slab per query). The write-then-read and the radius-graph
+# extraction benchmarks run at 100k people, where allocs/op and B/op must
+# follow the s-hop ball. The bootstrap benchmark reports MB/s and fails
+# when the leader sends a snapshot as a message per frame.
 bench-smoke:
 	$(GO) test -run='^$$' -bench='^BenchmarkJournalAppend$$' -benchtime=1x .
 	$(GO) test -run='^$$' -bench='^BenchmarkGatewayProxyOverhead$$' -benchtime=1x ./internal/gateway
@@ -66,6 +68,7 @@ bench-smoke:
 	$(GO) test -run='^$$' -bench='^BenchmarkSTGSelect$$' -benchtime=1x -benchmem .
 	$(GO) test -run='^$$' -bench='^BenchmarkPlanActivityAfterWrite$$' -benchtime=1x .
 	$(GO) test -run='^$$' -bench='^BenchmarkExtractRadiusGraph$$' -benchtime=1x -benchmem ./internal/socialgraph
+	$(GO) test -run='^$$' -bench='^BenchmarkSnapshotBootstrap$$' -benchtime=1x ./internal/replica
 
 # The repository's benchmark as alternating parent/change pairs judged by
 # `stgqbench compare` — how a speed claim is measured:

@@ -155,12 +155,16 @@ func main() {
 		fmt.Printf("stgqd: following %s (applied seq %d from %s)\n",
 			*follow, follower.Status().AppliedSeq, *dataDir)
 	case *dataDir != "":
+		opts := journal.Options{
+			HorizonSlots:  *horizon,
+			SnapshotEvery: *snapEach,
+		}
 		if *data != "" {
 			d, err := loadDataset(*data)
 			if err != nil {
 				log.Fatalf("stgqd: %v", err)
 			}
-			switch err := journal.ImportDataset(*dataDir, d); {
+			switch store, err = journal.ImportDataset(*dataDir, d, opts); {
 			case errors.Is(err, journal.ErrNotEmpty):
 				// The import is refused rather than overwriting, but a
 				// restart with the same command line must come back up:
@@ -173,13 +177,11 @@ func main() {
 					d.Graph.NumVertices(), d.Graph.NumEdges(), *dataDir)
 			}
 		}
-		var err error
-		store, err = journal.Open(*dataDir, journal.Options{
-			HorizonSlots:  *horizon,
-			SnapshotEvery: *snapEach,
-		})
-		if err != nil {
-			log.Fatalf("stgqd: %v", err)
+		if store == nil {
+			var err error
+			if store, err = journal.Open(*dataDir, opts); err != nil {
+				log.Fatalf("stgqd: %v", err)
+			}
 		}
 		rec := store.Recovery()
 		fmt.Printf("stgqd: recovered %d people, %d friendships from %s (snapshot seq %d + %d replayed records, %d torn bytes truncated)\n",

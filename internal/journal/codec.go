@@ -75,33 +75,23 @@ func DecodeFrame(frame []byte) (Record, error) {
 	return rec, err
 }
 
-// SplitFrame returns the first frame of data and the bytes after it,
-// checking the frame's length and CRC but not decoding it; any damage is
-// an ErrCorrupt error. A replication leader walks a snapshot with it.
-func SplitFrame(data []byte) (frame, rest []byte, err error) {
-	if len(data) < headerSize {
-		return nil, nil, errTornFrame
-	}
-	length := int(binary.LittleEndian.Uint32(data))
-	if length > maxPayload || headerSize+length > len(data) {
-		return nil, nil, errTornFrame
-	}
-	if crc32.Checksum(data[headerSize:headerSize+length], castagnoli) != binary.LittleEndian.Uint32(data[4:]) {
-		return nil, nil, errFrameCRC
-	}
-	return data[:headerSize+length], data[headerSize+length:], nil
-}
-
 // readFrame decodes the frame at the start of data and returns its
 // record and size. An error means data does not start with a complete,
 // CRC-valid frame of a known op.
 func readFrame(data []byte) (Record, int, error) {
-	frame, _, err := SplitFrame(data)
-	if err != nil {
-		return Record{}, 0, err
+	if len(data) < headerSize {
+		return Record{}, 0, errTornFrame
 	}
-	rec, err := decodePayload(frame[headerSize:])
-	return rec, len(frame), err
+	length := int(binary.LittleEndian.Uint32(data))
+	if length > maxPayload || headerSize+length > len(data) {
+		return Record{}, 0, errTornFrame
+	}
+	payload := data[headerSize : headerSize+length]
+	if crc32.Checksum(payload, castagnoli) != binary.LittleEndian.Uint32(data[4:]) {
+		return Record{}, 0, errFrameCRC
+	}
+	rec, err := decodePayload(payload)
+	return rec, headerSize + length, err
 }
 
 // appendFrame encodes rec as a framed record appended to dst.

@@ -101,10 +101,7 @@ func TestEpochSeededStores(t *testing.T) {
 	ds := dataset.Synthetic(10, 7, 1)
 
 	imp := t.TempDir()
-	if err := ImportDataset(imp, ds); err != nil {
-		t.Fatal(err)
-	}
-	s, err := Open(imp, Options{})
+	s, err := ImportDataset(imp, ds, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,10 +113,7 @@ func TestEpochSeededStores(t *testing.T) {
 	}
 
 	rst := t.TempDir()
-	if err := ResetFromSnapshot(rst, 42, 7, 30, ds.Cal.Horizon(), snapshotOf(t, ds)); err != nil {
-		t.Fatal(err)
-	}
-	s, err = Open(rst, Options{})
+	s, err = ResetFromSnapshot(rst, 42, 7, 30, snapshotOf(t, ds), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -15,38 +15,33 @@ import (
 var ErrNotEmpty = errors.New("journal: data dir is not empty")
 
 // ImportDataset initializes dir (created if needed) with ds as its initial
-// state, written as a snapshot at sequence 0 — the bulk-import path for
-// starting a durable store from a generated dataset. A subsequent Open
-// recovers the dataset and journals new mutations on top of it. The
-// import refuses with ErrNotEmpty when dir already holds a snapshot,
-// journal segments or a meta file. Before anything is written, the
-// snapshot is replayed onto an empty planner as the next boot will replay
-// it, so a dataset that recovery would refuse (say, a name over
-// stgq.MaxNameLen) is refused here, with the person or edge named.
-func ImportDataset(dir string, ds *dataset.Dataset) error {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return fmt.Errorf("journal: %w", err)
-	}
-	unlock, err := lockDir(dir)
-	if err != nil {
-		return err
-	}
-	defer unlock()
-	empty, err := storeEmpty(dir)
-	if err != nil {
-		return err
-	}
-	if !empty {
-		return fmt.Errorf("%w: %s", ErrNotEmpty, dir)
-	}
-	frames, err := encodeSnapshot(ds)
-	if err != nil {
-		return err
-	}
-	if err := replaySnapshot(frames, stgq.NewPlanner(ds.Cal.Horizon())); err != nil {
-		return fmt.Errorf("journal: import: %w", err)
-	}
-	return seedDir(dir, 0, 1, 0, ds.Cal.Horizon(), frames)
+// state, written as a snapshot at sequence 0, and returns the store open
+// on it (at ds's horizon, whatever opts says) — the bulk-import path for
+// starting a durable store from a generated dataset. The import refuses
+// with ErrNotEmpty when dir already holds a snapshot, journal segments or
+// a meta file. Before anything is written, the snapshot is replayed as
+// the next boot would replay it, so a dataset that recovery would refuse
+// (say, a name over stgq.MaxNameLen) is refused here, with the person or
+// edge named; the store serves the planner that replay built.
+func ImportDataset(dir string, ds *dataset.Dataset, opts Options) (*Store, error) {
+	return open(dir, opts, func() (*stgq.Planner, error) {
+		empty, err := storeEmpty(dir)
+		if err != nil {
+			return nil, err
+		}
+		if !empty {
+			return nil, fmt.Errorf("%w: %s", ErrNotEmpty, dir)
+		}
+		frames, err := encodeSnapshot(ds)
+		if err != nil {
+			return nil, err
+		}
+		snap, err := ReplaySnapshot(frames, ds.Cal.Horizon())
+		if err != nil {
+			return nil, fmt.Errorf("journal: import: %w", err)
+		}
+		return snap.pl, seedDir(dir, 0, 1, 0, snap)
+	})
 }
 
 // resetMarkerName flags a ResetFromSnapshot in progress. Any state found
@@ -55,46 +50,36 @@ func ImportDataset(dir string, ds *dataset.Dataset) error {
 // leader's history; AbortReset discards it.
 const resetMarkerName = "RESETTING"
 
-// ResetFromSnapshot replaces whatever durable state dir holds with the
-// given snapshot: every segment, snapshot and meta file is removed, then
-// frames (snapshot frames as Store.ReplicationSnapshot returns them) are
-// written as the snapshot for seq at the given schedule horizon, leader
-// epoch and epoch fork point (a replication follower adopts all three
-// along with the leader's state; epoch 0 is normalized to 1). A replication
-// follower uses it to bootstrap from the leader when its own position
-// has been compacted away. The store of dir must be closed. The
-// wipe-and-seed runs under a durable RESETTING marker: a crash anywhere
-// inside leaves the marker behind, and ResetPending/AbortReset let the
-// next boot detect the torso and discard it instead of resuming from
-// half-wiped state.
-func ResetFromSnapshot(dir string, seq, epoch, epochStart uint64, horizon int, frames []byte) error {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return fmt.Errorf("journal: %w", err)
-	}
-	unlock, err := lockDir(dir)
-	if err != nil {
-		return err
-	}
-	defer unlock()
-	m, err := os.Create(filepath.Join(dir, resetMarkerName))
-	if err != nil {
-		return fmt.Errorf("journal: reset marker: %w", err)
-	}
-	if err := m.Close(); err != nil {
-		return fmt.Errorf("journal: reset marker: %w", err)
-	}
-	syncDir(dir) // the marker must survive a crash before the wipe does
-	if err := wipeStoreFiles(dir); err != nil {
-		return err
-	}
-	if err := seedDir(dir, seq, epoch, epochStart, horizon, frames); err != nil {
-		return err
-	}
-	if err := os.Remove(filepath.Join(dir, resetMarkerName)); err != nil {
-		return fmt.Errorf("journal: reset marker: %w", err)
-	}
-	syncDir(dir)
-	return nil
+// ResetFromSnapshot replaces whatever durable state dir holds with snap
+// and returns the store open on snap's planner: every segment, snapshot
+// and meta file is removed, then snap's frames are written as the
+// snapshot for seq at snap's horizon, leader epoch and epoch fork point (a
+// replication follower adopts all three along with the leader's state;
+// epoch 0 is normalized to 1). A replication follower uses it to
+// bootstrap from the leader when its own position has been compacted
+// away; having replayed the leader's frames first, it closes its store
+// only for a snapshot it can replay. The wipe-and-seed runs under a
+// durable RESETTING marker: a crash anywhere inside leaves the marker
+// behind, and ResetPending/AbortReset let the next boot detect the torso
+// and discard it instead of resuming from half-wiped state.
+func ResetFromSnapshot(dir string, seq, epoch, epochStart uint64, snap Snapshot, opts Options) (*Store, error) {
+	return open(dir, opts, func() (*stgq.Planner, error) {
+		if err := os.WriteFile(filepath.Join(dir, resetMarkerName), nil, 0o644); err != nil {
+			return nil, fmt.Errorf("journal: reset marker: %w", err)
+		}
+		syncDir(dir) // the marker must survive a crash before the wipe does
+		if err := wipeStoreFiles(dir); err != nil {
+			return nil, err
+		}
+		if err := seedDir(dir, seq, epoch, epochStart, snap); err != nil {
+			return nil, err
+		}
+		if err := os.Remove(filepath.Join(dir, resetMarkerName)); err != nil {
+			return nil, fmt.Errorf("journal: reset marker: %w", err)
+		}
+		syncDir(dir)
+		return snap.pl, nil
+	})
 }
 
 // ResetPending reports whether dir holds the torso of an interrupted
@@ -125,15 +110,15 @@ func AbortReset(dir string) error {
 }
 
 // seedDir writes the snapshot and the meta file that together make dir
-// recover to the state of frames at the given sequence number, horizon,
-// epoch and epoch fork point. The meta file goes last: a crash before it
-// leaves a snapshot that Open refuses, never a meta file that recovers an
-// empty planner.
-func seedDir(dir string, seq, epoch, epochStart uint64, horizon int, frames []byte) error {
-	if err := writeSnapshot(dir, seq, frames); err != nil {
+// recover to snap's state at the given sequence number, epoch and epoch
+// fork point. The meta file goes last: a crash before it leaves a
+// snapshot that Open refuses, never a meta file that recovers an empty
+// planner.
+func seedDir(dir string, seq, epoch, epochStart uint64, snap Snapshot) error {
+	if err := writeSnapshot(dir, seq, snap.frames); err != nil {
 		return err
 	}
-	return writeMeta(dir, storeMeta{HorizonSlots: horizon, Epoch: max(epoch, 1), EpochStartSeq: epochStart})
+	return writeMeta(dir, storeMeta{HorizonSlots: snap.pl.Horizon(), Epoch: max(epoch, 1), EpochStartSeq: epochStart})
 }
 
 // storeEmpty reports whether dir holds no durable store state (snapshots,
@@ -156,8 +141,8 @@ func storeEmpty(dir string) (bool, error) {
 	return true, nil
 }
 
-// wipeStoreFiles removes every snapshot, segment, meta and temp file of
-// dir.
+// wipeStoreFiles removes every snapshot, segment and meta file of dir.
+// Temp files are left to the next open, which removes them first.
 func wipeStoreFiles(dir string) error {
 	if err := os.Remove(filepath.Join(dir, metaFileName)); err != nil && !os.IsNotExist(err) {
 		return fmt.Errorf("journal: %w", err)
@@ -171,11 +156,6 @@ func wipeStoreFiles(dir string) error {
 			if err := os.Remove(f.path); err != nil && !os.IsNotExist(err) {
 				return fmt.Errorf("journal: %w", err)
 			}
-		}
-	}
-	if tmps, err := filepath.Glob(filepath.Join(dir, "*.tmp")); err == nil {
-		for _, p := range tmps {
-			_ = os.Remove(p)
 		}
 	}
 	syncDir(dir)

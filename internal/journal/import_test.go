@@ -1,6 +1,7 @@
 package journal
 
 import (
+	"bytes"
 	"errors"
 	"math"
 	"os"
@@ -12,23 +13,25 @@ import (
 	"repro/internal/dataset"
 )
 
-// snapshotOf encodes ds as the snapshot frames ResetFromSnapshot takes.
-func snapshotOf(t *testing.T, ds *dataset.Dataset) []byte {
+// snapshotOf encodes ds as snapshot frames and replays them into the
+// Snapshot ResetFromSnapshot takes.
+func snapshotOf(t *testing.T, ds *dataset.Dataset) Snapshot {
 	t.Helper()
 	frames, err := encodeSnapshot(ds)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return frames
+	snap, err := ReplaySnapshot(frames, ds.Cal.Horizon())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return snap
 }
 
 func TestImportDatasetIntoEmptyStore(t *testing.T) {
 	dir := t.TempDir()
 	ds := dataset.Real194(42, 7)
-	if err := ImportDataset(dir, ds); err != nil {
-		t.Fatal(err)
-	}
-	s, err := Open(dir, Options{HorizonSlots: 1}) // ignored: the import pinned the horizon
+	s, err := ImportDataset(dir, ds, Options{HorizonSlots: 1}) // ignored: the import pinned the horizon
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +81,7 @@ func TestImportRefusesWhatReplayRefuses(t *testing.T) {
 			ds := dataset.Synthetic(10, 7, 1)
 			tc.spoil(ds)
 			dir := t.TempDir()
-			err := ImportDataset(dir, ds)
+			_, err := ImportDataset(dir, ds, Options{})
 			if err == nil || !strings.Contains(err.Error(), tc.want) {
 				t.Fatalf("import: err = %v, want one naming %q", err, tc.want)
 			}
@@ -101,7 +104,7 @@ func TestImportDatasetRefusesNonEmptyStore(t *testing.T) {
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if err := ImportDataset(dir, dataset.Real194(42, 7)); !errors.Is(err, ErrNotEmpty) {
+	if _, err := ImportDataset(dir, dataset.Real194(42, 7), Options{}); !errors.Is(err, ErrNotEmpty) {
 		t.Fatalf("import into a non-empty store: want ErrNotEmpty, got %v", err)
 	}
 	// A merely-created durable dir (meta only, no mutations) is also
@@ -114,7 +117,7 @@ func TestImportDatasetRefusesNonEmptyStore(t *testing.T) {
 	if err := s2.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if err := ImportDataset(dir2, dataset.Real194(42, 7)); !errors.Is(err, ErrNotEmpty) {
+	if _, err := ImportDataset(dir2, dataset.Real194(42, 7), Options{}); !errors.Is(err, ErrNotEmpty) {
 		t.Fatalf("import over an initialized store: want ErrNotEmpty, got %v", err)
 	}
 }
@@ -156,9 +159,11 @@ func TestInterruptedResetIsDiscarded(t *testing.T) {
 	}
 	// And a completed reset leaves no marker behind.
 	ds := dataset.Real194(42, 7)
-	if err := ResetFromSnapshot(dir, 9, 1, 0, ds.Cal.Horizon(), snapshotOf(t, ds)); err != nil {
+	s, err = ResetFromSnapshot(dir, 9, 1, 0, snapshotOf(t, ds), Options{})
+	if err != nil {
 		t.Fatal(err)
 	}
+	defer s.Close()
 	if ResetPending(dir) {
 		t.Fatal("marker survived a completed reset")
 	}
@@ -178,10 +183,7 @@ func TestResetFromSnapshotReplacesState(t *testing.T) {
 	}
 
 	ds := dataset.Real194(7, 7)
-	if err := ResetFromSnapshot(dir, 123, 3, 99, ds.Cal.Horizon(), snapshotOf(t, ds)); err != nil {
-		t.Fatal(err)
-	}
-	s2, err := Open(dir, Options{})
+	s2, err := ResetFromSnapshot(dir, 123, 3, 99, snapshotOf(t, ds), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,5 +200,70 @@ func TestResetFromSnapshotReplacesState(t *testing.T) {
 	}
 	if got := s2.LastSeq(); got != 124 {
 		t.Fatalf("post-reset mutation got seq %d, want 124", got)
+	}
+}
+
+// TestUnreplayableSnapshotLeavesStoreUntouched: a reset replays the
+// leader's frames before it touches the dir, so CRC-valid frames that
+// replay refuses (an edge between people who do not exist) fail naming
+// the frame and leave the old snapshot, meta.json and no RESETTING
+// marker behind: the old state still opens.
+func TestUnreplayableSnapshotLeavesStoreUntouched(t *testing.T) {
+	dir := t.TempDir()
+	s, err := Open(dir, Options{HorizonSlots: 8, SnapshotEvery: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fillStore(t, s, 4)
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	before := map[string][]byte{}
+	for _, name := range []string{filepath.Base(snapshotPath(dir, 4)), metaFileName} {
+		if before[name], err = os.ReadFile(filepath.Join(dir, name)); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	var frames []byte
+	for i, m := range []stgq.Mutation{
+		{Op: stgq.MutAddPerson, Person: 0, Name: "ana"},
+		{Op: stgq.MutConnect, A: 5, B: 6, Distance: 1},
+	} {
+		frame, err := EncodeFrame(Record{Seq: uint64(i + 1), Mut: m})
+		if err != nil {
+			t.Fatal(err)
+		}
+		frames = append(frames, frame...)
+	}
+	// The follower's reset sequence: replay, then (only then) reset.
+	reset := func() (*Store, error) {
+		snap, err := ReplaySnapshot(frames, 8)
+		if err != nil {
+			return nil, err
+		}
+		return ResetFromSnapshot(dir, 50, 2, 0, snap, Options{})
+	}
+	if st, err := reset(); err == nil || !strings.Contains(err.Error(), "snapshot frame 2") {
+		if st != nil {
+			st.Close()
+		}
+		t.Fatalf("reset onto unreplayable frames: err = %v, want one naming snapshot frame 2", err)
+	}
+	for name, want := range before {
+		if got, err := os.ReadFile(filepath.Join(dir, name)); err != nil || !bytes.Equal(got, want) {
+			t.Fatalf("%s changed by a refused reset (err %v)", name, err)
+		}
+	}
+	if ResetPending(dir) {
+		t.Fatal("a refused reset left a RESETTING marker")
+	}
+	s, err = Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if s.Planner().NumPeople() != 4 || s.LastSeq() != 4 {
+		t.Fatalf("old state lost: %d people at seq %d, want 4 at 4", s.Planner().NumPeople(), s.LastSeq())
 	}
 }

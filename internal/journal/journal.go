@@ -5,7 +5,8 @@
 // rebuilds the Planner on startup from the latest snapshot plus the
 // journal tail. A snapshot is itself a compacted journal prefix in the
 // same CRC frames, so recovery, a follower's bootstrap and a -data import
-// share one replay path, Apply.
+// share one replay, ReplaySnapshot, run once per load: ImportDataset and
+// ResetFromSnapshot serve the planner that checked the snapshot they write.
 //
 // # Architecture
 //

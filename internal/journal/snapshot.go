@@ -40,17 +40,29 @@ func encodeSnapshot(ds *dataset.Dataset) ([]byte, error) {
 	return frames, nil
 }
 
-// replaySnapshot applies snapshot frames to pl, which must be empty. Any
-// damage is ErrCorrupt: a snapshot is written whole, so unlike a segment
-// it has no torn tail to forgive.
-func replaySnapshot(frames []byte, pl *stgq.Planner) error {
+// Snapshot is a snapshot's frames together with the planner they replay
+// to. ReplaySnapshot makes one; ImportDataset and ResetFromSnapshot seed a
+// data dir with its frames and serve its planner, so the replay that
+// checks a snapshot is the one the store runs on.
+type Snapshot struct {
+	frames []byte
+	pl     *stgq.Planner
+}
+
+// ReplaySnapshot replays frames — journal frames numbered 1..N, as
+// ReplicationSnapshot returns them — onto an empty planner of horizon
+// slots. Any damage is ErrCorrupt: a snapshot is written whole, so unlike
+// a segment it has no torn tail to forgive. A frame the planner refuses is
+// an error naming the frame and the person or edge.
+func ReplaySnapshot(frames []byte, horizon int) (Snapshot, error) {
+	pl := stgq.NewPlanner(horizon)
 	for n, off := uint64(1), 0; off < len(frames); n++ {
 		rec, size, err := readFrame(frames[off:])
 		if err != nil {
-			return fmt.Errorf("%w: snapshot frame %d at byte %d: %v", ErrCorrupt, n, off, err)
+			return Snapshot{}, fmt.Errorf("%w: snapshot frame %d at byte %d: %v", ErrCorrupt, n, off, err)
 		}
 		if rec.Seq != n {
-			return fmt.Errorf("%w: snapshot frame %d numbered %d", ErrCorrupt, n, rec.Seq)
+			return Snapshot{}, fmt.Errorf("%w: snapshot frame %d numbered %d", ErrCorrupt, n, rec.Seq)
 		}
 		//stgqcheck:ignore ctxflow a snapshot replays onto a planner no hook observes yet
 		if err := Apply(context.Background(), pl, rec); err != nil {
@@ -58,11 +70,11 @@ func replaySnapshot(frames []byte, pl *stgq.Planner) error {
 			if rec.Mut.Op == stgq.MutConnect {
 				who = fmt.Sprintf("edge %d–%d", rec.Mut.A, rec.Mut.B)
 			}
-			return fmt.Errorf("%v of %s: %w", rec.Mut.Op, who, err)
+			return Snapshot{}, fmt.Errorf("snapshot frame %d: %v of %s: %w", n, rec.Mut.Op, who, err)
 		}
 		off += size
 	}
-	return nil
+	return Snapshot{frames: frames, pl: pl}, nil
 }
 
 // writeSnapshot durably writes frames as the snapshot for seq and deletes
@@ -88,17 +100,12 @@ func writeSnapshot(dir string, seq uint64, frames []byte) error {
 	return nil
 }
 
-// readLatestSnapshot returns the newest snapshot's frames and the
-// sequence number it covers, or ok=false when dir holds none.
-func readLatestSnapshot(dir string) (frames []byte, seq uint64, ok bool, err error) {
+// latestSnapshot returns the newest snapshot file of dir and the sequence
+// number it covers, or ok=false when dir holds none.
+func latestSnapshot(dir string) (snap numberedFile, ok bool, err error) {
 	snaps, err := listNumbered(dir, snapPrefix, snapSuffix)
 	if err != nil || len(snaps) == 0 {
-		return nil, 0, false, err
+		return numberedFile{}, false, err
 	}
-	newest := snaps[len(snaps)-1]
-	frames, err = os.ReadFile(newest.path)
-	if err != nil {
-		return nil, 0, false, fmt.Errorf("journal: snapshot: %w", err)
-	}
-	return frames, newest.seq, true, nil
+	return snaps[len(snaps)-1], true, nil
 }

@@ -200,7 +200,7 @@ func TestInterruptedImportIsRefused(t *testing.T) {
 	if err := os.Mkdir(blocker, 0o755); err != nil {
 		t.Fatal(err)
 	}
-	if err := seedDir(dir, 0, 1, 0, 48, snapshotOf(t, ds)); err == nil {
+	if err := seedDir(dir, 0, 1, 0, snapshotOf(t, ds)); err == nil {
 		t.Fatal("seed over a blocked snapshot path succeeded")
 	}
 	if empty, err := storeEmpty(dir); err != nil || !empty {
@@ -209,13 +209,13 @@ func TestInterruptedImportIsRefused(t *testing.T) {
 	if err := os.Remove(blocker); err != nil {
 		t.Fatal(err)
 	}
-	if err := writeSnapshot(dir, 0, snapshotOf(t, ds)); err != nil {
+	if err := writeSnapshot(dir, 0, snapshotOf(t, ds).frames); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := Open(dir, Options{HorizonSlots: 48}); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("Open over a snapshot without meta: err = %v, want ErrCorrupt", err)
 	}
-	if err := ImportDataset(dir, ds); !errors.Is(err, ErrNotEmpty) {
+	if _, err := ImportDataset(dir, ds, Options{}); !errors.Is(err, ErrNotEmpty) {
 		t.Fatalf("import over an interrupted import: err = %v, want ErrNotEmpty", err)
 	}
 }

@@ -132,7 +132,12 @@ type Store struct {
 
 // Open recovers the planner persisted in dir (creating the directory if
 // needed) and starts journaling new mutations into it.
-func Open(dir string, opts Options) (*Store, error) {
+func Open(dir string, opts Options) (*Store, error) { return open(dir, opts, nil) }
+
+// open is Open with an optional seed, run under the data-dir lock before
+// recovery: it writes dir's snapshot and meta file and returns the planner
+// that snapshot replays to, so recovery does not replay it again.
+func open(dir string, opts Options, seed func() (*stgq.Planner, error)) (*Store, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("journal: %w", err)
 	}
@@ -167,9 +172,15 @@ func Open(dir string, opts Options) (*Store, error) {
 			_ = os.Remove(p)
 		}
 	}
+	if seed != nil {
+		if s.pl, err = seed(); err != nil {
+			return nil, err
+		}
+	}
 
 	// 1. The newest snapshot, replayed onto an empty planner of the
-	// recorded horizon (the caller's only counts for a new store).
+	// recorded horizon (the caller's only counts for a new store), unless
+	// the seed step replayed it already.
 	meta, haveMeta, err := loadMeta(dir)
 	if err != nil {
 		return nil, err
@@ -177,19 +188,28 @@ func Open(dir string, opts Options) (*Store, error) {
 	if legacy, _ := listNumbered(dir, snapPrefix, legacySnapSuffix); len(legacy) > 0 {
 		return nil, fmt.Errorf("journal: %s is a dataset-JSON snapshot of an older version; import it into an empty data dir instead", legacy[0].path)
 	}
-	frames, snapSeq, haveSnap, err := readLatestSnapshot(dir)
+	snap, haveSnap, err := latestSnapshot(dir)
 	if err != nil {
 		return nil, err
 	}
 	if !haveMeta {
 		if haveSnap {
-			return nil, fmt.Errorf("%w: snapshot at seq %d without %s", ErrCorrupt, snapSeq, metaFileName)
+			return nil, fmt.Errorf("%w: snapshot at seq %d without %s", ErrCorrupt, snap.seq, metaFileName)
 		}
 		meta.HorizonSlots = opts.HorizonSlots
 	}
-	s.pl = stgq.NewPlanner(meta.HorizonSlots)
-	if err := replaySnapshot(frames, s.pl); err != nil {
-		return nil, fmt.Errorf("journal: snapshot %s: %w", filepath.Base(snapshotPath(dir, snapSeq)), err)
+	if s.pl == nil {
+		var frames []byte
+		if haveSnap {
+			if frames, err = os.ReadFile(snap.path); err != nil {
+				return nil, fmt.Errorf("journal: snapshot: %w", err)
+			}
+		}
+		replayed, err := ReplaySnapshot(frames, meta.HorizonSlots)
+		if err != nil {
+			return nil, fmt.Errorf("journal: snapshot %s: %w", filepath.Base(snap.path), err)
+		}
+		s.pl = replayed.pl
 	}
 	// Every store runs at an epoch ≥ 1; metas from before epochs existed
 	// (or absent entirely) are normalized to 1 and rewritten so BumpEpoch
@@ -206,17 +226,17 @@ func Open(dir string, opts Options) (*Store, error) {
 	}
 	s.epoch.Store(meta.Epoch)
 	s.epochStart.Store(meta.EpochStartSeq)
-	s.rec.SnapshotSeq = snapSeq
-	s.lastSnap.Store(snapSeq)
+	s.rec.SnapshotSeq = snap.seq
+	s.lastSnap.Store(snap.seq)
 
 	// 2. Replay the journal tail on top of it.
 	//stgqcheck:ignore ctxflow replay runs before the mutation hook is installed, so nothing observes this context
-	segs, lastSeq, truncated, replayed, err := replayDir(context.Background(), dir, snapSeq, s.pl)
+	segs, lastSeq, truncated, replayed, err := replayDir(context.Background(), dir, snap.seq, s.pl)
 	if err != nil {
 		return nil, err
 	}
-	if lastSeq < snapSeq {
-		lastSeq = snapSeq
+	if lastSeq < snap.seq {
+		lastSeq = snap.seq
 	}
 	s.rec.ReplayedRecords = replayed
 	s.rec.LastSeq = lastSeq

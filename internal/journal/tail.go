@@ -26,23 +26,10 @@ var ErrCompacted = errors.New("journal: records compacted into a snapshot")
 func (s *Store) LastSeq() uint64 { return s.seq.Load() }
 
 // DurableSeq returns the highest sequence number known fsynced. Every
-// record up to it can be read back with ReadCommitted (unless compaction
-// retired it, in which case the latest snapshot covers it).
+// record up to it can be read back with a TailFrom cursor (unless
+// compaction retired it, in which case the latest snapshot covers it).
 func (s *Store) DurableSeq() uint64 {
 	return max(s.b.DurableSeq(), s.rec.LastSeq)
-}
-
-// ReadCommitted returns up to limit committed records with sequence
-// numbers in (afterSeq, DurableSeq()], in order, reading them back from
-// the segment files. It returns nil when the journal holds nothing newer,
-// and ErrCompacted when the records directly after afterSeq have been
-// folded into a snapshot (the reader must bootstrap from the snapshot
-// instead). Safe to call concurrently with appends, snapshots and
-// compaction. Long-lived readers should hold a TailFrom cursor instead:
-// each one-shot call re-locates and re-scans its position from the start
-// of a segment.
-func (s *Store) ReadCommitted(afterSeq uint64, limit int) ([]Record, error) {
-	return s.TailFrom(afterSeq).Read(limit)
 }
 
 // TailCursor incrementally reads committed records from the journal's
@@ -233,25 +220,36 @@ func (s *Store) WaitDurable(ctx context.Context, afterSeq uint64) error {
 	}
 }
 
-// ReplicationSnapshot returns the frames of the newest snapshot, which a
-// follower bootstraps from (ResetFromSnapshot takes them as they are), and
+// ReplicationSnapshot returns the bytes of the newest snapshot file, which
+// a follower bootstraps from (ReplaySnapshot takes them as they are), and
 // the sequence number it covers. Without one it takes one first; a store
 // that never journaled a record still has none, and its snapshot is no
-// frames at sequence 0.
+// frames at sequence 0. The file is read outside snapMu: a snapshot cycle
+// that retires it before it is opened sends the read to its successor.
 func (s *Store) ReplicationSnapshot() ([]byte, uint64, error) {
-	s.snapMu.Lock() // no snapshot cycle retires the file mid-read
-	defer s.snapMu.Unlock()
-	frames, seq, ok, err := readLatestSnapshot(s.dir)
-	if !ok && err == nil {
-		if err := s.snapshotLocked(); err != nil {
+	if _, ok, err := latestSnapshot(s.dir); err == nil && !ok {
+		if err := s.Snapshot(); err != nil {
 			return nil, 0, err
 		}
-		frames, seq, ok, err = readLatestSnapshot(s.dir)
 	}
-	if !ok && err == nil && s.lastSnap.Load() != 0 {
-		return nil, 0, fmt.Errorf("journal: snapshot at seq %d missing from disk", s.lastSnap.Load())
+	for {
+		snap, ok, err := latestSnapshot(s.dir)
+		switch {
+		case err != nil:
+			return nil, 0, fmt.Errorf("journal: snapshot: %w", err)
+		case !ok && s.lastSnap.Load() != 0:
+			return nil, 0, fmt.Errorf("journal: snapshot at seq %d missing from disk", s.lastSnap.Load())
+		case !ok:
+			return nil, 0, nil
+		}
+		frames, err := os.ReadFile(snap.path)
+		if err == nil {
+			return frames, snap.seq, nil
+		}
+		if !os.IsNotExist(err) {
+			return nil, 0, fmt.Errorf("journal: snapshot: %w", err)
+		}
 	}
-	return frames, seq, err
 }
 
 // Notifier is a broadcast edge: waiters grab the current channel with

@@ -40,9 +40,9 @@ func TestReadCommittedRoundTrip(t *testing.T) {
 	var got []Record
 	after := uint64(0)
 	for {
-		recs, err := s.ReadCommitted(after, 7)
+		recs, err := s.TailFrom(after).Read(7)
 		if err != nil {
-			t.Fatalf("ReadCommitted(%d): %v", after, err)
+			t.Fatalf("TailFrom(%d).Read: %v", after, err)
 		}
 		if len(recs) == 0 {
 			break
@@ -62,7 +62,7 @@ func TestReadCommittedRoundTrip(t *testing.T) {
 		}
 	}
 	// Mid-stream positions resume exactly.
-	recs, err := s.ReadCommitted(17, 3)
+	recs, err := s.TailFrom(17).Read(3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +70,7 @@ func TestReadCommittedRoundTrip(t *testing.T) {
 		t.Fatalf("resume read wrong: %+v", recs)
 	}
 	// Caught-up readers get nothing, without error.
-	if recs, err := s.ReadCommitted(s.DurableSeq(), 8); err != nil || len(recs) != 0 {
+	if recs, err := s.TailFrom(s.DurableSeq()).Read(8); err != nil || len(recs) != 0 {
 		t.Fatalf("caught-up read: %v, %v", recs, err)
 	}
 }
@@ -203,14 +203,14 @@ func TestReadCommittedAfterCompaction(t *testing.T) {
 	fillStore(t, s, 5)
 
 	// Positions below the snapshot are compacted away...
-	if _, err := s.ReadCommitted(0, 8); !errors.Is(err, ErrCompacted) {
+	if _, err := s.TailFrom(0).Read(8); !errors.Is(err, ErrCompacted) {
 		t.Fatalf("want ErrCompacted below the snapshot, got %v", err)
 	}
-	if _, err := s.ReadCommitted(19, 8); !errors.Is(err, ErrCompacted) {
+	if _, err := s.TailFrom(19).Read(8); !errors.Is(err, ErrCompacted) {
 		t.Fatalf("want ErrCompacted below the snapshot, got %v", err)
 	}
 	// ...the snapshot position itself and above still stream.
-	recs, err := s.ReadCommitted(20, 8)
+	recs, err := s.TailFrom(20).Read(8)
 	if err != nil || len(recs) != 5 || recs[0].Seq != 21 {
 		t.Fatalf("post-snapshot read: %+v, %v", recs, err)
 	}
@@ -230,11 +230,11 @@ func TestReadCommittedAfterCompaction(t *testing.T) {
 // replayed replays snapshot frames onto an empty planner of the horizon.
 func replayed(t *testing.T, frames []byte, horizon int) *stgq.Planner {
 	t.Helper()
-	pl := stgq.NewPlanner(horizon)
-	if err := replaySnapshot(frames, pl); err != nil {
+	snap, err := ReplaySnapshot(frames, horizon)
+	if err != nil {
 		t.Fatal(err)
 	}
-	return pl
+	return snap.pl
 }
 
 func TestReplicationSnapshotForcesOne(t *testing.T) {

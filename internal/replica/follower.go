@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"strconv"
 	"sync"
@@ -424,7 +425,7 @@ func (f *Follower) streamOnce(ctx context.Context) error {
 	switch hdr.Kind {
 	case kindSnapshot:
 		mFramesIn.With("snapshot").Inc()
-		frames, err := readSnapshot(dec)
+		frames, err := readSection(io.MultiReader(dec.Buffered(), resp.Body), hdr.Bytes)
 		if err != nil {
 			return fmt.Errorf("replica: snapshot at seq %d: %w", hdr.Seq, err)
 		}
@@ -566,41 +567,41 @@ func (f *Follower) applyFrame(ctx context.Context, frame []byte) error {
 	return nil
 }
 
-// readSnapshot collects the frames of a snapshot stream up to its end
-// message, checking each with DecodeFrame and its numbering (1..N). A
-// stream that ends or breaks before the end message is an error, and
+// readSection reads the byte section of a snapshot stream: r starts at
+// the newline that ends the header, and the leader closes the stream
+// after exactly n bytes. A stream cut short, or one that goes on past n
+// bytes (a leader that sends snapshots some other way), is an error, and
 // nothing has touched the store by then.
-func readSnapshot(dec *json.Decoder) ([]byte, error) {
-	var frames []byte
-	for n := uint64(1); ; n++ {
-		var msg wireMsg
-		if err := dec.Decode(&msg); err != nil {
-			return nil, fmt.Errorf("cut short after %d frames: %w", n-1, err)
-		}
-		switch msg.Kind {
-		case kindSnapshotEnd:
-			return frames, nil
-		case kindRecord:
-			rec, err := journal.DecodeFrame(msg.Frame)
-			if err != nil {
-				return nil, fmt.Errorf("frame %d: %w", n, err)
-			}
-			if rec.Seq != n {
-				return nil, fmt.Errorf("%w: frame %d numbered %d", journal.ErrCorrupt, n, rec.Seq)
-			}
-			frames = append(frames, msg.Frame...)
-		case kindError:
-			return nil, fmt.Errorf("leader: %s", msg.Err)
-		default:
-			return nil, fmt.Errorf("unexpected frame kind %q", msg.Kind)
-		}
+func readSection(r io.Reader, n int64) ([]byte, error) {
+	if n < 0 || n == math.MaxInt64 {
+		return nil, fmt.Errorf("header announces %d bytes", n)
 	}
+	buf := make([]byte, 1+n)
+	got, err := io.ReadFull(r, buf)
+	if err == io.EOF {
+		err = io.ErrUnexpectedEOF
+	}
+	if err != nil {
+		return nil, fmt.Errorf("cut short after %d of %d bytes: %w", max(got-1, 0), n, err)
+	}
+	if buf[0] != '\n' {
+		return nil, errors.New("no newline after the header")
+	}
+	if _, err := io.ReadFull(r, make([]byte, 1)); err != io.EOF {
+		return nil, fmt.Errorf("the stream goes on after %d bytes", n)
+	}
+	return buf[1:], nil
 }
 
 // resetFromSnapshot replaces the follower's store with the leader's
 // snapshot frames at seq, adopting the leader's horizon and epoch (begun
-// at epochStart) with it.
+// at epochStart) with it. The frames are replayed before the old store is
+// closed: a snapshot this follower cannot replay leaves it as it was.
 func (f *Follower) resetFromSnapshot(seq, epoch, epochStart uint64, horizon int, frames []byte) error {
+	snap, err := journal.ReplaySnapshot(frames, horizon)
+	if err != nil {
+		return fmt.Errorf("replica: snapshot at seq %d: %w", seq, err)
+	}
 	f.ingestMu.Lock()
 	defer f.ingestMu.Unlock()
 	if f.sealed.Load() {
@@ -619,10 +620,7 @@ func (f *Follower) resetFromSnapshot(seq, epoch, epochStart uint64, horizon int,
 	// A close error cannot stop the reset: the local state is being
 	// discarded either way.
 	_ = f.st.Close()
-	if err := journal.ResetFromSnapshot(f.cfg.Dir, seq, epoch, epochStart, horizon, frames); err != nil {
-		return err
-	}
-	st, err := journal.Open(f.cfg.Dir, f.cfg.Store)
+	st, err := journal.ResetFromSnapshot(f.cfg.Dir, seq, epoch, epochStart, snap, f.cfg.Store)
 	if err != nil {
 		return err
 	}

@@ -41,23 +41,24 @@
 //
 // # Wire protocol
 //
-// One HTTP GET per stream, newline-delimited JSON frames:
+// One HTTP GET per stream. A records stream is newline-delimited JSON
+// messages:
 //
 //	→ GET /replication/stream?after=<seq>[&bootstrap=1]
 //	← {"k":"records","after":<seq>,"seq":<leaderDurable>,"epoch":<e>}  header, then
 //	← {"k":"r","frame":"<base64 journal frame>"}            records
 //	← {"k":"hb","seq":<leaderDurable>,"epoch":<e>}          idle heartbeats
 //
-// or, when the position is compacted (or a bootstrap is forced):
+// or, when the position is compacted (or a bootstrap is forced), one
+// header line and one byte section:
 //
-//	← {"k":"snapshot","seq":<snapSeq>,"epoch":<e>,"fork":<f>,"horizon":<h>}  header, then
-//	← {"k":"r","frame":"<base64 journal frame>"}            the snapshot's frames
-//	← {"k":"snapshot-end"}                                  end of the snapshot
+//	← {"k":"snapshot","seq":<snapSeq>,"epoch":<e>,"fork":<f>,"horizon":<h>,"bytes":<n>}
+//	← <n raw bytes: the leader's snap-<seq>.frames file>    then the leader closes
 //
-// A snapshot is journal frames too, numbered 1..N and CRC-checked like
-// live records. The follower resets its store only once the end message
-// arrives, so a stream cut short leaves it untouched; then it reconnects
-// for the records after the snapshot.
+// The follower reads the n bytes whole and replays them (checking every
+// frame's CRC and numbering 1..N) before it replaces its store, so a
+// stream cut short, or a snapshot it cannot replay, leaves it untouched;
+// then it reconnects for the records after the snapshot.
 //
 // The leader closes every stream after MaxConnected; followers reconnect
 // (with backoff after errors) and resume from their own last sequence
@@ -93,20 +94,19 @@
 // the moment it comes back.
 package replica
 
-// Frame kinds of the ndjson stream.
+// Message kinds of the stream.
 const (
-	kindRecords     = "records"  // header: record frames follow
-	kindSnapshot    = "snapshot" // header: the snapshot's frames follow
-	kindSnapshotEnd = "snapshot-end"
-	kindRecord      = "r"
-	kindHeartbeat   = "hb"
-	kindError       = "err"
+	kindRecords   = "records"  // header: record messages follow
+	kindSnapshot  = "snapshot" // header: the snapshot's bytes follow
+	kindRecord    = "r"
+	kindHeartbeat = "hb"
+	kindError     = "err"
 )
 
-// wireMsg is one ndjson frame — a union of the header, record, heartbeat,
-// end and error shapes. A record, live or of a snapshot, travels as its
-// journal frame, so the follower decodes it with the same codec (and CRC
-// check) its own recovery uses.
+// wireMsg is one ndjson message — a union of the header, record,
+// heartbeat and error shapes. A live record travels as its journal frame,
+// so the follower decodes it with the same codec (and CRC check) its own
+// recovery uses.
 type wireMsg struct {
 	Kind  string `json:"k"`
 	After uint64 `json:"after,omitempty"` // kindRecords: resume position
@@ -124,8 +124,11 @@ type wireMsg struct {
 	Fork uint64 `json:"fork,omitempty"`
 	// Horizon is the leader's schedule horizon in slots, sent on
 	// snapshot headers: the follower's store adopts it with the state.
-	Horizon int    `json:"horizon,omitempty"`
-	Err     string `json:"err,omitempty"`
+	Horizon int `json:"horizon,omitempty"`
+	// Bytes is the size of the snapshot file, sent on snapshot headers:
+	// exactly that many raw bytes follow the header line.
+	Bytes int64  `json:"bytes,omitempty"`
+	Err   string `json:"err,omitempty"`
 	// Frame is a record (kindRecord) as the journal's own CRC frame
 	// (journal.EncodeFrame): the bytes the leader's segment holds.
 	Frame []byte `json:"frame,omitempty"`

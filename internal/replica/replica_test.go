@@ -334,8 +334,8 @@ func TestFollowerCatchUpAcrossCompaction(t *testing.T) {
 	if snap := leader.st.Stats().LastSnapshotSeq; snap <= stale {
 		t.Fatalf("test setup: snapshot seq %d does not cover follower position %d", snap, stale)
 	}
-	if _, err := leader.st.ReadCommitted(stale, 16); !errors.Is(err, journal.ErrCompacted) {
-		t.Fatalf("leader should have compacted past seq %d, ReadCommitted err = %v", stale, err)
+	if _, err := leader.st.TailFrom(stale).Read(16); !errors.Is(err, journal.ErrCompacted) {
+		t.Fatalf("leader should have compacted past seq %d, TailFrom(stale).Read err = %v", stale, err)
 	}
 
 	// The reconnecting follower must bootstrap from the snapshot and
@@ -390,13 +390,14 @@ func TestFollowerJoinsAfterLeaderRecoveredFromSnapshot(t *testing.T) {
 // the follower's store nor its applied position, and the follower
 // re-bootstraps on its next connect.
 func TestCutShortSnapshotLeavesFollowerUntouched(t *testing.T) {
-	for name, keep := range map[string]int{"after header": 0, "mid-frames": 7} {
+	for name, keep := range map[string]int64{"after header": 0, "mid-frames": 100} {
 		t.Run(name, func(t *testing.T) {
 			leader := startLeader(t, t.TempDir(), journal.Options{HorizonSlots: 14, SnapshotEvery: -1})
 			buildPopulation(t, leader.st.Planner(), 10)
 
 			// A frontdoor that, while cutting, forwards a snapshot
-			// stream's header and its first keep frames, then hangs up.
+			// stream's header and the first keep bytes of its section,
+			// then hangs up.
 			var cutting atomic.Bool
 			var cuts atomic.Int32
 			proxy := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -415,13 +416,14 @@ func TestCutShortSnapshotLeavesFollowerUntouched(t *testing.T) {
 				br := bufio.NewReader(resp.Body)
 				snapshot, sent := false, 0
 				for {
+					if snapshot && cutting.Load() {
+						io.CopyN(w, br, keep) //nolint:errcheck // the cut is the point
+						cuts.Add(1)
+						return
+					}
 					line, err := br.ReadBytes('\n')
 					if sent == 0 {
 						snapshot = bytes.Contains(line, []byte(`"k":"snapshot"`))
-					}
-					if snapshot && cutting.Load() && sent > keep {
-						cuts.Add(1)
-						return
 					}
 					if _, werr := w.Write(line); werr != nil || err != nil {
 						return
@@ -469,6 +471,111 @@ func TestCutShortSnapshotLeavesFollowerUntouched(t *testing.T) {
 				t.Fatalf("follower diverged:\n  follower %s\n  leader   %s", got, want)
 			}
 		})
+	}
+}
+
+// TestUnreplayableSnapshotLeavesFollowerUntouched: a snapshot section
+// whose frames are CRC-valid but cannot be replayed (an edge between
+// people who do not exist) is refused before the follower closes its
+// store or touches its dir: it keeps its applied seq and its people,
+// counts no bootstrap, names the frame in lastError, restarts from its
+// dir in the same state, and bootstraps normally once the leader's own
+// snapshot gets through.
+func TestUnreplayableSnapshotLeavesFollowerUntouched(t *testing.T) {
+	leader := startLeader(t, t.TempDir(), journal.Options{HorizonSlots: 14, SnapshotEvery: -1})
+	buildPopulation(t, leader.st.Planner(), 10)
+
+	var bad []byte
+	for i, m := range []stgq.Mutation{
+		{Op: stgq.MutAddPerson, Person: 0, Name: "ana"},
+		{Op: stgq.MutConnect, A: 5, B: 6, Distance: 1},
+	} {
+		frame, err := journal.EncodeFrame(journal.Record{Seq: uint64(i + 1), Mut: m})
+		if err != nil {
+			t.Fatal(err)
+		}
+		bad = append(bad, frame...)
+	}
+	// A frontdoor that, while swapping, answers a snapshot stream with
+	// the leader's header announcing bad's length, then bad.
+	var swapping atomic.Bool
+	var swaps atomic.Int32
+	proxy := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		req, err := http.NewRequestWithContext(r.Context(), http.MethodGet, leader.ts.URL+r.URL.Path+"?"+r.URL.RawQuery, nil)
+		if err != nil {
+			http.Error(w, err.Error(), http.StatusBadGateway)
+			return
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			http.Error(w, err.Error(), http.StatusBadGateway)
+			return
+		}
+		defer resp.Body.Close()
+		w.WriteHeader(resp.StatusCode)
+		br := bufio.NewReader(resp.Body)
+		line, err := br.ReadBytes('\n')
+		if swapping.Load() && bytes.Contains(line, []byte(`"k":"snapshot"`)) {
+			var hdr map[string]any
+			if err := json.Unmarshal(line, &hdr); err != nil {
+				return
+			}
+			hdr["bytes"] = len(bad)
+			json.NewEncoder(w).Encode(hdr) //nolint:errcheck // the follower reports what it got
+			w.Write(bad)                   //nolint:errcheck
+			swaps.Add(1)
+			return
+		}
+		for {
+			if _, werr := w.Write(line); werr != nil || err != nil {
+				return
+			}
+			w.(http.Flusher).Flush()
+			line, err = br.ReadBytes('\n')
+		}
+	}))
+	t.Cleanup(proxy.Close)
+
+	fdir := t.TempDir()
+	f := startFollower(t, fdir, proxy.URL)
+	waitCaughtUp(t, f.fo, leader.st)
+	stale, people := f.fo.Status().AppliedSeq, f.fo.Planner().NumPeople()
+	f.stop()
+
+	buildPopulation(t, leader.st.Planner(), 10)
+	if err := leader.st.Snapshot(); err != nil {
+		t.Fatal(err)
+	}
+	swapping.Store(true)
+	f2 := startFollower(t, fdir, proxy.URL)
+	waitForError(t, f2.fo, "snapshot frame 2")
+	deadline := time.Now().Add(15 * time.Second)
+	for swaps.Load() < 2 { // the second swap proves the first was handled
+		if time.Now().After(deadline) {
+			t.Fatalf("no second snapshot was swapped: %+v", f2.fo.Status())
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
+	st := f2.fo.Status()
+	if st.AppliedSeq != stale || st.Bootstraps != 0 || f2.fo.Planner().NumPeople() != people {
+		t.Fatalf("an unreplayable snapshot touched the follower: %+v, %d people (want seq %d, %d people)",
+			st, f2.fo.Planner().NumPeople(), stale, people)
+	}
+	// Its dir is untouched too: a restart recovers the same state.
+	f2.stop()
+	f3 := startFollower(t, fdir, proxy.URL)
+	if st := f3.fo.Status(); st.AppliedSeq != stale || f3.fo.Planner().NumPeople() != people {
+		t.Fatalf("restart after an unreplayable snapshot: %+v, %d people (want seq %d, %d people)",
+			st, f3.fo.Planner().NumPeople(), stale, people)
+	}
+
+	swapping.Store(false)
+	waitCaughtUp(t, f3.fo, leader.st)
+	if f3.fo.Status().Bootstraps == 0 {
+		t.Fatalf("follower caught up without a bootstrap: %+v", f3.fo.Status())
+	}
+	if got, want := planOn(t, f3.ts, 15), planOn(t, leader.ts, 15); !bytes.Equal(got, want) {
+		t.Fatalf("follower diverged:\n  follower %s\n  leader   %s", got, want)
 	}
 }
 

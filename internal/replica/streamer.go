@@ -90,31 +90,19 @@ func (st *Streamer) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	st.serveRecords(w, r, after, cur, recs, chunk)
 }
 
-// serveSnapshot sends a snapshot header, the snapshot's frames and the
-// end message.
+// serveSnapshot sends a snapshot header and then the snapshot file's
+// bytes, and ends the stream.
 func (st *Streamer) serveSnapshot(w http.ResponseWriter) {
 	frames, seq, err := st.Store.ReplicationSnapshot()
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return
 	}
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	enc := json.NewEncoder(w)
-	if !send(enc, wireMsg{Kind: kindSnapshot, Seq: seq, Epoch: st.Store.Epoch(), Fork: st.Store.EpochStart(), Horizon: st.Store.Planner().Horizon()}) {
-		return
+	w.Header().Set("Content-Type", "application/octet-stream")
+	if send(json.NewEncoder(w), wireMsg{Kind: kindSnapshot, Seq: seq, Epoch: st.Store.Epoch(), Fork: st.Store.EpochStart(),
+		Horizon: st.Store.Planner().Horizon(), Bytes: int64(len(frames))}) {
+		_, _ = w.Write(frames) // a short write is the follower's cut-short stream
 	}
-	for len(frames) > 0 {
-		frame, rest, err := journal.SplitFrame(frames)
-		if err != nil {
-			send(enc, wireMsg{Kind: kindError, Err: err.Error()})
-			return
-		}
-		if !send(enc, wireMsg{Kind: kindRecord, Frame: frame}) {
-			return
-		}
-		frames = rest
-	}
-	send(enc, wireMsg{Kind: kindSnapshotEnd})
 }
 
 // send writes one message, counting it; false means the client is gone.
