@@ -201,7 +201,7 @@ func main() {
 	srv.BarrierWait = *barrierWait
 	srv.SlowRequest = *slowReq
 
-	// Replication streams long-poll for up to their MaxConnected; during
+	// Replication streams long-poll for up to 30 s each; during
 	// shutdown they must end immediately or the graceful drain would
 	// always stall for the full -drain-timeout while followers are
 	// connected. Cancelling the server's base context cancels every

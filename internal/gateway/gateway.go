@@ -96,8 +96,6 @@ type Config struct {
 	MaxLag time.Duration
 	// ProbeInterval is the /status polling cadence (default 1s).
 	ProbeInterval time.Duration
-	// ProbeTimeout bounds one probe request (default 2s).
-	ProbeTimeout time.Duration
 	// SessionCap bounds the sticky read-your-writes session table (see
 	// SessionHeader): 0 means DefaultSessionCap, negative disables
 	// session tracking entirely (clients that want read-your-writes must
@@ -120,9 +118,6 @@ type Config struct {
 	// coordinate — see cacheAdmissible — so the TTL only bounds what
 	// floorless, unbounded readers can observe.
 	CacheTTL time.Duration
-	// Client issues the proxied requests; a default client without a
-	// global timeout (replication streams long-poll) when nil.
-	Client *http.Client
 	// SlowRequest is the slow-request log threshold: any proxied request
 	// (the replication stream excluded) slower than it logs one line
 	// carrying the X-STGQ-Request-ID the gateway stamped, matching the
@@ -135,13 +130,14 @@ type Config struct {
 // Run (in its own goroutine), and mount it anywhere (it implements
 // http.Handler).
 type Gateway struct {
-	backends     []*Backend
-	maxLag       float64 // seconds; < 0 = unbounded
-	probeEvery   time.Duration
-	probeTimeout time.Duration
-	slowRequest  time.Duration
-	client       *http.Client
-	probeClient  *http.Client
+	backends    []*Backend
+	maxLag      float64 // seconds; < 0 = unbounded
+	probeEvery  time.Duration
+	slowRequest time.Duration
+	// client issues proxied requests, probes and promotions. It has no
+	// global timeout (replication streams long-poll); probes and
+	// promotions bound themselves by context.
+	client *http.Client
 
 	// leader is the current write endpoint: the probed leader, or the
 	// most recent 403 redirect hint — whichever arrived last ("" when
@@ -188,10 +184,9 @@ func New(cfg Config) (*Gateway, error) {
 	g := &Gateway{
 		maxLag:       cfg.MaxLag.Seconds(),
 		probeEvery:   cfg.ProbeInterval,
-		probeTimeout: cfg.ProbeTimeout,
 		slowRequest:  cfg.SlowRequest,
 		autoFailover: cfg.AutoFailover,
-		client:       cfg.Client,
+		client:       &http.Client{},
 		drainCh:      make(chan struct{}),
 	}
 	if g.slowRequest == 0 {
@@ -202,12 +197,6 @@ func New(cfg Config) (*Gateway, error) {
 	}
 	if g.probeEvery <= 0 {
 		g.probeEvery = DefaultProbeInterval
-	}
-	if g.probeTimeout <= 0 {
-		g.probeTimeout = DefaultProbeTimeout
-	}
-	if g.client == nil {
-		g.client = &http.Client{}
 	}
 	sessionCap := cfg.SessionCap
 	if sessionCap == 0 {
@@ -227,7 +216,6 @@ func New(cfg Config) (*Gateway, error) {
 		}
 		g.cache = newResultCache(cacheSize, ttl)
 	}
-	g.probeClient = &http.Client{}
 	g.leader.Store("")
 	seen := make(map[string]bool, len(cfg.Backends))
 	for _, raw := range cfg.Backends {

@@ -213,7 +213,7 @@ func (g *Gateway) promote(ctx context.Context, b *Backend) error {
 	if err != nil {
 		return err
 	}
-	resp, err := g.probeClient.Do(req)
+	resp, err := g.client.Do(req)
 	if err != nil {
 		return err
 	}
@@ -240,14 +240,14 @@ func (g *Gateway) noteFailover(msg string, promoted bool) {
 // probe fetches one backend's /status.
 func (g *Gateway) probe(ctx context.Context, b *Backend) health {
 	h := health{Probed: true, At: time.Now()}
-	ctx, cancel := context.WithTimeout(ctx, g.probeTimeout)
+	ctx, cancel := context.WithTimeout(ctx, DefaultProbeTimeout)
 	defer cancel()
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, b.URL+"/status", nil)
 	if err != nil {
 		h.Err = err.Error()
 		return h
 	}
-	resp, err := g.probeClient.Do(req)
+	resp, err := g.client.Do(req)
 	if err != nil {
 		h.Err = err.Error()
 		return h

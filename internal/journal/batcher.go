@@ -9,7 +9,7 @@ import (
 // Batcher is the group-commit stage: records enqueued by many concurrent
 // writers are drained by a single writer goroutine and appended (with one
 // fsync) per batch. A batch is committed as soon as a record arrives and
-// holds everything already queued, up to MaxBatch records; records that
+// holds everything already queued, up to maxBatch records; records that
 // arrive while that write+fsync runs form the next batch, so the previous
 // fsync is the batching window. Every caller gets an individual ack
 // carrying the batch's append error.
@@ -54,7 +54,7 @@ type batchItem struct {
 	at  time.Time // enqueue time, for the enqueue/ack latency split
 }
 
-// DefaultMaxBatch caps a group commit when Options leave it 0.
+// DefaultMaxBatch caps the records of one group commit of a Store.
 const DefaultMaxBatch = 512
 
 // NewBatcher starts the writer goroutine. maxBatch caps the records of one
@@ -85,7 +85,7 @@ func NewBatcher(app Appender, maxBatch int) *Batcher {
 // has the write lock no further records can enter the channel, so the
 // writer's final drain is complete and no ack is ever stranded.
 //
-// When the channel (4×MaxBatch records) is full the deposit blocks until
+// When the channel (4×maxBatch records) is full the deposit blocks until
 // the writer catches up. This is deliberate backpressure: under a
 // sustained fsync backlog, mutations — and, because the hook enqueues
 // under the planner write lock, queries too — slow to journal speed

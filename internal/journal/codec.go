@@ -62,23 +62,14 @@ var (
 )
 
 // EncodeFrame returns rec as one CRC frame, byte for byte what a journal
-// segment stores. Replication ships records in this form.
+// segment stores.
 func EncodeFrame(rec Record) ([]byte, error) { return appendFrame(nil, rec) }
 
-// DecodeFrame parses a frame made by EncodeFrame, checking its length
-// and CRC; any damage is an ErrCorrupt error.
-func DecodeFrame(frame []byte) (Record, error) {
-	rec, n, err := readFrame(frame)
-	if err == nil && n != len(frame) {
-		err = fmt.Errorf("%w: %d bytes after the frame", ErrCorrupt, len(frame)-n)
-	}
-	return rec, err
-}
-
-// readFrame decodes the frame at the start of data and returns its
+// ReadFrame decodes the frame at the start of data and returns its
 // record and size. An error means data does not start with a complete,
-// CRC-valid frame of a known op.
-func readFrame(data []byte) (Record, int, error) {
+// CRC-valid frame of a known op; it is always an ErrCorrupt. Replication
+// walks a records section with it, frame by frame.
+func ReadFrame(data []byte) (Record, int, error) {
 	if len(data) < headerSize {
 		return Record{}, 0, errTornFrame
 	}
@@ -188,7 +179,7 @@ func decodePayload(payload []byte) (Record, error) {
 // needs a 1-in-2^32 CRC coincidence inside garbage.
 func containsValidFrame(data []byte) bool {
 	for off := range data {
-		if _, _, err := readFrame(data[off:]); err == nil {
+		if _, _, err := ReadFrame(data[off:]); err == nil {
 			return true
 		}
 	}
@@ -200,23 +191,12 @@ func containsValidFrame(data []byte) bool {
 // consumed < len(data) means the remainder is a torn or corrupt tail; the
 // caller decides whether that is tolerable (final segment) or fatal.
 func scanFrames(data []byte) (recs []Record, consumed int) {
-	return scanFramesLimit(data, math.MaxUint64, 0)
-}
-
-// scanFramesLimit is scanFrames bounded for incremental tailing: it stops
-// (without consuming) before the first frame whose sequence number exceeds
-// maxSeq — a frame written but, as of the caller's durability watermark,
-// not yet fsynced — and after maxCount frames (0: unlimited), so consumed
-// always counts exactly the returned frames' bytes.
-func scanFramesLimit(data []byte, maxSeq uint64, maxCount int) (recs []Record, consumed int) {
-	off := 0
-	for maxCount <= 0 || len(recs) < maxCount {
-		rec, n, err := readFrame(data[off:])
-		if err != nil || rec.Seq > maxSeq {
-			break
+	for {
+		rec, n, err := ReadFrame(data[consumed:])
+		if err != nil {
+			return recs, consumed
 		}
 		recs = append(recs, rec)
-		off += n
+		consumed += n
 	}
-	return recs, off
 }

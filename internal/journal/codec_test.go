@@ -75,9 +75,12 @@ func TestCodecCarriesEveryListedField(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%v: %v", op, err)
 		}
-		got, err := DecodeFrame(frame)
+		got, n, err := ReadFrame(frame)
 		if err != nil {
 			t.Fatalf("%v: %v", op, err)
+		}
+		if n != len(frame) {
+			t.Fatalf("%v: read %d of the frame's %d bytes", op, n, len(frame))
 		}
 		if got != (Record{Seq: 9, Mut: want}) {
 			t.Fatalf("%v round trip:\n got %+v\nwant %+v", op, got.Mut, want)
@@ -93,22 +96,24 @@ func TestCodecCarriesEveryListedField(t *testing.T) {
 	}
 }
 
-// TestDecodeFrameRejectsDamage: a replicated frame that is cut short,
-// carries trailing bytes or fails its CRC is an ErrCorrupt, never a
-// record.
-func TestDecodeFrameRejectsDamage(t *testing.T) {
+// TestReadFrameRejectsDamage: a replicated frame that is cut short or
+// fails its CRC is an ErrCorrupt, never a record; bytes after a whole
+// frame are left to the next read.
+func TestReadFrameRejectsDamage(t *testing.T) {
 	frame, _ := encodeAll(t, sampleRecords()[2:3])
 	flipped := append([]byte(nil), frame...)
 	flipped[len(flipped)-1] ^= 1
 	for name, data := range map[string][]byte{
 		"empty":    nil,
 		"short":    frame[:len(frame)-1],
-		"trailing": append(append([]byte(nil), frame...), 0),
 		"bit flip": flipped,
 	} {
-		if rec, err := DecodeFrame(data); !errors.Is(err, ErrCorrupt) {
+		if rec, _, err := ReadFrame(data); !errors.Is(err, ErrCorrupt) {
 			t.Errorf("%s: decoded %+v, err %v; want ErrCorrupt", name, rec, err)
 		}
+	}
+	if _, n, err := ReadFrame(append(append([]byte(nil), frame...), 0)); err != nil || n != len(frame) {
+		t.Errorf("trailing byte: read %d bytes, err %v; want the frame's %d", n, err, len(frame))
 	}
 }
 

@@ -8,14 +8,20 @@
 // share one replay, ReplaySnapshot, run once per load: ImportDataset and
 // ResetFromSnapshot serve the planner that checked the snapshot they write.
 //
+// The frame is also the replication format. A leader reads committed
+// records back as the bytes its segments hold (TailCursor.Read) and its
+// snapshot as the file's bytes (ReplicationSnapshot), and ships both
+// unchanged; a follower walks them with ReadFrame, the decoder recovery
+// uses.
+//
 // # Architecture
 //
 //	Planner mutation ──(MutationHook, under planner lock)──► sequence number
 //	        │                                                      │
 //	        └── wait ◄── group-commit Batcher ◄── record ──────────┘
 //	                         │  (commit on arrival of what is queued,
-//	                         │   ≤ MaxBatch records, one fsync per
-//	                         │   batch, per-caller ack)
+//	                         │   ≤ DefaultMaxBatch records, one fsync
+//	                         │   per batch, per-caller ack)
 //	                         ▼
 //	                 FileLog  wal-<firstseq>.log segments
 //	                         │

@@ -57,7 +57,7 @@ type Snapshot struct {
 func ReplaySnapshot(frames []byte, horizon int) (Snapshot, error) {
 	pl := stgq.NewPlanner(horizon)
 	for n, off := uint64(1), 0; off < len(frames); n++ {
-		rec, size, err := readFrame(frames[off:])
+		rec, size, err := ReadFrame(frames[off:])
 		if err != nil {
 			return Snapshot{}, fmt.Errorf("%w: snapshot frame %d at byte %d: %v", ErrCorrupt, n, off, err)
 		}

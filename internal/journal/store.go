@@ -24,11 +24,6 @@ type Options struct {
 	// this many mutations. 0 means DefaultSnapshotEvery; negative
 	// disables automatic snapshots (Close still writes a final one).
 	SnapshotEvery int
-	// MaxBatch bounds the records in one group-commit batch. A batch is
-	// committed as soon as a record arrives and holds whatever queued
-	// behind the previous commit, so no record waits for company (see
-	// Batcher).
-	MaxBatch int
 	// MaxSegmentBytes triggers size-based segment rotation.
 	MaxSegmentBytes int64
 }
@@ -255,7 +250,7 @@ func open(dir string, opts Options, seed func() (*stgq.Planner, error)) (*Store,
 	if err != nil {
 		return nil, err
 	}
-	s.b = NewBatcher(s.log, opts.MaxBatch)
+	s.b = NewBatcher(s.log, DefaultMaxBatch)
 
 	// 4. From here on, every mutation is journaled, and snapshot cycles
 	// run on their own goroutine so no mutating caller pays for them.

@@ -57,17 +57,17 @@ func (s *Store) TailFrom(afterSeq uint64) *TailCursor {
 // (the position a reconnecting reader would resume after).
 func (c *TailCursor) Pos() uint64 { return c.next - 1 }
 
-// Read returns up to limit committed records from the cursor's position,
-// advancing it. nil means nothing committed beyond the position yet (wait
-// on WaitDurable); ErrCompacted means the position was folded into a
-// snapshot and the reader must bootstrap.
-func (c *TailCursor) Read(limit int) ([]Record, error) {
-	if limit <= 0 {
-		limit = 1024
-	}
+// Read returns up to limit committed records (limit > 0) from the
+// cursor's position as their frames, byte for byte what the segment
+// holds, and advances the cursor past them. Every frame has passed its
+// CRC check, and their sequence numbers run on from the position without
+// a gap. The bytes are valid until the next Read. Empty means nothing
+// committed beyond the position yet (wait on WaitDurable); ErrCompacted
+// means the position was folded into a snapshot and the reader must
+// bootstrap.
+func (c *TailCursor) Read(limit int) ([]byte, error) {
 	upTo := c.s.DurableSeq()
-	var out []Record
-	for c.next <= upTo && len(out) < limit {
+	for c.next <= upTo {
 		if c.path == "" {
 			path, _, err := c.locate(upTo)
 			if err != nil {
@@ -75,7 +75,7 @@ func (c *TailCursor) Read(limit int) ([]Record, error) {
 			}
 			c.path, c.off = path, 0
 		}
-		consumed, err := c.scanSegment(&out, upTo, limit)
+		frames, err := c.scanSegment(upTo, limit)
 		switch {
 		case os.IsNotExist(err):
 			// Compaction deleted the segment under us; re-locate (and
@@ -84,10 +84,10 @@ func (c *TailCursor) Read(limit int) ([]Record, error) {
 			continue
 		case err != nil:
 			return nil, err
-		case consumed > 0:
-			continue // more may follow in this segment
+		case len(frames) > 0:
+			return frames, nil
 		}
-		// No new bytes here: either the writer rotated onward, or the
+		// No new frames here: either the writer rotated onward, or the
 		// records are not visible yet.
 		path, nextFirst, err := c.locate(upTo)
 		if err != nil {
@@ -107,22 +107,23 @@ func (c *TailCursor) Read(limit int) ([]Record, error) {
 		}
 		c.path, c.off = path, 0
 	}
-	return out, nil
+	return nil, nil
 }
 
 // tailReadWindow bounds one scanSegment read. Bounding keeps catch-up
 // over a large segment linear (each call reads roughly what it consumes,
 // not offset-to-EOF every time); typical frames are tens of bytes, so one
-// window holds far more than a ChunkRecords batch.
+// window holds far more than a replication stream's 1024-record read.
 const tailReadWindow = 256 << 10
 
-// scanSegment reads the unread tail of the current segment, appending
-// records in (c.next-1, upTo] to out and advancing the cursor. It returns
-// the bytes consumed (0: no complete new frame yet).
-func (c *TailCursor) scanSegment(out *[]Record, upTo uint64, limit int) (int, error) {
+// scanSegment reads the unread tail of the current segment and returns
+// the frames of up to limit records in [c.next, upTo], advancing the
+// cursor past them. The bytes alias c.buf; none means no complete new
+// frame yet.
+func (c *TailCursor) scanSegment(upTo uint64, limit int) ([]byte, error) {
 	f, err := os.Open(c.path)
 	if err != nil {
-		return 0, err // ENOENT is the caller's re-locate signal
+		return nil, err // ENOENT is the caller's re-locate signal
 	}
 	defer f.Close()
 	window := tailReadWindow
@@ -130,36 +131,44 @@ func (c *TailCursor) scanSegment(out *[]Record, upTo uint64, limit int) (int, er
 		if cap(c.buf) < window {
 			c.buf = make([]byte, window)
 		}
-		buf := c.buf[:window]
-		n, err := f.ReadAt(buf, c.off)
+		n, err := f.ReadAt(c.buf[:window], c.off)
 		if err != nil && err != io.EOF {
-			return 0, fmt.Errorf("journal: %w", err)
+			return nil, fmt.Errorf("journal: %w", err)
 		}
-		data := buf[:n]
+		data := c.buf[:n]
 		// Frames past upTo are written but not yet known durable: the
 		// scan stops before them (and before any incomplete trailing
 		// frame from an in-flight append) so the cursor re-reads them
 		// once they commit.
-		recs, consumed := scanFramesLimit(data, upTo, limit-len(*out))
-		if consumed == 0 && n == window && window < headerSize+maxPayload {
+		start, end, next := 0, 0, c.next
+		for next-c.next < uint64(limit) {
+			rec, size, err := ReadFrame(data[end:])
+			if err != nil || rec.Seq > upTo {
+				break
+			}
+			switch {
+			case rec.Seq < next && next == c.next:
+				start = end + size // re-scan after a mid-segment relocate
+			case rec.Seq != next:
+				return nil, c.s.missingRecordErr(next, rec.Seq)
+			default:
+				next++
+			}
+			end += size
+		}
+		read := next - c.next
+		c.off, c.next = c.off+int64(end), next
+		switch {
+		case end == 0 && n == window && window < headerSize+maxPayload:
 			// The window is full yet holds no complete frame: a record
 			// bigger than the window (a near-MaxNameLen name). Retry
 			// once with a window every legal frame fits in.
 			window = headerSize + maxPayload
-			continue
+		case end > 0 && read == 0:
+			// Every frame in the window lay before the position: read on.
+		default:
+			return data[start:end], nil
 		}
-		c.off += int64(consumed)
-		for _, rec := range recs {
-			if rec.Seq < c.next {
-				continue // re-scan after a mid-segment relocate
-			}
-			if rec.Seq != c.next {
-				return 0, c.s.missingRecordErr(c.next, rec.Seq)
-			}
-			*out = append(*out, rec)
-			c.next++
-		}
-		return consumed, nil
 	}
 }
 

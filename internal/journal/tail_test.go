@@ -24,6 +24,18 @@ func fillStore(t *testing.T, s *Store, n int) {
 	}
 }
 
+// readRecs reads up to limit records from cur and decodes the frames it
+// returns, which must be whole.
+func readRecs(t *testing.T, cur *TailCursor, limit int) ([]Record, error) {
+	t.Helper()
+	frames, err := cur.Read(limit)
+	recs, consumed := scanFrames(frames)
+	if consumed != len(frames) {
+		t.Fatalf("Read returned %d bytes, only %d of them whole frames", len(frames), consumed)
+	}
+	return recs, err
+}
+
 func TestReadCommittedRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	s, err := Open(dir, Options{HorizonSlots: 8, SnapshotEvery: -1, MaxSegmentBytes: 256})
@@ -40,7 +52,7 @@ func TestReadCommittedRoundTrip(t *testing.T) {
 	var got []Record
 	after := uint64(0)
 	for {
-		recs, err := s.TailFrom(after).Read(7)
+		recs, err := readRecs(t, s.TailFrom(after), 7)
 		if err != nil {
 			t.Fatalf("TailFrom(%d).Read: %v", after, err)
 		}
@@ -62,7 +74,7 @@ func TestReadCommittedRoundTrip(t *testing.T) {
 		}
 	}
 	// Mid-stream positions resume exactly.
-	recs, err := s.TailFrom(17).Read(3)
+	recs, err := readRecs(t, s.TailFrom(17), 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +82,7 @@ func TestReadCommittedRoundTrip(t *testing.T) {
 		t.Fatalf("resume read wrong: %+v", recs)
 	}
 	// Caught-up readers get nothing, without error.
-	if recs, err := s.TailFrom(s.DurableSeq()).Read(8); err != nil || len(recs) != 0 {
+	if recs, err := readRecs(t, s.TailFrom(s.DurableSeq()), 8); err != nil || len(recs) != 0 {
 		t.Fatalf("caught-up read: %v, %v", recs, err)
 	}
 }
@@ -88,7 +100,7 @@ func TestTailCursorIncremental(t *testing.T) {
 	defer s.Close()
 
 	cur := s.TailFrom(0)
-	if recs, err := cur.Read(8); err != nil || len(recs) != 0 {
+	if recs, err := readRecs(t, cur, 8); err != nil || len(recs) != 0 {
 		t.Fatalf("empty store read: %v, %v", recs, err)
 	}
 	next := uint64(1)
@@ -102,7 +114,7 @@ func TestTailCursorIncremental(t *testing.T) {
 			}
 		}
 		for {
-			recs, err := cur.Read(3)
+			recs, err := readRecs(t, cur, 3)
 			if err != nil {
 				t.Fatalf("round %d: %v", round, err)
 			}
@@ -137,7 +149,7 @@ func TestTailCursorIncremental(t *testing.T) {
 		t.Fatalf("parked cursor: want ErrCompacted, got %v", err)
 	}
 	// The live cursor (at the snapshot position) keeps streaming.
-	recs, err := cur.Read(8)
+	recs, err := readRecs(t, cur, 8)
 	if err != nil || len(recs) != 1 || recs[0].Seq != next {
 		t.Fatalf("live cursor after compaction: %+v, %v", recs, err)
 	}
@@ -169,7 +181,7 @@ func TestTailCursorReportsMidJournalHole(t *testing.T) {
 	cur := s.TailFrom(0)
 	sawErr := false
 	for i := 0; i < 40; i++ {
-		recs, err := cur.Read(8)
+		recs, err := readRecs(t, cur, 8)
 		if err != nil {
 			if !errors.Is(err, ErrCorrupt) {
 				t.Fatalf("hole surfaced as %v, want ErrCorrupt", err)
@@ -210,7 +222,7 @@ func TestReadCommittedAfterCompaction(t *testing.T) {
 		t.Fatalf("want ErrCompacted below the snapshot, got %v", err)
 	}
 	// ...the snapshot position itself and above still stream.
-	recs, err := s.TailFrom(20).Read(8)
+	recs, err := readRecs(t, s.TailFrom(20), 8)
 	if err != nil || len(recs) != 5 || recs[0].Seq != 21 {
 		t.Fatalf("post-snapshot read: %+v, %v", recs, err)
 	}

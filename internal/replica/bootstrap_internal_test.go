@@ -2,6 +2,7 @@ package replica
 
 import (
 	"context"
+	"fmt"
 	"net/http/httptest"
 	"testing"
 	"time"
@@ -104,5 +105,53 @@ func BenchmarkSnapshotBootstrap(b *testing.B) {
 		if n := mFramesOut.Value() - sent; n >= uint64(people) {
 			b.Fatalf("the leader sent %d messages for one bootstrap of %d people", n, people)
 		}
+	}
+}
+
+// TestRecordsTravelInSections: n ≫ 1024 committed records reach a
+// follower in ⌈n/1024⌉ records sections, and the leader sends a handful
+// of messages besides (the header, perhaps a heartbeat), not one per
+// record.
+func TestRecordsTravelInSections(t *testing.T) {
+	const n = 3*chunkRecords + 100
+	st, err := journal.Open(t.TempDir(), journal.Options{HorizonSlots: 7, SnapshotEvery: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(NewStreamer(st))
+	t.Cleanup(func() {
+		st.Close()
+		ts.Close()
+	})
+	for i := range n {
+		if _, err := st.Planner().AddPerson(fmt.Sprintf("p%d", i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	f, err := NewFollower(Config{LeaderURL: ts.URL, Dir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	f.forceBootstrap.Store(false) // stream the records, not a snapshot of them
+
+	sent, sections := mFramesOut.Value(), mFramesIn.With("record").Value()
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan error, 1)
+	go func() { done <- f.streamOnce(ctx) }()
+	if err := f.WaitApplied(ctx, n); err != nil {
+		t.Fatal(err)
+	}
+	cancel()
+	<-done
+	if got := f.Planner().NumPeople(); got != n {
+		t.Fatalf("follower holds %d people, want %d", got, n)
+	}
+	want := uint64((n + chunkRecords - 1) / chunkRecords)
+	if got := mFramesIn.With("record").Value() - sections; got != want {
+		t.Errorf("%d records arrived in %d sections, want %d", n, got, want)
+	}
+	if got := mFramesOut.Value() - sent; got > want+3 {
+		t.Errorf("the leader sent %d messages for %d records, want at most %d", got, n, want+3)
 	}
 }

@@ -1,13 +1,13 @@
 package replica
 
 import (
+	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
-	"math"
 	"net/http"
 	"strconv"
 	"sync"
@@ -43,9 +43,6 @@ type Config struct {
 	// applier and a promoted leader's concurrent writers share one
 	// setting.
 	Store journal.Options
-	// Client issues the stream requests; http.DefaultClient (no timeout,
-	// as a long-poll needs) when nil.
-	Client *http.Client
 	// MinBackoff/MaxBackoff bound the reconnect backoff after errors.
 	// Negative values are rejected; zero means the default; MaxBackoff
 	// below MinBackoff is clamped up to MinBackoff.
@@ -99,14 +96,13 @@ type Status struct {
 // NewFollower, drive with Run, serve queries via Planner, and — on
 // failover — turn it into the new leader with Promote.
 type Follower struct {
-	cfg    Config
-	client *http.Client
+	cfg Config
 
 	mu sync.RWMutex // guards st (swapped on snapshot bootstrap)
 	st *journal.Store
 
 	// ingestMu serializes everything that writes replicated state into
-	// the store — applyWire and resetFromSnapshot — so Promote can seal
+	// the store — applySection and resetFromSnapshot — so Promote can seal
 	// the follower and then know no apply is in flight. Lock order:
 	// ingestMu before mu.
 	ingestMu sync.Mutex
@@ -120,7 +116,7 @@ type Follower struct {
 	bootstraps  atomic.Uint64
 	// located mirrors the replayed planner's NumLocated so Status can
 	// report spatial coverage without touching the store lock. Written
-	// under ingestMu (applyWire, resetFromSnapshot) and at construction.
+	// under ingestMu (applySection, resetFromSnapshot) and at construction.
 	located atomic.Uint64
 	lastErr atomic.Value // string
 	// forceBootstrap requests a snapshot reset on the next connect —
@@ -177,10 +173,7 @@ func NewFollower(cfg Config) (*Follower, error) {
 	if err != nil {
 		return nil, err
 	}
-	f := &Follower{cfg: cfg, client: cfg.Client, st: st}
-	if f.client == nil {
-		f.client = http.DefaultClient
-	}
+	f := &Follower{cfg: cfg, st: st}
 	f.applied.Store(st.LastSeq())
 	f.epoch.Store(st.Epoch())
 	f.located.Store(uint64(st.Planner().NumLocated()))
@@ -396,7 +389,7 @@ func (f *Follower) streamOnce(ctx context.Context) error {
 	if err != nil {
 		return err
 	}
-	resp, err := f.client.Do(req)
+	resp, err := http.DefaultClient.Do(req) // no timeout: the stream long-polls
 	if err != nil {
 		return err
 	}
@@ -405,9 +398,9 @@ func (f *Follower) streamOnce(ctx context.Context) error {
 		body, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
 		return fmt.Errorf("replica: leader returned %s: %s", resp.Status, bytes.TrimSpace(body))
 	}
-	dec := json.NewDecoder(resp.Body)
-	var hdr wireMsg
-	if err := dec.Decode(&hdr); err != nil {
+	br := bufio.NewReader(resp.Body)
+	hdr, err := readMsg(br)
+	if err != nil {
 		return fmt.Errorf("replica: stream header: %w", err)
 	}
 	f.touch()
@@ -425,7 +418,7 @@ func (f *Follower) streamOnce(ctx context.Context) error {
 	switch hdr.Kind {
 	case kindSnapshot:
 		mFramesIn.With("snapshot").Inc()
-		frames, err := readSection(io.MultiReader(dec.Buffered(), resp.Body), hdr.Bytes)
+		frames, err := readSection(br, hdr.Bytes)
 		if err != nil {
 			return fmt.Errorf("replica: snapshot at seq %d: %w", hdr.Seq, err)
 		}
@@ -464,10 +457,10 @@ func (f *Follower) streamOnce(ctx context.Context) error {
 		f.connected.Store(true)
 		f.noteLeaderSeq(hdr.Seq)
 		for {
-			var msg wireMsg
-			if err := dec.Decode(&msg); err != nil {
+			msg, err := readMsg(br)
+			if err != nil {
 				if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
-					return nil // leader closed the stream (MaxConnected)
+					return nil // leader closed the stream (maxConnected)
 				}
 				return err
 			}
@@ -485,7 +478,12 @@ func (f *Follower) streamOnce(ctx context.Context) error {
 				f.noteLeaderSeq(msg.Seq)
 			case kindRecord:
 				mFramesIn.With("record").Inc()
-				if err := f.applyFrame(ctx, msg.Frame); err != nil {
+				frames, err := readSection(br, msg.Bytes)
+				if err != nil {
+					return fmt.Errorf("replica: records section: %w", err)
+				}
+				f.touch()
+				if err := f.applySection(ctx, frames); err != nil {
 					return err
 				}
 			case kindError:
@@ -519,78 +517,93 @@ func (f *Follower) adoptEpoch(epoch, startSeq uint64) error {
 	return nil
 }
 
-// applyFrame applies one record frame to the follower's planner (and,
-// through the store's mutation hook, its own journal). Records at or
-// below the applied position — duplicates after a reconnect — are
-// skipped; a frame that does not decode, a gap or a divergent apply
-// forces a snapshot bootstrap on the next connect.
-func (f *Follower) applyFrame(ctx context.Context, frame []byte) error {
-	rec, err := journal.DecodeFrame(frame)
-	if err != nil {
-		f.forceBootstrap.Store(true)
-		return fmt.Errorf("replica: record frame: %w", err)
+// applySection applies one records section to the follower's planner
+// (and, through the store's mutation hook, its own journal). The section
+// is decoded whole first: no frame, a frame that does not decode, or a
+// sequence number that does not follow on from the frame before applies
+// nothing and forces a snapshot bootstrap on the next connect. Then each
+// record is applied in turn: records at or below the applied position —
+// duplicates after a reconnect — are skipped, a gap is an error, and a
+// divergent apply forces a snapshot bootstrap too.
+func (f *Follower) applySection(ctx context.Context, frames []byte) error {
+	var recs []journal.Record
+	for off := 0; off < len(frames) || len(recs) == 0; {
+		rec, n, err := journal.ReadFrame(frames[off:])
+		if err == nil && len(recs) > 0 && rec.Seq != recs[len(recs)-1].Seq+1 {
+			err = fmt.Errorf("%w: seq %d follows seq %d", journal.ErrCorrupt, rec.Seq, recs[len(recs)-1].Seq)
+		}
+		if err != nil {
+			f.forceBootstrap.Store(true)
+			return fmt.Errorf("replica: records section, byte %d: %w", off, err)
+		}
+		recs = append(recs, rec)
+		off += n
 	}
 	f.ingestMu.Lock()
 	defer f.ingestMu.Unlock()
-	if f.sealed.Load() {
-		return errSealed
+	st := f.store() // swapped only under ingestMu
+	for _, rec := range recs {
+		if f.sealed.Load() {
+			return errSealed // Promote is waiting for ingestMu
+		}
+		applied := st.LastSeq()
+		if rec.Seq <= applied {
+			continue
+		}
+		if rec.Seq != applied+1 {
+			return fmt.Errorf("replica: sequence gap: applied %d, leader sent %d", applied, rec.Seq)
+		}
+		applyStart := time.Now()
+		if err := journal.Apply(ctx, st.Planner(), rec); err != nil {
+			// Divergence from the leader's history (or a local journal
+			// failure mid-apply): the local state can no longer be
+			// trusted to be a prefix, so rebuild from a leader snapshot.
+			f.forceBootstrap.Store(true)
+			return err
+		}
+		if got := st.LastSeq(); got != rec.Seq {
+			f.forceBootstrap.Store(true)
+			return fmt.Errorf("replica: local store assigned seq %d for leader record %d", got, rec.Seq)
+		}
+		mApplySeconds.ObserveSince(applyStart)
+		if rec.Mut.Op == stgq.MutSetLocation {
+			// Re-read rather than increment: a move relocates an already-
+			// located person, so the count tracks coverage, not record
+			// volume.
+			f.located.Store(uint64(st.Planner().NumLocated()))
+		}
+		f.applied.Store(rec.Seq)
+		f.appliedCh.Broadcast()
+		f.noteLeaderSeq(rec.Seq)
 	}
-	st := f.store()
-	applied := st.LastSeq()
-	if rec.Seq <= applied {
-		return nil
-	}
-	if rec.Seq != applied+1 {
-		return fmt.Errorf("replica: sequence gap: applied %d, leader sent %d", applied, rec.Seq)
-	}
-	applyStart := time.Now()
-	if err := journal.Apply(ctx, st.Planner(), rec); err != nil {
-		// Divergence from the leader's history (or a local journal
-		// failure mid-apply): the local state can no longer be trusted
-		// to be a prefix, so rebuild from a leader snapshot.
-		f.forceBootstrap.Store(true)
-		return err
-	}
-	if got := st.LastSeq(); got != rec.Seq {
-		f.forceBootstrap.Store(true)
-		return fmt.Errorf("replica: local store assigned seq %d for leader record %d", got, rec.Seq)
-	}
-	mApplySeconds.ObserveSince(applyStart)
-	if rec.Mut.Op == stgq.MutSetLocation {
-		// Re-read rather than increment: a move relocates an already-
-		// located person, so the count tracks coverage, not record volume.
-		f.located.Store(uint64(st.Planner().NumLocated()))
-	}
-	f.applied.Store(rec.Seq)
-	f.appliedCh.Broadcast()
-	f.noteLeaderSeq(rec.Seq)
 	return nil
 }
 
-// readSection reads the byte section of a snapshot stream: r starts at
-// the newline that ends the header, and the leader closes the stream
-// after exactly n bytes. A stream cut short, or one that goes on past n
-// bytes (a leader that sends snapshots some other way), is an error, and
-// nothing has touched the store by then.
-func readSection(r io.Reader, n int64) ([]byte, error) {
-	if n < 0 || n == math.MaxInt64 {
-		return nil, fmt.Errorf("header announces %d bytes", n)
+// readMsg reads one message line.
+func readMsg(br *bufio.Reader) (wireMsg, error) {
+	var m wireMsg
+	line, err := br.ReadBytes('\n')
+	if err == nil {
+		err = json.Unmarshal(line, &m)
 	}
-	buf := make([]byte, 1+n)
-	got, err := io.ReadFull(r, buf)
-	if err == io.EOF {
-		err = io.ErrUnexpectedEOF
+	return m, err
+}
+
+// readSection reads the n-byte section that follows a records or snapshot
+// line. A stream cut short is an error, and nothing has touched the store
+// by then.
+func readSection(br *bufio.Reader, n int64) ([]byte, error) {
+	if n < 0 {
+		return nil, fmt.Errorf("line announces %d bytes", n)
 	}
-	if err != nil {
-		return nil, fmt.Errorf("cut short after %d of %d bytes: %w", max(got-1, 0), n, err)
+	buf := make([]byte, n)
+	if got, err := io.ReadFull(br, buf); err != nil {
+		if err == io.EOF {
+			err = io.ErrUnexpectedEOF
+		}
+		return nil, fmt.Errorf("cut short after %d of %d bytes: %w", got, n, err)
 	}
-	if buf[0] != '\n' {
-		return nil, errors.New("no newline after the header")
-	}
-	if _, err := io.ReadFull(r, make([]byte, 1)); err != io.EOF {
-		return nil, fmt.Errorf("the stream goes on after %d bytes", n)
-	}
-	return buf[1:], nil
+	return buf, nil
 }
 
 // resetFromSnapshot replaces the follower's store with the leader's

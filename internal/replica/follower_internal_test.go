@@ -1,10 +1,12 @@
 package replica
 
 import (
+	"bufio"
+	"bytes"
 	"context"
-	"encoding/base64"
-	"encoding/json"
 	"errors"
+	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -129,22 +131,33 @@ func TestBackoffNormalization(t *testing.T) {
 	}
 }
 
-// TestFollowerRejectsBadRecordFrames: a record message whose journal
-// frame is missing (including the mirror-field shape older leaders sent)
-// or damaged is rejected before it reaches the planner, and the follower
-// re-bootstraps on its next connect instead of applying a zero-value
-// mutation.
+// TestFollowerRejectsBadRecordFrames: a records message whose section
+// holds no frame (including the mirror-field shape older leaders sent),
+// a damaged frame, a frame cut off by the section's end, or frames whose
+// sequence numbers skip is rejected before any of it reaches the planner,
+// and the follower re-bootstraps on its next connect instead of applying
+// a zero-value mutation or a part of the section.
 func TestFollowerRejectsBadRecordFrames(t *testing.T) {
-	good, err := journal.EncodeFrame(journal.Record{Seq: 1, Mut: stgq.Mutation{Op: stgq.MutAddPerson, Name: "ana"}})
-	if err != nil {
-		t.Fatal(err)
+	frame := func(seq uint64, name string) []byte {
+		b, err := journal.EncodeFrame(journal.Record{Seq: seq, Mut: stgq.Mutation{Op: stgq.MutAddPerson, Name: name}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
 	}
+	good := frame(1, "ana")
 	flipped := append([]byte(nil), good...)
 	flipped[len(flipped)-1] ^= 0x20
+	records := func(section ...[]byte) string {
+		b := bytes.Join(section, nil)
+		return fmt.Sprintf("{\"k\":\"r\",\"bytes\":%d}\n%s", len(b), b)
+	}
 	for name, raw := range map[string]string{
-		"no frame":      `{"k":"r"}`,
-		"mirror fields": `{"k":"r","seq":1,"op":1,"name":"ana"}`,
-		"bit flip":      `{"k":"r","frame":"` + base64.StdEncoding.EncodeToString(flipped) + `"}`,
+		"no frame":           `{"k":"r"}` + "\n",
+		"mirror fields":      `{"k":"r","seq":1,"op":1,"name":"ana"}` + "\n",
+		"bit flip":           records(flipped),
+		"ends inside frame":  records(good, frame(2, "bo")[:5]),
+		"second frame skips": records(good, frame(3, "cy")),
 	} {
 		t.Run(name, func(t *testing.T) {
 			f, err := NewFollower(Config{LeaderURL: "http://leader.invalid:8080", Dir: t.TempDir()})
@@ -153,12 +166,8 @@ func TestFollowerRejectsBadRecordFrames(t *testing.T) {
 			}
 			defer f.Close()
 			f.forceBootstrap.Store(false) // a fresh follower starts with one pending
-			var msg wireMsg
-			if err := json.Unmarshal([]byte(raw), &msg); err != nil {
-				t.Fatal(err)
-			}
-			if err := f.applyFrame(context.Background(), msg.Frame); !errors.Is(err, journal.ErrCorrupt) {
-				t.Fatalf("applyFrame = %v, want ErrCorrupt", err)
+			if err := applyRecords(t, f, raw); !errors.Is(err, journal.ErrCorrupt) {
+				t.Fatalf("applySection = %v, want ErrCorrupt", err)
 			}
 			if !f.forceBootstrap.Load() {
 				t.Fatal("a bad frame did not force a bootstrap")
@@ -174,10 +183,26 @@ func TestFollowerRejectsBadRecordFrames(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer f.Close()
-	if err := f.applyFrame(context.Background(), good); err != nil {
+	if err := applyRecords(t, f, records(good)); err != nil {
 		t.Fatal(err)
 	}
 	if got := f.Planner().Name(0); got != "ana" || f.Status().AppliedSeq != 1 {
 		t.Fatalf("good frame: name %q, status %+v", got, f.Status())
 	}
+}
+
+// applyRecords reads one records message from raw, its line and its
+// section, as the stream loop does, and has f apply the section.
+func applyRecords(t *testing.T, f *Follower, raw string) error {
+	t.Helper()
+	br := bufio.NewReader(strings.NewReader(raw))
+	msg, err := readMsg(br)
+	if err != nil || msg.Kind != kindRecord {
+		t.Fatalf("records line: %+v, %v", msg, err)
+	}
+	frames, err := readSection(br, msg.Bytes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return f.applySection(context.Background(), frames)
 }

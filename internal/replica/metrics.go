@@ -7,7 +7,8 @@ import "repro/internal/obsv"
 // (stream messages by kind, reconnects, bootstraps). The lag gauge
 // updates on every record and heartbeat; on the leader side, the streamer
 // counts messages it sends so a leader's /metrics shows fan-out activity.
-// A snapshot header and the byte section after it are one message.
+// A records or snapshot line and the byte section after it are one
+// message.
 var (
 	mFramesIn = obsv.NewCounterVec("stgq_replica_stream_frames_total",
 		"Stream messages received by the follower, by kind.", "kind")

@@ -10,7 +10,7 @@
 // # Topology
 //
 //	writers ──► leader stgqd ──(WAL + snapshots)──► data dir
-//	                 │ GET /replication/stream?after=n   (long-poll, ndjson)
+//	                 │ GET /replication/stream?after=n   (long-poll)
 //	     ┌───────────┼───────────┐
 //	     ▼           ▼           ▼
 //	 follower    follower    follower      each: own data dir, read-only
@@ -41,29 +41,35 @@
 //
 // # Wire protocol
 //
-// One HTTP GET per stream. A records stream is newline-delimited JSON
-// messages:
+// One HTTP GET per stream. Every message is one JSON line; a records or
+// snapshot line announces a byte section of "bytes" raw bytes that
+// follows it at once. A records stream is:
 //
 //	→ GET /replication/stream?after=<seq>[&bootstrap=1]
 //	← {"k":"records","after":<seq>,"seq":<leaderDurable>,"epoch":<e>}  header, then
-//	← {"k":"r","frame":"<base64 journal frame>"}            records
+//	← {"k":"r","bytes":<n>}                                 records: a line and
+//	← <n raw bytes: whole journal frames from a segment>     a section of ≤ 1024 records
 //	← {"k":"hb","seq":<leaderDurable>,"epoch":<e>}          idle heartbeats
 //
 // or, when the position is compacted (or a bootstrap is forced), one
-// header line and one byte section:
+// header line and one section:
 //
 //	← {"k":"snapshot","seq":<snapSeq>,"epoch":<e>,"fork":<f>,"horizon":<h>,"bytes":<n>}
 //	← <n raw bytes: the leader's snap-<seq>.frames file>    then the leader closes
 //
-// The follower reads the n bytes whole and replays them (checking every
-// frame's CRC and numbering 1..N) before it replaces its store, so a
-// stream cut short, or a snapshot it cannot replay, leaves it untouched;
-// then it reconnects for the records after the snapshot.
+// Both sections are journal frames copied unchanged from the leader's
+// disk, and the follower reads each one whole before it touches its
+// store. It decodes a records section's frames (checking every CRC, and
+// that their sequence numbers run on) before it applies the first of
+// them; it replays a snapshot (checking every frame's CRC and numbering
+// 1..N) before it replaces its store. So a stream cut short inside a
+// section, or a section it cannot decode or replay, leaves the store as
+// it was; then the follower reconnects.
 //
-// The leader closes every stream after MaxConnected; followers reconnect
-// (with backoff after errors) and resume from their own last sequence
-// number, so a dropped connection can at worst duplicate records, which
-// the follower skips.
+// The leader closes every records stream after 30 s (maxConnected);
+// followers reconnect (with backoff after errors) and resume from their
+// own last sequence number, so a dropped connection can at worst
+// duplicate records, which the follower skips.
 //
 // # Failover: epochs, fencing, promotion
 //
@@ -103,10 +109,10 @@ const (
 	kindError     = "err"
 )
 
-// wireMsg is one ndjson message — a union of the header, record,
-// heartbeat and error shapes. A live record travels as its journal frame,
-// so the follower decodes it with the same codec (and CRC check) its own
-// recovery uses.
+// wireMsg is one message line — a union of the header, record,
+// heartbeat and error shapes. Records and snapshot lines are followed by
+// a section of Bytes raw journal frames, so the follower decodes them
+// with the same codec (and CRC check) its own recovery uses.
 type wireMsg struct {
 	Kind  string `json:"k"`
 	After uint64 `json:"after,omitempty"` // kindRecords: resume position
@@ -125,11 +131,8 @@ type wireMsg struct {
 	// Horizon is the leader's schedule horizon in slots, sent on
 	// snapshot headers: the follower's store adopts it with the state.
 	Horizon int `json:"horizon,omitempty"`
-	// Bytes is the size of the snapshot file, sent on snapshot headers:
-	// exactly that many raw bytes follow the header line.
+	// Bytes is the size of the section that follows a record or snapshot
+	// line: exactly that many raw bytes come next.
 	Bytes int64  `json:"bytes,omitempty"`
 	Err   string `json:"err,omitempty"`
-	// Frame is a record (kindRecord) as the journal's own CRC frame
-	// (journal.EncodeFrame): the bytes the leader's segment holds.
-	Frame []byte `json:"frame,omitempty"`
 }

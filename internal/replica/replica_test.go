@@ -38,7 +38,7 @@ func startLeader(t *testing.T, dir string, opts journal.Options) *leaderHarness 
 	t.Cleanup(func() {
 		// Store first: closing it ends any in-flight replication
 		// long-poll, which ts.Close would otherwise wait out (up to the
-		// streamer's MaxConnected) regardless of cleanup ordering.
+		// streamer's 30 s stream lifetime) regardless of cleanup ordering.
 		st.Close()
 		ts.Close()
 	})
@@ -474,6 +474,85 @@ func TestCutShortSnapshotLeavesFollowerUntouched(t *testing.T) {
 	}
 }
 
+// TestCutShortRecordsSectionAppliesNothing: a records stream that ends
+// inside a records section applies none of that section's records — the
+// follower keeps its applied seq and its people — and the follower
+// converges once the stream gets through whole.
+func TestCutShortRecordsSectionAppliesNothing(t *testing.T) {
+	leader := startLeader(t, t.TempDir(), journal.Options{HorizonSlots: 14, SnapshotEvery: -1})
+	buildPopulation(t, leader.st.Planner(), 10)
+
+	// A frontdoor that forwards whole messages and, while cutting,
+	// forwards a records line and half of its section, then hangs up.
+	var cutting atomic.Bool
+	var cuts atomic.Int32
+	proxy := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		req, err := http.NewRequestWithContext(r.Context(), http.MethodGet, leader.ts.URL+r.URL.Path+"?"+r.URL.RawQuery, nil)
+		if err != nil {
+			http.Error(w, err.Error(), http.StatusBadGateway)
+			return
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			http.Error(w, err.Error(), http.StatusBadGateway)
+			return
+		}
+		defer resp.Body.Close()
+		w.WriteHeader(resp.StatusCode)
+		br := bufio.NewReader(resp.Body)
+		for {
+			line, err := br.ReadBytes('\n')
+			if err != nil {
+				return
+			}
+			var msg struct {
+				Kind  string `json:"k"`
+				Bytes int64  `json:"bytes"`
+			}
+			if err := json.Unmarshal(line, &msg); err != nil {
+				return
+			}
+			w.Write(line) //nolint:errcheck // a gone follower ends the copy below
+			if msg.Kind == "r" && cutting.Load() {
+				io.CopyN(w, br, msg.Bytes/2) //nolint:errcheck // the cut is the point
+				cuts.Add(1)
+				return
+			}
+			if _, err := io.CopyN(w, br, msg.Bytes); err != nil {
+				return
+			}
+			w.(http.Flusher).Flush()
+		}
+	}))
+	t.Cleanup(proxy.Close)
+
+	f := startFollower(t, t.TempDir(), proxy.URL)
+	waitCaughtUp(t, f.fo, leader.st)
+	stale, people := f.fo.Status().AppliedSeq, f.fo.Planner().NumPeople()
+
+	cutting.Store(true)
+	buildPopulation(t, leader.st.Planner(), 10)
+	deadline := time.Now().Add(15 * time.Second)
+	for cuts.Load() < 2 { // the second cut proves the first was handled
+		if time.Now().After(deadline) {
+			t.Fatalf("no records section was cut: %+v", f.fo.Status())
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
+	st := f.fo.Status()
+	if st.AppliedSeq != stale || f.fo.Planner().NumPeople() != people {
+		t.Fatalf("a cut-short records section was applied: %+v, %d people (want seq %d, %d people)",
+			st, f.fo.Planner().NumPeople(), stale, people)
+	}
+	waitForError(t, f.fo, "cut short")
+
+	cutting.Store(false)
+	waitCaughtUp(t, f.fo, leader.st)
+	if got, want := planOn(t, f.ts, 15), planOn(t, leader.ts, 15); !bytes.Equal(got, want) {
+		t.Fatalf("follower diverged:\n  follower %s\n  leader   %s", got, want)
+	}
+}
+
 // TestUnreplayableSnapshotLeavesFollowerUntouched: a snapshot section
 // whose frames are CRC-valid but cannot be replayed (an edge between
 // people who do not exist) is refused before the follower closes its
@@ -785,7 +864,7 @@ func TestPromote(t *testing.T) {
 	}
 	// Store before server (and after f2's harness, registered later, has
 	// stopped): closing the store ends the replication long-poll that
-	// would otherwise stall the server close for its full MaxConnected.
+	// would otherwise stall the server close for its full 30 s lifetime.
 	var pts *httptest.Server
 	t.Cleanup(func() {
 		st.Close()

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"io"
 	"net/http"
 	"strconv"
 	"time"
@@ -11,18 +12,17 @@ import (
 	"repro/internal/journal"
 )
 
-// Streamer defaults; all three are per-Streamer tunables.
 const (
-	// DefaultChunkRecords bounds one read-and-send burst.
-	DefaultChunkRecords = 1024
-	// DefaultHeartbeat is the idle-stream heartbeat interval. Heartbeats
-	// carry the leader's durable sequence number, so followers can
-	// report lag (and detect a dead leader) even when nothing mutates.
-	DefaultHeartbeat = time.Second
-	// DefaultMaxConnected bounds one stream's lifetime; followers
-	// reconnect and resume, so slow or abandoned connections never
-	// accumulate unboundedly.
-	DefaultMaxConnected = 30 * time.Second
+	// chunkRecords bounds the records of one records section.
+	chunkRecords = 1024
+	// heartbeat is the idle-stream heartbeat interval. Heartbeats carry
+	// the leader's durable sequence number, so followers can report lag
+	// (and detect a dead leader) even when nothing mutates.
+	heartbeat = time.Second
+	// maxConnected bounds one stream's lifetime; followers reconnect and
+	// resume, so they re-resolve a moved leader and slow or abandoned
+	// connections never accumulate unboundedly.
+	maxConnected = 30 * time.Second
 )
 
 // Streamer is the leader side of replication: an http.Handler that serves
@@ -32,18 +32,9 @@ const (
 type Streamer struct {
 	// Store is the journal whose committed records are streamed.
 	Store *journal.Store
-	// ChunkRecords bounds the records per frame batch (default
-	// DefaultChunkRecords).
-	ChunkRecords int
-	// Heartbeat is the idle-frame cadence carrying the leader's durable
-	// seq (default DefaultHeartbeat).
-	Heartbeat time.Duration
-	// MaxConnected rotates a stream after this long, so followers
-	// re-resolve a moved leader (default DefaultMaxConnected).
-	MaxConnected time.Duration
 }
 
-// NewStreamer returns a Streamer over st with default tuning.
+// NewStreamer returns a Streamer over st.
 func NewStreamer(st *journal.Store) *Streamer { return &Streamer{Store: st} }
 
 // ServeHTTP implements the stream endpoint. Query parameters:
@@ -59,10 +50,6 @@ func (st *Streamer) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	chunk := st.ChunkRecords
-	if chunk <= 0 {
-		chunk = DefaultChunkRecords
-	}
 
 	// First read decides the stream shape: records from the follower's
 	// position, or a snapshot bootstrap when that position is compacted
@@ -71,13 +58,13 @@ func (st *Streamer) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	// the active segment's new tail.
 	cur := st.Store.TailFrom(after)
 	var (
-		recs []journal.Record
-		err  error
+		frames []byte
+		err    error
 	)
 	if r.URL.Query().Get("bootstrap") == "1" {
 		err = journal.ErrCompacted
 	} else {
-		recs, err = cur.Read(chunk)
+		frames, err = cur.Read(chunkRecords)
 	}
 	if errors.Is(err, journal.ErrCompacted) {
 		st.serveSnapshot(w)
@@ -87,7 +74,7 @@ func (st *Streamer) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return
 	}
-	st.serveRecords(w, r, after, cur, recs, chunk)
+	st.serveRecords(w, r, after, cur, frames)
 }
 
 // serveSnapshot sends a snapshot header and then the snapshot file's
@@ -99,63 +86,52 @@ func (st *Streamer) serveSnapshot(w http.ResponseWriter) {
 		return
 	}
 	w.Header().Set("Content-Type", "application/octet-stream")
-	if send(json.NewEncoder(w), wireMsg{Kind: kindSnapshot, Seq: seq, Epoch: st.Store.Epoch(), Fork: st.Store.EpochStart(),
-		Horizon: st.Store.Planner().Horizon(), Bytes: int64(len(frames))}) {
-		_, _ = w.Write(frames) // a short write is the follower's cut-short stream
-	}
+	// A short write is the follower's cut-short stream.
+	send(w, wireMsg{Kind: kindSnapshot, Seq: seq, Epoch: st.Store.Epoch(), Fork: st.Store.EpochStart(),
+		Horizon: st.Store.Planner().Horizon()}, frames)
 }
 
-// send writes one message, counting it; false means the client is gone.
-func send(enc *json.Encoder, m wireMsg) bool {
-	if enc.Encode(m) != nil {
+// send writes one message: its JSON line, which announces the section's
+// size, and then the section's bytes (none for a line alone). It counts
+// the message; false means the client is gone.
+func send(w io.Writer, m wireMsg, section []byte) bool {
+	m.Bytes = int64(len(section))
+	if json.NewEncoder(w).Encode(m) != nil {
+		return false
+	}
+	if _, err := w.Write(section); err != nil {
 		return false
 	}
 	mFramesOut.Inc()
 	return true
 }
 
-// serveRecords streams record frames, long-polling for new commits and
-// heartbeating while idle, until the client disconnects or MaxConnected
+// serveRecords streams records sections, long-polling for new commits and
+// heartbeating while idle, until the client disconnects or maxConnected
 // elapses.
-func (st *Streamer) serveRecords(w http.ResponseWriter, r *http.Request, after uint64, cur *journal.TailCursor, recs []journal.Record, chunk int) {
-	hb := st.Heartbeat
-	if hb <= 0 {
-		hb = DefaultHeartbeat
-	}
-	maxConn := st.MaxConnected
-	if maxConn <= 0 {
-		maxConn = DefaultMaxConnected
-	}
+func (st *Streamer) serveRecords(w http.ResponseWriter, r *http.Request, after uint64, cur *journal.TailCursor, frames []byte) {
 	fl, _ := w.(http.Flusher)
 	flush := func() {
 		if fl != nil {
 			fl.Flush()
 		}
 	}
-	enc := json.NewEncoder(w)
 
-	w.Header().Set("Content-Type", "application/x-ndjson")
+	w.Header().Set("Content-Type", "application/octet-stream")
 	epoch := st.Store.Epoch()
-	if !send(enc, wireMsg{Kind: kindRecords, After: after, Seq: st.Store.DurableSeq(), Epoch: epoch, Fork: st.Store.EpochStart()}) {
+	if !send(w, wireMsg{Kind: kindRecords, After: after, Seq: st.Store.DurableSeq(), Epoch: epoch, Fork: st.Store.EpochStart()}, nil) {
 		return
 	}
-	deadline := time.Now().Add(maxConn)
+	deadline := time.Now().Add(maxConnected)
 	for {
-		for _, rec := range recs {
-			frame, err := journal.EncodeFrame(rec)
-			if err != nil {
-				send(enc, wireMsg{Kind: kindError, Err: err.Error()})
-				return
-			}
-			if !send(enc, wireMsg{Kind: kindRecord, Frame: frame}) {
-				return
-			}
+		if len(frames) > 0 && !send(w, wireMsg{Kind: kindRecord}, frames) {
+			return
 		}
 		flush()
 		if time.Now().After(deadline) {
 			return // clean close; the follower reconnects and resumes
 		}
-		wctx, cancel := context.WithTimeout(r.Context(), hb)
+		wctx, cancel := context.WithTimeout(r.Context(), heartbeat)
 		werr := st.Store.WaitDurable(wctx, cur.Pos())
 		cancel()
 		if werr != nil {
@@ -163,24 +139,24 @@ func (st *Streamer) serveRecords(w http.ResponseWriter, r *http.Request, after u
 				return // client gone
 			}
 			if errors.Is(werr, context.DeadlineExceeded) {
-				if !send(enc, wireMsg{Kind: kindHeartbeat, Seq: st.Store.DurableSeq(), Epoch: epoch}) {
+				if !send(w, wireMsg{Kind: kindHeartbeat, Seq: st.Store.DurableSeq(), Epoch: epoch}, nil) {
 					return
 				}
 				flush()
-				recs = nil
+				frames = nil
 				continue
 			}
 			// Store closed (leader shutting down) or other terminal error.
-			send(enc, wireMsg{Kind: kindError, Err: werr.Error()})
+			send(w, wireMsg{Kind: kindError, Err: werr.Error()}, nil)
 			return
 		}
 		var err error
-		recs, err = cur.Read(chunk)
+		frames, err = cur.Read(chunkRecords)
 		if err != nil {
 			// ErrCompacted mid-stream (a very slow follower crossed a
 			// compaction) included: report and close; the reconnect is
 			// answered with a snapshot bootstrap.
-			send(enc, wireMsg{Kind: kindError, Err: err.Error()})
+			send(w, wireMsg{Kind: kindError, Err: err.Error()}, nil)
 			return
 		}
 	}
