@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: check build test vet lint fmt-check fmt bench bench-smoke bench-ab race batcher-stress e2e-failover e2e-ryw e2e-geo docs-check serving-deps
+.PHONY: check build test vet lint fmt-check fmt bench bench-smoke bench-ab race batcher-stress fuzz-smoke e2e-failover e2e-ryw e2e-geo docs-check serving-deps
 
 check: fmt-check lint build test
 
@@ -52,15 +52,17 @@ fmt:
 bench:
 	bash bench/stgqbench/run.sh
 
-# One-iteration smoke of the hot write, proxy, spatial-index, engine and
-# bootstrap paths: catches a broken journal append, gateway proxy
-# pipeline, grid query, pivot preparation or follower bootstrap at build
-# time without the cost of a real benchmark run. STGSelect reports
-# allocs/op, which must not grow with the candidates (pivot windows live
-# in one slab per query). The write-then-read and the radius-graph
-# extraction benchmarks run at 100k people, where allocs/op and B/op must
-# follow the s-hop ball. The bootstrap benchmark reports MB/s and fails
-# when the leader sends a snapshot as a message per frame.
+# One-iteration smoke of the hot write, proxy, spatial-index, engine,
+# bootstrap and dataset-file paths: catches a broken journal append,
+# gateway proxy pipeline, grid query, pivot preparation, follower
+# bootstrap or dataset codec at build time without the cost of a real
+# benchmark run. STGSelect reports allocs/op, which must not grow with the
+# candidates (pivot windows live in one slab per query). The
+# write-then-read and the radius-graph extraction benchmarks run at 100k
+# people, where allocs/op and B/op must follow the s-hop ball. The
+# bootstrap benchmark reports MB/s and fails when the leader sends a
+# snapshot as a message per frame. The dataset Load and Save benchmarks
+# report MB/s of a 10k-person file.
 bench-smoke:
 	$(GO) test -run='^$$' -bench='^BenchmarkJournalAppend$$' -benchtime=1x .
 	$(GO) test -run='^$$' -bench='^BenchmarkGatewayProxyOverhead$$' -benchtime=1x ./internal/gateway
@@ -69,6 +71,15 @@ bench-smoke:
 	$(GO) test -run='^$$' -bench='^BenchmarkPlanActivityAfterWrite$$' -benchtime=1x .
 	$(GO) test -run='^$$' -bench='^BenchmarkExtractRadiusGraph$$' -benchtime=1x -benchmem ./internal/socialgraph
 	$(GO) test -run='^$$' -bench='^BenchmarkSnapshotBootstrap$$' -benchtime=1x ./internal/replica
+	$(GO) test -run='^$$' -bench='^BenchmarkDataset(Load|Save)$$' -benchtime=1x ./internal/dataset
+
+# Ten seconds of each fuzz target against its oracle: the dataset codec
+# against encoding/json, SGSelect and STGSelect against brute force. The
+# seed corpora also run in plain `make test`; this explores beyond them.
+fuzz-smoke:
+	$(GO) test -run='^$$' -fuzz='^FuzzLoadAgreesWithEncodingJSON$$' -fuzztime=10s ./internal/dataset
+	$(GO) test -run='^$$' -fuzz='^FuzzSGSelectMatchesBruteForce$$' -fuzztime=10s ./internal/core
+	$(GO) test -run='^$$' -fuzz='^FuzzSTGSelectMatchesBruteForce$$' -fuzztime=10s ./internal/core
 
 # The repository's benchmark as alternating parent/change pairs judged by
 # `stgqbench compare` — how a speed claim is measured:

@@ -359,11 +359,11 @@ func Synthetic(n int, seed int64, days int) *Dataset {
 			if r.Float64() >= 0.45 {
 				continue
 			}
-			nbrs := collectNeighbors(g, t)
-			if len(nbrs) == 0 {
+			deg := g.Degree(t)
+			if deg == 0 {
 				continue
 			}
-			w := nbrs[r.Intn(len(nbrs))]
+			w := g.Neighbor(t, r.Intn(deg))
 			if w != v && !g.HasEdge(v, w) {
 				g.MustAddEdge(v, w, interactionDistance(r, true))
 				urn = append(urn, v, w)
@@ -386,12 +386,6 @@ func Synthetic(n int, seed int64, days int) *Dataset {
 	}
 	locs := clusterLocations(seed+2, n, community)
 	return &Dataset{Graph: g, Cal: cal, Community: community, Days: days, Locations: locs}
-}
-
-func collectNeighbors(g *socialgraph.Graph, v int) []int {
-	var out []int
-	g.Neighbors(v, func(u int, _ float64) { out = append(out, u) })
-	return out
 }
 
 // PickInitiator returns a deterministic, well-connected initiator: the

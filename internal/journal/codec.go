@@ -5,7 +5,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"math"
-	"reflect"
+	"slices"
 
 	stgq "repro"
 )
@@ -37,28 +37,81 @@ const (
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
-// wireFields[op] holds the Mutation struct-field indices of op's wire
-// fields, in order: the mutation table's field list (op.Fields), resolved
-// once.
-var wireFields = func() (idx [256][]int) {
-	t := reflect.TypeFor[stgq.Mutation]()
-	for op := range idx {
+// wireField is one Mutation field the codec can carry.
+type wireField uint8
+
+const (
+	fieldPerson wireField = iota
+	fieldName
+	fieldA
+	fieldB
+	fieldDistance
+	fieldFrom
+	fieldTo
+	fieldPolicy
+	fieldX
+	fieldY
+)
+
+// wireFieldNames names each wireField's Mutation field.
+var wireFieldNames = [...]string{fieldPerson: "Person", fieldName: "Name", fieldA: "A", fieldB: "B",
+	fieldDistance: "Distance", fieldFrom: "From", fieldTo: "To", fieldPolicy: "Policy", fieldX: "X", fieldY: "Y"}
+
+// wireFields[op] holds op's wire fields in order: the mutation table's
+// field list (op.Fields), resolved once.
+var wireFields = func() (ids [256][]wireField) {
+	for op := range ids {
 		for _, name := range stgq.MutationOp(op).Fields() {
-			f, ok := t.FieldByName(name)
-			if !ok || f.Type.Kind() != reflect.Int && f.Type.Kind() != reflect.Float64 && f.Type.Kind() != reflect.String {
+			id := slices.Index(wireFieldNames[:], name)
+			if id < 0 {
 				panic("journal: no wire encoding for stgq.Mutation field " + name)
 			}
-			idx[op] = append(idx[op], f.Index[0])
+			ids[op] = append(ids[op], wireField(id))
 		}
 	}
-	return idx
+	return ids
 }()
+
+// intField returns the int field id of m; ok is false for the name and
+// the floats.
+func intField(m *stgq.Mutation, id wireField) (p *int, ok bool) {
+	switch id {
+	case fieldPerson:
+		return (*int)(&m.Person), true
+	case fieldA:
+		return (*int)(&m.A), true
+	case fieldB:
+		return (*int)(&m.B), true
+	case fieldFrom:
+		return &m.From, true
+	case fieldTo:
+		return &m.To, true
+	case fieldPolicy:
+		return (*int)(&m.Policy), true
+	}
+	return nil, false
+}
+
+// floatField returns the float field id of m, or nil.
+func floatField(m *stgq.Mutation, id wireField) *float64 {
+	switch id {
+	case fieldDistance:
+		return &m.Distance
+	case fieldX:
+		return &m.X
+	case fieldY:
+		return &m.Y
+	}
+	return nil
+}
 
 // Frame errors are preallocated: recovery probes every byte offset of a
 // damaged tail for a valid frame (containsValidFrame).
 var (
 	errTornFrame = fmt.Errorf("%w: incomplete frame", ErrCorrupt)
 	errFrameCRC  = fmt.Errorf("%w: frame CRC mismatch", ErrCorrupt)
+
+	errTruncatedVarint = fmt.Errorf("%w: truncated varint", ErrCorrupt)
 )
 
 // EncodeFrame returns rec as one CRC frame, byte for byte what a journal
@@ -85,33 +138,36 @@ func ReadFrame(data []byte) (Record, int, error) {
 	return rec, headerSize + length, err
 }
 
-// appendFrame encodes rec as a framed record appended to dst.
+// appendFrame encodes rec as a framed record appended to dst. It writes
+// the payload in place after a header it fills in last, so a dst with
+// room to spare costs no allocation.
 func appendFrame(dst []byte, rec Record) ([]byte, error) {
 	fields := wireFields[rec.Mut.Op]
 	if fields == nil {
 		return nil, fmt.Errorf("journal: cannot encode op %v", rec.Mut.Op)
 	}
-	payload := make([]byte, 0, 32+len(rec.Mut.Name))
-	payload = append(payload, codecVersion, byte(rec.Mut.Op))
-	payload = binary.AppendUvarint(payload, rec.Seq)
-	m := reflect.ValueOf(&rec.Mut).Elem()
-	for _, i := range fields {
-		switch f := m.Field(i); f.Kind() {
-		case reflect.Int:
-			payload = binary.AppendUvarint(payload, uint64(f.Int()))
-		case reflect.Float64:
-			payload = binary.LittleEndian.AppendUint64(payload, math.Float64bits(f.Float()))
-		case reflect.String:
-			payload = binary.AppendUvarint(payload, uint64(f.Len()))
-			payload = append(payload, f.String()...)
+	start := len(dst)
+	dst = append(dst, make([]byte, headerSize)...)
+	dst = append(dst, codecVersion, byte(rec.Mut.Op))
+	dst = binary.AppendUvarint(dst, rec.Seq)
+	m := &rec.Mut
+	for _, id := range fields {
+		if p, ok := intField(m, id); ok {
+			dst = binary.AppendUvarint(dst, uint64(*p))
+		} else if p := floatField(m, id); p != nil {
+			dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(*p))
+		} else {
+			dst = binary.AppendUvarint(dst, uint64(len(m.Name)))
+			dst = append(dst, m.Name...)
 		}
 	}
+	payload := dst[start+headerSize:]
 	if len(payload) > maxPayload {
 		return nil, fmt.Errorf("journal: record too large (%d bytes)", len(payload))
 	}
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(payload)))
-	dst = binary.LittleEndian.AppendUint32(dst, crc32.Checksum(payload, castagnoli))
-	return append(dst, payload...), nil
+	binary.LittleEndian.PutUint32(dst[start:], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(dst[start+4:], crc32.Checksum(payload, castagnoli))
+	return dst, nil
 }
 
 // decodePayload parses one CRC-verified payload.
@@ -128,44 +184,38 @@ func decodePayload(payload []byte) (Record, error) {
 		return Record{}, fmt.Errorf("%w: unknown op %d", ErrCorrupt, op)
 	}
 	buf := payload[2:]
-	next := func() (uint64, error) {
-		v, n := binary.Uvarint(buf)
-		if n <= 0 {
-			return 0, fmt.Errorf("%w: truncated varint", ErrCorrupt)
-		}
-		buf = buf[n:]
-		return v, nil
+	seq, n := binary.Uvarint(buf)
+	if n <= 0 {
+		return Record{}, errTruncatedVarint
 	}
-	seq, err := next()
-	if err != nil {
-		return Record{}, err
-	}
+	buf = buf[n:]
 	rec := Record{Seq: seq, Mut: stgq.Mutation{Op: op}}
-	m := reflect.ValueOf(&rec.Mut).Elem()
-	for _, i := range fields {
-		switch f := m.Field(i); f.Kind() {
-		case reflect.Int:
-			v, err := next()
-			if err != nil {
-				return Record{}, err
+	m := &rec.Mut
+	for _, id := range fields {
+		if p, ok := intField(m, id); ok {
+			v, n := binary.Uvarint(buf)
+			if n <= 0 {
+				return Record{}, errTruncatedVarint
 			}
-			f.SetInt(int64(v))
-		case reflect.Float64:
-			if len(buf) < 8 {
-				return Record{}, fmt.Errorf("%w: truncated %s", ErrCorrupt, m.Type().Field(i).Name)
-			}
-			f.SetFloat(math.Float64frombits(binary.LittleEndian.Uint64(buf)))
-			buf = buf[8:]
-		case reflect.String:
-			n, err := next()
-			if err != nil {
-				return Record{}, err
-			}
-			if n > uint64(len(buf)) {
-				return Record{}, fmt.Errorf("%w: %s length %d exceeds payload", ErrCorrupt, m.Type().Field(i).Name, n)
-			}
-			f.SetString(string(buf[:n]))
+			*p = int(v)
 			buf = buf[n:]
+		} else if p := floatField(m, id); p != nil {
+			if len(buf) < 8 {
+				return Record{}, fmt.Errorf("%w: truncated %s", ErrCorrupt, wireFieldNames[id])
+			}
+			*p = math.Float64frombits(binary.LittleEndian.Uint64(buf))
+			buf = buf[8:]
+		} else {
+			v, n := binary.Uvarint(buf)
+			if n <= 0 {
+				return Record{}, errTruncatedVarint
+			}
+			buf = buf[n:]
+			if v > uint64(len(buf)) {
+				return Record{}, fmt.Errorf("%w: %s length %d exceeds payload", ErrCorrupt, wireFieldNames[id], v)
+			}
+			m.Name = string(buf[:v])
+			buf = buf[v:]
 		}
 	}
 	return rec, nil

@@ -189,3 +189,21 @@ func TestCodecGoldenBytes(t *testing.T) {
 		t.Fatalf("encoded sample records changed:\n got %s\nwant %s", got, want)
 	}
 }
+
+// TestAppendFrameAllocatesNothing: a frame is built in place in the
+// destination, so a destination with room to spare costs no allocation,
+// names included.
+func TestAppendFrameAllocatesNothing(t *testing.T) {
+	buf := make([]byte, 0, 4096)
+	for _, rec := range sampleRecords() {
+		allocs := testing.AllocsPerRun(100, func() {
+			var err error
+			if _, err = appendFrame(buf[:0], rec); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("appendFrame(%v) allocates %.0f times, want 0", rec.Mut.Op, allocs)
+		}
+	}
+}

@@ -1,7 +1,6 @@
 package journal
 
 import (
-	"context"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -51,28 +50,45 @@ type Snapshot struct {
 
 // ReplaySnapshot replays frames — journal frames numbered 1..N, as
 // ReplicationSnapshot returns them — onto an empty planner of horizon
-// slots. Any damage is ErrCorrupt: a snapshot is written whole, so unlike
-// a segment it has no torn tail to forgive. A frame the planner refuses is
-// an error naming the frame and the person or edge.
+// slots, built by stgq.BuildPlanner: no one sees the planner before the
+// last frame has applied. Any damage is ErrCorrupt: a snapshot is written
+// whole, so unlike a segment it has no torn tail to forgive. A frame the
+// planner refuses is an error naming the frame and the person or edge.
 func ReplaySnapshot(frames []byte, horizon int) (Snapshot, error) {
-	pl := stgq.NewPlanner(horizon)
-	for n, off := uint64(1), 0; off < len(frames); n++ {
-		rec, size, err := ReadFrame(frames[off:])
-		if err != nil {
-			return Snapshot{}, fmt.Errorf("%w: snapshot frame %d at byte %d: %v", ErrCorrupt, n, off, err)
-		}
-		if rec.Seq != n {
-			return Snapshot{}, fmt.Errorf("%w: snapshot frame %d numbered %d", ErrCorrupt, n, rec.Seq)
-		}
-		//stgqcheck:ignore ctxflow a snapshot replays onto a planner no hook observes yet
-		if err := Apply(context.Background(), pl, rec); err != nil {
-			who := fmt.Sprintf("person %d", rec.Mut.Person)
-			if rec.Mut.Op == stgq.MutConnect {
-				who = fmt.Sprintf("edge %d–%d", rec.Mut.A, rec.Mut.B)
+	var (
+		n   uint64
+		rec Record
+		bad error
+	)
+	muts := func(yield func(*stgq.Mutation) bool) {
+		for off := 0; off < len(frames); {
+			n++
+			var size int
+			var err error
+			if rec, size, err = ReadFrame(frames[off:]); err != nil {
+				bad = fmt.Errorf("%w: snapshot frame %d at byte %d: %v", ErrCorrupt, n, off, err)
+				return
 			}
-			return Snapshot{}, fmt.Errorf("snapshot frame %d: %v of %s: %w", n, rec.Mut.Op, who, err)
+			if rec.Seq != n {
+				bad = fmt.Errorf("%w: snapshot frame %d numbered %d", ErrCorrupt, n, rec.Seq)
+				return
+			}
+			if !yield(&rec.Mut) {
+				return
+			}
+			off += size
 		}
-		off += size
+	}
+	pl, err := stgq.BuildPlanner(horizon, muts)
+	if bad != nil {
+		return Snapshot{}, bad
+	}
+	if err != nil {
+		who := fmt.Sprintf("person %d", rec.Mut.Person)
+		if rec.Mut.Op == stgq.MutConnect {
+			who = fmt.Sprintf("edge %d–%d", rec.Mut.A, rec.Mut.B)
+		}
+		return Snapshot{}, fmt.Errorf("snapshot frame %d: %v of %s: %w", n, rec.Mut.Op, who, err)
 	}
 	return Snapshot{frames: frames, pl: pl}, nil
 }

@@ -168,13 +168,18 @@ func (g *Graph) AddEdge(u, v int, dist float64) error {
 	if dist <= 0 || math.IsNaN(dist) || math.IsInf(dist, 0) {
 		return fmt.Errorf("%w: %v", ErrNegativeDistance, dist)
 	}
-	for i := range g.adj[u] {
-		if g.adj[u][i].to == v {
-			if dist < g.adj[u][i].dist {
-				g.adj[u][i].dist = dist
-				for j := range g.adj[v] {
-					if g.adj[v][j].to == u {
-						g.adj[v][j].dist = dist
+	// An existing edge is in both lists: look in the shorter.
+	a, b := u, v
+	if len(g.adj[v]) < len(g.adj[u]) {
+		a, b = v, u
+	}
+	for i := range g.adj[a] {
+		if g.adj[a][i].to == b {
+			if dist < g.adj[a][i].dist {
+				g.adj[a][i].dist = dist
+				for j := range g.adj[b] {
+					if g.adj[b][j].to == a {
+						g.adj[b][j].dist = dist
 					}
 				}
 			}
@@ -244,6 +249,10 @@ func (g *Graph) Degree(v int) int {
 	}
 	return len(g.adj[v])
 }
+
+// Neighbor returns the i-th neighbor of v, in the order Neighbors visits
+// them; 0 ≤ i < Degree(v).
+func (g *Graph) Neighbor(v, i int) int { return g.adj[v][i].to }
 
 // Neighbors calls fn for every neighbor of v with the edge distance.
 func (g *Graph) Neighbors(v int, fn func(u int, dist float64)) {

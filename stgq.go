@@ -271,7 +271,8 @@ type MutationHook func(ctx context.Context, m Mutation) (wait func() error)
 //
 // cal is the one availability store: one row per person, in step with the
 // graph (cal.Users() == g.NumVertices()). Its rows are replaced, never
-// edited in place, which is what lets a view share them without copying.
+// edited in place, which is what lets a view share them without copying;
+// only BuildPlanner edits them, before anyone can take a view.
 type Planner struct {
 	mu        sync.RWMutex
 	g         *socialgraph.Graph
@@ -280,6 +281,9 @@ type Planner struct {
 	policies  map[PersonID]SharePolicy
 	locations map[PersonID]geo.Point
 	hook      MutationHook
+	// building is set only while BuildPlanner fills a planner no one else
+	// holds: calendar rows are then written in place, not replaced.
+	building bool
 }
 
 // NewPlanner creates a Planner with the given schedule horizon in time
@@ -290,6 +294,36 @@ func NewPlanner(horizonSlots int) *Planner {
 		horizonSlots = 0
 	}
 	return &Planner{g: socialgraph.New(), horizon: horizonSlots, cal: schedule.NewCalendar(0, horizonSlots)}
+}
+
+// BuildPlanner returns a planner of horizonSlots holding the state muts
+// describes: NewPlanner followed by Apply of each mutation in turn. Each
+// mutation goes through the same mutation table as Apply, so it is
+// validated as Apply validates it, and a MutAddPerson must name the id
+// the planner assigns. What a shared planner pays for, a planner no one
+// can see until BuildPlanner returns does not: no lock is taken, no hook
+// runs, and calendar rows are written in place instead of replaced. The
+// first mutation refused stops the build, and its refusal is the error.
+// The mutations are read, never written.
+func BuildPlanner(horizonSlots int, muts iter.Seq[*Mutation]) (*Planner, error) {
+	pl := NewPlanner(horizonSlots)
+	pl.building = true
+	defer func() { pl.building = false }()
+	var m Mutation // one copy for apply to fill in, whatever the count
+	for next := range muts {
+		k := next.Op.kind()
+		if k == nil {
+			return nil, fmt.Errorf("%w: unknown mutation op %d", ErrBadQuery, next.Op)
+		}
+		m = *next
+		if err := k.apply(pl, &m); err != nil {
+			return nil, err
+		}
+		if m.Person != next.Person {
+			return nil, fmt.Errorf("stgq: person %d was assigned id %d", next.Person, m.Person)
+		}
+	}
+	return pl, nil
 }
 
 // SlotsPerDay is the paper's calendar granularity (48 half-hour slots).
@@ -465,7 +499,11 @@ func (pl *Planner) setRangeLocked(m *Mutation, free bool) error {
 	if m.From < 0 || m.To > pl.horizon || m.From > m.To {
 		return fmt.Errorf("%w: slot range [%d,%d) outside horizon %d", ErrBadQuery, m.From, m.To, pl.horizon)
 	}
-	pl.cal.ReplaceRange(int(m.Person), m.From, m.To, free)
+	if pl.building {
+		pl.cal.SetRange(int(m.Person), m.From, m.To, free)
+	} else {
+		pl.cal.ReplaceRange(int(m.Person), m.From, m.To, free)
+	}
 	return nil
 }
 

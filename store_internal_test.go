@@ -128,3 +128,34 @@ func TestHiddenMembersKeepTheIndexedPath(t *testing.T) {
 		t.Fatal("hiding a schedule from initiators erased it from the store")
 	}
 }
+
+// TestBuildPlannerWritesInPlaceOnlyWhileBuilding: BuildPlanner builds the
+// state Apply would, writing calendar rows in place as it goes, and the
+// planner it returns replaces a row on every write like any other.
+func TestBuildPlannerWritesInPlaceOnlyWhileBuilding(t *testing.T) {
+	d := dataset.Synthetic(30, 2, 1)
+	muts := func(yield func(*Mutation) bool) {
+		for m := range DatasetMutations(d) {
+			if !yield(&m) {
+				return
+			}
+		}
+	}
+	pl, err := BuildPlanner(d.Cal.Horizon(), muts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if pl.building {
+		t.Fatal("BuildPlanner returned a planner still writing rows in place")
+	}
+	if !sameCalendar(pl.cal, d.Cal) || pl.g.NumEdges() != d.Graph.NumEdges() || len(pl.locations) != len(d.Locations) {
+		t.Fatal("BuildPlanner's state differs from the dataset its mutations describe")
+	}
+	row := pl.cal.Row(3)
+	if err := pl.SetBusy(3, 0, pl.Horizon()); err != nil {
+		t.Fatal(err)
+	}
+	if pl.cal.Row(3) == row {
+		t.Fatal("a write after BuildPlanner edited the row in place")
+	}
+}
