@@ -57,7 +57,9 @@ bench:
 # gateway proxy pipeline, grid query, pivot preparation, follower
 # bootstrap or dataset codec at build time without the cost of a real
 # benchmark run. STGSelect reports allocs/op, which must not grow with the
-# candidates (pivot windows live in one slab per query). The
+# candidates (pivot windows live in one slab per query). The search-heavy
+# pass is one search_heavy_600 pass in process and prints the engine's
+# nodes/op and admissions/op, the counts its pruning rules move. The
 # write-then-read and the radius-graph extraction benchmarks run at 100k
 # people, where allocs/op and B/op must follow the s-hop ball. The
 # bootstrap benchmark reports MB/s and fails when the leader sends a
@@ -68,6 +70,7 @@ bench-smoke:
 	$(GO) test -run='^$$' -bench='^BenchmarkGatewayProxyOverhead$$' -benchtime=1x ./internal/gateway
 	$(GO) test -run='^$$' -bench='^BenchmarkGeoGrid$$' -benchtime=1x ./internal/geo
 	$(GO) test -run='^$$' -bench='^BenchmarkSTGSelect$$' -benchtime=1x -benchmem .
+	$(GO) test -run='^$$' -bench='^BenchmarkSearchHeavyPass$$' -benchtime=1x .
 	$(GO) test -run='^$$' -bench='^BenchmarkPlanActivityAfterWrite$$' -benchtime=1x .
 	$(GO) test -run='^$$' -bench='^BenchmarkExtractRadiusGraph$$' -benchtime=1x -benchmem ./internal/socialgraph
 	$(GO) test -run='^$$' -bench='^BenchmarkSnapshotBootstrap$$' -benchtime=1x ./internal/replica

@@ -8,8 +8,10 @@ import (
 	"fmt"
 	"math/rand"
 	"testing"
+	"time"
 
 	stgq "repro"
+	"repro/internal/core"
 	"repro/internal/dataset"
 )
 
@@ -121,4 +123,41 @@ func BenchmarkGSGSelect(b *testing.B) {
 	benchEngine(b, func(pl *stgq.Planner, q stgq.STGQuery) {
 		pl.PlanGeoActivity(stgq.GSGQuery{SGQuery: q.SGQuery, M: q.M, X: 500, Y: 500, Radius: 600}) //nolint:errcheck
 	})
+}
+
+// BenchmarkSearchHeavyPass is the in-process twin of the benchmark's
+// search_heavy_600 workload: one op is one pass over
+// dataset.Synthetic(600, 1, 7) in which every person asks once, within
+// two hops — an SGQ (p 5, k 1) for three initiators in ten and an STGQ
+// (p 5, k 1, m 6) for the rest — each query a QueryView and one engine
+// call. Besides ms/pass it reports the branch-and-bound's own effort per
+// pass: include-branches opened (nodes/op) and admission tests
+// (admissions/op), the counts the engine's pruning rules move.
+func BenchmarkSearchHeavyPass(b *testing.B) {
+	const people = 600
+	pl := stgq.FromDataset(dataset.Synthetic(people, 1, 7))
+	opt := core.DefaultOptions()
+	var nodes, admissions int64
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for q := 0; q < people; q++ {
+			sg := q%10 < 3
+			rg, cal, users, err := pl.QueryView(stgq.PersonID(q), 2, !sg)
+			if err != nil {
+				b.Fatal(err)
+			}
+			var st core.Stats
+			if sg {
+				_, st, _ = core.SGSelect(rg, 5, 1, nil, opt)
+			} else {
+				_, st, _ = core.STGSelect(rg, cal, users, 5, 1, 6, opt)
+			}
+			nodes += st.NodesExpanded
+			admissions += st.VerticesExamined
+		}
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(b.Elapsed())/float64(time.Millisecond)/float64(b.N), "ms/pass")
+	b.ReportMetric(float64(nodes)/float64(b.N), "nodes/op")
+	b.ReportMetric(float64(admissions)/float64(b.N), "admissions/op")
 }

@@ -32,6 +32,22 @@
 // vertices of no feasible group, so the search meets the same groups in
 // the same order and returns the same answer — and it is on by default;
 // Options.DisableCorePeel restores the paper's candidate sets.
+//
+// The search keeps the same degree condition inside the frames: when a
+// detach (a reject, a recorded group or an explored include-branch) leaves
+// a VA member with fewer than c neighbours in VS ∪ VA, that member leaves
+// VA too, and so on (the core cascade); when a VS member falls below c the
+// frame has no feasible completion and ends. The cascade is exact for the
+// same reason as the peel; Options.DisableCoreCascade switches it off.
+//
+// # Lemma 2 on the need nearest
+//
+// The paper bounds a frame by need × (the smallest distance in VA), need =
+// p − |VS|. Vertices are indexed by ascending social distance, so the sum
+// of the first need members of VA is an equally cheap and tighter lower
+// bound on every completion; SGSelect and STGSelect use it (GSGSelect, whose
+// spatial term breaks the index order, keeps need × the smallest combined
+// cost). Options.DisableDistancePruning switches the lemma off.
 package core
 
 import (
@@ -86,6 +102,13 @@ type Options struct {
 	// configuration in which Example 2's pruning narrative plays out.
 	DisableCorePeel bool
 
+	// DisableCoreCascade switches off the core cascade inside the search
+	// (see the package doc): VA members that a detach leaves with fewer
+	// than p − 1 − k neighbours in VS ∪ VA stay in VA. Like the peel, the
+	// cascade is not in the paper and is exact, so answers are identical
+	// either way; it is on by default.
+	DisableCoreCascade bool
+
 	// Deprecated: Runs is ignored. Pivot preparation reads each candidate's
 	// window straight from its calendar row as packed words; the field
 	// stays only while the benchmark's layer probe still assigns it.
@@ -135,6 +158,9 @@ type Stats struct {
 	// CorePeeled counts vertices the acquaintance-core peel removed from
 	// the candidates, summed over pivots (see Options.DisableCorePeel).
 	CorePeeled int64
+	// CoreCascaded counts VA members the core cascade removed inside the
+	// search (see Options.DisableCoreCascade).
+	CoreCascaded int64
 }
 
 // Group is an SGQ answer: the member vertices (radius-graph indices,

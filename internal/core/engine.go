@@ -44,7 +44,7 @@ type engine struct {
 	spat []float64
 	// minCost is the minimum combined cost over the initial VA, captured
 	// by reset when spat is set. Lemma-2 distance pruning uses it in place
-	// of the first-of-VA shortcut: vertices are indexed in ascending
+	// of the need nearest members of VA: vertices are indexed in ascending
 	// *social* distance, an ordering the spatial term breaks. The static
 	// minimum stays a sound lower bound as VA only ever shrinks.
 	minCost float64
@@ -54,6 +54,11 @@ type engine struct {
 	budgetHit bool
 
 	removedPool [][]int
+
+	// cascadeDeg is the core degree c = p − 1 − k that drop keeps every
+	// VS ∪ VA member at; 0 (no cascade) when c ≤ 0 or
+	// Options.DisableCoreCascade is set.
+	cascadeDeg int
 
 	// coreDeg and coreQueue are peel's scratch: per vertex, its neighbours
 	// still in the candidate set, and the vertices peeled so far.
@@ -67,6 +72,22 @@ type engine struct {
 	temporalRHS [][]float64
 
 	stats Stats
+}
+
+// witness, when non-nil, is called at every firing of a pruning rule: a
+// frame prune of pruneFrame (u = −1), a permanent reject of admit (u the
+// candidate) and a core-cascade removal in drop (u the vertex removed, or
+// −1 when a VS member falls below the core degree and ends the frame).
+// rule is the strategy the firing is counted under in
+// stgq_engine_prunes_total. Only tests set it: they check every firing
+// against the completions of the frame, enumerated by brute force.
+var witness func(e *engine, rule string, u int)
+
+// fire reports one firing of rule to the witness, if one is set.
+func (e *engine) fire(rule string, u int) {
+	if witness != nil {
+		witness(e, rule, u)
+	}
 }
 
 // temporalState carries the per-pivot schedule information of STGSelect.
@@ -157,6 +178,9 @@ func newEngine(rg *socialgraph.RadiusGraph, p, k int, opt Options) *engine {
 		nbrInVA:  make([]int, n),
 		bestDist: math.Inf(1),
 		bestSet:  bitset.New(n),
+	}
+	if c := p - 1 - k; c > 0 && !opt.DisableCoreCascade {
+		e.cascadeDeg = c
 	}
 	depth := p + 1
 	e.removedPool = make([][]int, depth)
@@ -357,6 +381,45 @@ func (e *engine) attachToVA(u int) {
 	}
 }
 
+// drop removes u from VA for the rest of the frame and appends it to
+// removed, which expand restores in reverse on return. It keeps VS ∪ VA
+// core-closed: a VA member left with fewer than cascadeDeg neighbours in
+// VS ∪ VA is in no feasible completion (a member of a feasible group
+// knows at least p − 1 − k others in it), so it leaves the va set at that
+// moment and joins removed, and its own neighbours' counters are updated
+// when the list reaches it. drop reports false when a VS member falls
+// below cascadeDeg: then no completion of VS is feasible and the frame is
+// dead. The list's detaches still all run, so removed restores everything.
+func (e *engine) drop(u int, removed []int) ([]int, bool) {
+	removed = append(removed, u)
+	e.va.Remove(u)
+	alive := true
+	for i := len(removed) - 1; i < len(removed); i++ {
+		x := removed[i]
+		e.vaCount--
+		e.sumInner -= 2 * e.nbrInVA[x]
+		for _, w := range e.rg.Adj[x] {
+			e.nbrInVA[w]--
+			if !alive || e.nbrInVS[w]+e.nbrInVA[w] >= e.cascadeDeg {
+				continue
+			}
+			if e.va.Contains(w) {
+				e.fire("cascade", w)
+				e.va.Remove(w)
+				removed = append(removed, w)
+				e.stats.CoreCascaded++
+			} else if e.vs.Contains(w) {
+				e.fire("cascade", -1)
+				alive = false
+			}
+		}
+		if t := e.tmp; t != nil {
+			t.addBusy(x, -1)
+		}
+	}
+	return removed, alive
+}
+
 // --- admission conditions (access ordering) ----------------------------
 
 // interiorU computes U(VS ∪ {u}) of Definition 2 in O(|VS|).
@@ -429,6 +492,7 @@ func (e *engine) admit(u, theta, phi int) verdict {
 	if !e.opt.DisableAccessOrdering {
 		if !e.exteriorOK(u) {
 			e.stats.ExteriorRejects++
+			e.fire("exterior", u)
 			return admitReject
 		}
 	}
@@ -438,6 +502,7 @@ func (e *engine) admit(u, theta, phi int) verdict {
 		// U is monotone non-decreasing in VS, so u can never join this
 		// branch: permanent rejection regardless of θ.
 		e.stats.InteriorRejects++
+		e.fire("interior", u)
 		return admitReject
 	}
 	if !e.opt.DisableAccessOrdering {
@@ -452,6 +517,7 @@ func (e *engine) admit(u, theta, phi int) verdict {
 			// The common window shrinks monotonically; below m slots the
 			// branch can never become feasible again.
 			e.stats.TemporalRejects++
+			e.fire("temporal", u)
 			return admitReject
 		}
 		if !e.opt.DisableTemporalExtensibility && phi < e.opt.PhiMax {
@@ -467,26 +533,24 @@ func (e *engine) admit(u, theta, phi int) verdict {
 
 // pruneFrame evaluates the Lemma 2 / Lemma 3 / Lemma 5 stop conditions for
 // the current (VS, VA) and reports whether the frame is dead.
+//
+// Beyond the paper's Lemma 3 correction explained below, two departures,
+// both exact: Lemma 2 bounds a completion by the sum of the need nearest
+// members of VA, not need × the nearest (Options.DisableDistancePruning
+// switches the lemma off), and the frames these tests see are
+// core-closed — every member of VS ∪ VA knows at least p − 1 − k others
+// in it, which drop maintains (Options.DisableCoreCascade switches it
+// off).
 func (e *engine) pruneFrame() bool {
 	need := e.p - e.vsCount // ≥ 1 here
 
 	// Distance pruning (Lemma 2): no selection of need vertices from VA can
-	// beat the incumbent.
-	if !e.opt.DisableDistancePruning {
-		if first := e.va.NextSet(0); first != -1 {
-			// Vertices are indexed in ascending distance, so the first VA
-			// member has the minimum distance — unless a spatial term is
-			// folded in, in which case the reset-time minimum over the
-			// initial VA is the sound substitute (see minCost).
-			minCost := e.rg.Dist[first]
-			if e.spat != nil {
-				minCost = e.minCost
-			}
-			if e.bestDist-e.td < float64(need)*minCost {
-				e.stats.DistancePrunes++
-				return true
-			}
-		}
+	// beat the incumbent. The comparison is strict, so a completion that
+	// ties the incumbent is never pruned.
+	if !e.opt.DisableDistancePruning && e.bestDist-e.td < e.nearestCost(need) {
+		e.stats.DistancePrunes++
+		e.fire("distance", -1)
+		return true
 	}
 
 	// Acquaintance pruning (Lemma 3): upper-bound the total inner degree of
@@ -506,6 +570,7 @@ func (e *engine) pruneFrame() bool {
 			// the search it might save.
 			if e.sumInner < rhs {
 				e.stats.AcquaintancePrunes++
+				e.fire("acquaintance", -1)
 				return true
 			}
 			if e.vaCount <= 64 {
@@ -519,6 +584,7 @@ func (e *engine) pruneFrame() bool {
 				lhs := e.sumInner - (e.vaCount-need)*minInner
 				if lhs < rhs {
 					e.stats.AcquaintancePrunes++
+					e.fire("acquaintance", -1)
 					return true
 				}
 			}
@@ -529,10 +595,31 @@ func (e *engine) pruneFrame() bool {
 	if e.tmp != nil && !e.opt.DisableAvailabilityPruning {
 		if e.availabilityPrune(need) {
 			e.stats.AvailabilityPrunes++
+			e.fire("availability", -1)
 			return true
 		}
 	}
 	return false
+}
+
+// nearestCost is Lemma 2's lower bound on the cost of any need members of
+// VA: the sum of the first need members' distances, since vertices are
+// indexed in ascending distance, and +Inf when VA has fewer than need
+// members. A spatial term breaks that order; then the bound is need × the
+// reset-time minimum over the initial VA (see minCost).
+func (e *engine) nearestCost(need int) float64 {
+	if e.spat != nil {
+		return float64(need) * e.minCost
+	}
+	sum := 0.0
+	v := -1
+	for range need {
+		if v = e.va.NextSet(v + 1); v == -1 {
+			return math.Inf(1)
+		}
+		sum += e.rg.Dist[v]
+	}
+	return sum
 }
 
 // availabilityPrune implements Lemma 5: with n = |VA| − (p − |VS|) + 1, find
@@ -643,29 +730,25 @@ func (e *engine) expand(depth int) {
 		cursor = u + 1
 
 		switch e.admit(u, theta, phi) {
-		case admitReject:
-			removed = append(removed, u)
-			e.detachFromVA(u)
-			continue
 		case admitDefer:
 			deferred++
 			continue
+		case admitOK:
+			if e.vsCount+1 == e.p {
+				e.record(u)
+			} else {
+				e.stats.NodesExpanded++
+				e.moveToVS(u)
+				e.expand(depth + 1)
+				e.undoMoveToVS(u)
+			}
 		}
-
-		if e.vsCount+1 == e.p {
-			e.record(u)
-			removed = append(removed, u)
-			e.detachFromVA(u)
-			continue
+		// Rejected, recorded or explored: u is never reconsidered in this
+		// frame.
+		var alive bool
+		if removed, alive = e.drop(u, removed); !alive {
+			break
 		}
-
-		e.stats.NodesExpanded++
-		e.moveToVS(u)
-		e.expand(depth + 1)
-		e.undoMoveToVS(u)
-		// Exclude-branch: u is never reconsidered in this frame.
-		removed = append(removed, u)
-		e.detachFromVA(u)
 	}
 
 	for i := len(removed) - 1; i >= 0; i-- {

@@ -188,6 +188,9 @@ func TestPhiRelaxationOccurs(t *testing.T) {
 // deferred under θ>0; when the frame runs out of well-connected candidates
 // while still large enough to finish, θ is relaxed and the deferred pair is
 // re-examined — the Example 2 "reduce θ and mark unvisited" mechanics.
+// The core cascade is off: on this instance (p 4, k 1, so every member
+// must know 2 others) excluding d leaves a with one acquaintance, and the
+// cascade ends that frame before its deferred pair needs θ relaxed.
 func TestThetaRelaxationOccurs(t *testing.T) {
 	g := socialgraph.New()
 	q := g.MustAddVertex("q")
@@ -207,6 +210,7 @@ func TestThetaRelaxationOccurs(t *testing.T) {
 
 	opt := DefaultOptions()
 	opt.Theta0 = 2
+	opt.DisableCoreCascade = true
 	grp, stats, err := SGSelect(rg, 4, 1, nil, opt)
 	if err != nil {
 		t.Fatal(err)
@@ -306,8 +310,28 @@ func TestSearchBudget(t *testing.T) {
 	_ = grp // may be nil at this tiny budget
 
 	// A budget large enough to find a feasible solution but not prove
-	// optimality returns the incumbent alongside the error.
-	opt.MaxVertices = 16
+	// optimality returns the incumbent alongside the error. With distinct
+	// distances the clique is proven by the very tests that find its
+	// optimum (Lemma 2 on the need nearest prunes every other frame), so
+	// this clique gives vertices 12..15 the distance of vertex 11: the
+	// groups that swap them in tie the incumbent, the strict bound keeps
+	// them, and proving the optimum takes more than 13 tests.
+	tied := socialgraph.New()
+	tied.AddVertices(16)
+	for u := 0; u < 16; u++ {
+		for v := u + 1; v < 16; v++ {
+			d := 1.0
+			if u == 0 {
+				d = float64(min(v, 11))
+			}
+			tied.MustAddEdge(u, v, d)
+		}
+	}
+	rg, err = tied.ExtractRadiusGraph(0, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opt.MaxVertices = 13
 	grp, _, err = SGSelect(rg, 12, 0, nil, opt)
 	if err != ErrBudgetExceeded {
 		t.Fatalf("err = %v, want ErrBudgetExceeded", err)

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -67,7 +68,9 @@ func FuzzSGSelectMatchesBruteForce(f *testing.F) {
 	})
 }
 
-// FuzzSTGSelectMatchesBruteForce does the same for the temporal query.
+// FuzzSTGSelectMatchesBruteForce does the same for the temporal query, and
+// checks every rule firing of the search against the completions it drops
+// (falsifyFiring).
 func FuzzSTGSelectMatchesBruteForce(f *testing.F) {
 	f.Add([]byte{5, 3, 1, 7, 200, 13, 90, 41, 1, 2, 3, 4, 5, 6, 7, 8, 9})
 	f.Add([]byte{6, 2, 0, 1, 2, 3, 250, 249, 248, 200, 100, 50})
@@ -93,7 +96,11 @@ func FuzzSTGSelectMatchesBruteForce(f *testing.F) {
 			calUser[i] = i
 		}
 		want := bruteSTGQ(rg, cal, calUser, p, k, m)
-		got, _, err := STGSelect(rg, cal, calUser, p, k, m, DefaultOptions())
+		var got *STGroup
+		var err error
+		witnessRun(t, map[string]int{}, fmt.Sprintf("p=%d k=%d m=%d", p, k, m), func() {
+			got, _, err = STGSelect(rg, cal, calUser, p, k, m, DefaultOptions())
+		})
 		if err != nil {
 			if err != ErrNoFeasibleGroup || !math.IsInf(want, 1) {
 				t.Fatalf("STGSelect err %v, brute %v", err, want)

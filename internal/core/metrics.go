@@ -33,4 +33,5 @@ func recordStats(kind string, st Stats) {
 	addPrune("interior", st.InteriorRejects)
 	addPrune("temporal", st.TemporalRejects)
 	addPrune("core", st.CorePeeled)
+	addPrune("cascade", st.CoreCascaded)
 }

@@ -126,7 +126,8 @@ func widenInterval(cal *schedule.Calendar, calUser []int, members []int, pivot i
 // its acquaintance core (engine.peel) and builds the per-slot
 // unavailability counters over the initial VA = core − {q}. It reports
 // false when the pivot cannot host any feasible solution: the initiator
-// does not qualify or is peeled, or fewer than p vertices are left.
+// does not qualify (tested first, before any other row is read) or is
+// peeled, or fewer than p vertices are left.
 func prepPivot(e *engine, cal *schedule.Calendar, calUser []int, eligible *bitset.Set, w schedule.Window) bool {
 	t := e.tmp
 	eligible.Clear()
@@ -139,11 +140,17 @@ func prepPivot(e *engine, cal *schedule.Calendar, calUser []int, eligible *bitse
 		// Spatial eligibility first (GSGSelect): a vertex with no location
 		// or outside the activity radius never enters a pivot's candidates,
 		// so the grid pruning happens before any calendar work.
-		if e.spat != nil && e.spat[v] < 0 {
-			continue
+		ok := e.spat == nil || e.spat[v] >= 0
+		var lo, hi int
+		if ok {
+			lo, hi, ok = cal.UserQualifies(calUser[v], w, t.windowWords(v))
 		}
-		lo, hi, ok := cal.UserQualifies(calUser[v], w, t.windowWords(v))
 		if !ok {
+			if v == 0 {
+				// The initiator cannot host this pivot: no other row is
+				// read.
+				return false
+			}
 			continue
 		}
 		eligible.Add(v)
@@ -151,7 +158,7 @@ func prepPivot(e *engine, cal *schedule.Calendar, calUser []int, eligible *bitse
 		t.runHi[v] = hi
 		count++
 	}
-	if !eligible.Contains(0) || count < e.p {
+	if count < e.p {
 		return false
 	}
 	count -= e.peel(eligible)

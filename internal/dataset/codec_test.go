@@ -89,6 +89,9 @@ func oracleBuild(f fileFormat) (*Dataset, error) {
 	if f.HorizonSlots < 0 {
 		return nil, fmt.Errorf("negative horizon %d", f.HorizonSlots)
 	}
+	if calendarTooLarge(len(f.People), f.HorizonSlots) {
+		return nil, fmt.Errorf("calendar of %d×%d over the cap", len(f.People), f.HorizonSlots)
+	}
 	g := socialgraph.New()
 	community := make([]int, len(f.People))
 	for i, p := range f.People {
@@ -285,6 +288,8 @@ var garbage = []string{
 	`{"people":[{"name":"a\u00e9\ud83d\ude00\ud800"},{"name":"b\/c"}],"horizonSlots":4,"free":[[[1]],[[0,2,"x",{}]],null]}`,
 	`{"people":[null,{}],"edges":[{"a":0,"b":1,"dist":2.5e0,"x":[1,{"y":null}]}],"horizonSlots":48,"free":[[null,[1,3]]]}`,
 	`{"people":[{}],"horizonSlots":9223372036854775807,"free":[]}`,
+	`{"people":[{}],"horizonSlots":9223372036854775807}`,
+	`{"people":[{},{}],"horizonSlots":2147483649}`,
 	`{"people":[],"horizonSlots":9223372036854775808,"free":[]}`,
 	`{"people":[],"horizonSlots":-9223372036854775808,"days":1.5}`,
 	`{"people":[{}],"horizonSlots":4,"policies":{},"locations":{}}`,
@@ -303,8 +308,8 @@ var garbage = []string{
 // each accepted data.
 func checkLoadAgrees(t *testing.T, data []byte, bufSize int) (loaded, oracle bool) {
 	t.Helper()
-	tooBig := func(people, horizon int) bool { // keep the calendar small
-		return horizon > 0 && people > (1<<22)/horizon
+	tooBig := func(people, horizon int) bool { // keep the calendar small, but build what the cap refuses
+		return horizon > 0 && people > (1<<22)/horizon && !calendarTooLarge(people, horizon)
 	}
 	of, oerr := oracleDecode(data)
 	if oerr == nil && tooBig(len(of.People), of.HorizonSlots) {

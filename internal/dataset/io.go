@@ -278,11 +278,23 @@ func appendQuoted(dst []byte, s string) []byte {
 	return append(dst, '"')
 }
 
+// MaxCalendarCells caps the calendar a dataset file may ask for: people ×
+// horizonSlots, counting at least one person, since every person added
+// later costs a row of the horizon too. 2³² slots is a 512 MiB calendar.
+const MaxCalendarCells int64 = 1 << 32
+
+// calendarTooLarge reports whether a calendar of people rows over horizon
+// slots exceeds MaxCalendarCells.
+func calendarTooLarge(people, horizon int) bool {
+	return int64(horizon) > MaxCalendarCells/int64(max(people, 1))
+}
+
 // Load reads a dataset written by Save. It reads r once, through one
 // buffer, and refuses what the file format cannot describe: a syntax
-// error, a value of the wrong type, a negative horizon, a duplicate
-// name, an edge the graph refuses, a free run outside the horizon, and
-// availability, a policy or a location for someone who is not in people.
+// error, a value of the wrong type, a negative horizon, a calendar over
+// MaxCalendarCells, a duplicate name, an edge the graph refuses, a free
+// run outside the horizon, and availability, a policy or a location for
+// someone who is not in people.
 func Load(r io.Reader) (*Dataset, error) {
 	f, err := decode(r, 64<<10)
 	if err != nil {
@@ -333,6 +345,9 @@ func (f *file) build() (*Dataset, error) {
 	}
 	g := f.g
 	n := g.NumVertices()
+	if calendarTooLarge(n, f.horizon) {
+		return nil, fmt.Errorf("dataset: %d people over %d slots exceed the calendar cap of %d slots", n, f.horizon, MaxCalendarCells)
+	}
 	for _, e := range f.edges {
 		if err := addEdge(g, e); err != nil {
 			return nil, err

@@ -3,6 +3,7 @@ package dataset
 import (
 	"bytes"
 	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -77,6 +78,28 @@ func TestLoadRejectsGarbage(t *testing.T) {
 	for name, in := range cases {
 		if _, err := Load(strings.NewReader(in)); err == nil {
 			t.Errorf("%s: Load accepted bad input", name)
+		}
+	}
+}
+
+// TestLoadRefusesHugeHorizon: a horizon whose calendar cannot be
+// allocated is refused with an error, not a makeslice panic, and so is
+// one that would cost gigabytes; the cap counts a file with no people as
+// one person, whose row any later person pays.
+func TestLoadRefusesHugeHorizon(t *testing.T) {
+	for _, in := range []string{
+		`{"people":[{}],"horizonSlots":9223372036854775807}`,
+		`{"people":[{},{}],"horizonSlots":10000000000}`,
+		`{"people":[],"horizonSlots":4294967297}`,
+	} {
+		if _, err := Load(strings.NewReader(in)); err == nil || !strings.Contains(err.Error(), "calendar cap") {
+			t.Errorf("Load(%s) = %v, want the calendar cap refused", in, err)
+		}
+	}
+	if strconv.IntSize == 64 { // a 2³²-slot horizon is not an int on 32-bit platforms
+		d, err := Load(strings.NewReader(`{"people":[],"horizonSlots":4294967296}`))
+		if err != nil || int64(d.Cal.Horizon()) != MaxCalendarCells {
+			t.Errorf("a horizon at the cap with no people: %v", err)
 		}
 	}
 }
