@@ -77,12 +77,14 @@ bench-smoke:
 	$(GO) test -run='^$$' -bench='^BenchmarkDataset(Load|Save)$$' -benchtime=1x ./internal/dataset
 
 # Ten seconds of each fuzz target against its oracle: the dataset codec
-# against encoding/json, SGSelect and STGSelect against brute force. The
-# seed corpora also run in plain `make test`; this explores beyond them.
+# against encoding/json, SGSelect, STGSelect and GSGSelect against brute
+# force. The seed corpora also run in plain `make test`; this explores
+# beyond them.
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz='^FuzzLoadAgreesWithEncodingJSON$$' -fuzztime=10s ./internal/dataset
 	$(GO) test -run='^$$' -fuzz='^FuzzSGSelectMatchesBruteForce$$' -fuzztime=10s ./internal/core
 	$(GO) test -run='^$$' -fuzz='^FuzzSTGSelectMatchesBruteForce$$' -fuzztime=10s ./internal/core
+	$(GO) test -run='^$$' -fuzz='^FuzzGSGSelectMatchesBruteForce$$' -fuzztime=10s ./internal/core
 
 # The repository's benchmark as alternating parent/change pairs judged by
 # `stgqbench compare` — how a speed claim is measured:

@@ -56,7 +56,7 @@ func main() {
 		}
 		fmt.Printf("\n  effort: %d vertices examined, %d branches, %d prunes\n",
 			plan.Stats.VerticesExamined, plan.Stats.NodesExpanded,
-			plan.Stats.DistancePrunes+plan.Stats.AcquaintancePrunes+plan.Stats.AvailabilityPrunes)
+			plan.Stats.DistancePrunes+plan.Stats.AvailabilityPrunes)
 	}
 
 	// How would phone-around coordination do on the dinner?

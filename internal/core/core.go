@@ -3,7 +3,9 @@
 // (Section 4.2) for the Social Group Query and the Social-Temporal Group
 // Query, with all five strategies — access ordering (interior unfamiliarity
 // and exterior expansibility), distance pruning, acquaintance pruning, pivot
-// time slots, temporal extensibility, and availability pruning.
+// time slots, temporal extensibility, and availability pruning; exterior
+// expansibility and acquaintance pruning take the form of one degree
+// condition, the acquaintance core (see below).
 //
 // # Search-space interpretation
 //
@@ -14,9 +16,9 @@
 // social distance; a candidate that passes the admission conditions opens an
 // include-branch (VS∪{u}, VA−{u}) explored recursively, after which u is
 // excluded from the frame's VA; candidates failing a condition that is
-// monotone in VS (U > k, X < 0, exterior expansibility) are excluded
-// immediately; candidates failing only the θ/φ-relaxed forms are deferred and
-// re-examined after the frame relaxes θ (then φ). This enumerates every
+// monotone in VS (U > k, X < 0) are excluded immediately; candidates
+// failing only the θ/φ-relaxed forms are deferred and re-examined after
+// the frame relaxes θ (then φ). This enumerates every
 // candidate group at most once and never discards a feasible optimum, which
 // is what Theorems 2 and 3 require.
 //
@@ -30,15 +32,36 @@
 // Definition 4's eligibility) and GSGSelect (after its spatial filter) peel
 // their candidates to that core. The peel is exact — it removes only
 // vertices of no feasible group, so the search meets the same groups in
-// the same order and returns the same answer — and it is on by default;
-// Options.DisableCorePeel restores the paper's candidate sets.
+// the same order and returns the same answer.
 //
 // The search keeps the same degree condition inside the frames: when a
 // detach (a reject, a recorded group or an explored include-branch) leaves
 // a VA member with fewer than c neighbours in VS ∪ VA, that member leaves
 // VA too, and so on (the core cascade); when a VS member falls below c the
 // frame has no feasible completion and ends. The cascade is exact for the
-// same reason as the peel; Options.DisableCoreCascade switches it off.
+// same reason as the peel. Every frame the search examines is therefore
+// core-closed: each member of VS ∪ VA has at least c neighbours in
+// VS ∪ VA. Options.DisableAcquaintancePruning switches off the peel and
+// the cascade together.
+//
+// # The acquaintance core is Lemmas 1 and 3
+//
+// The paper prunes acquaintance twice: exterior expansibility (Definition
+// 3, Lemma 1) at each admission, and Lemma 3 at each frame. In a
+// core-closed frame neither can fire, so the engine runs neither. With
+// need = p − |VS|:
+//   - for a candidate u, Lemma 1's inequality for each v ∈ VS ∪ {u}
+//     reduces to exactly |N_v ∩ (VS ∪ VA)| ≥ c, which closure asserts;
+//   - every VA member knows at least c − |VS| = need − 1 − k others in
+//     VA, so the total inner degree of any need of them, and both of
+//     Lemma 3's upper bounds on it, are at least need·(need − 1 − k).
+//
+// That right-hand side is the sound form of Lemma 3. The paper states it
+// as need·(need − k), but a selected vertex has only need − 1 companions
+// within the selection, of which k may be strangers; the paper's form
+// over-prunes (a star with p = 4 and k = 2 is feasible but has total inner
+// degree 0 < 3·(3 − 2)). TestCoreClosedFramesSubsumeLemmas1And3 checks
+// both claims at every frame against the two rules as the engine ran them.
 //
 // # Lemma 2 on the need nearest
 //
@@ -86,28 +109,16 @@ type Options struct {
 	MaxVertices int64
 
 	// Ablation switches for the paper's strategies (all false in the
-	// paper's configuration).
+	// paper's configuration). DisableAcquaintancePruning switches off the
+	// acquaintance core, this engine's form of Lemmas 1 and 3 (see the
+	// package doc), so the search runs over the paper's own candidate
+	// sets; DisableAccessOrdering switches off the θ deferral of interior
+	// unfamiliarity.
 	DisableDistancePruning       bool
 	DisableAcquaintancePruning   bool
 	DisableAccessOrdering        bool
 	DisableAvailabilityPruning   bool
 	DisableTemporalExtensibility bool
-
-	// DisableCorePeel switches off the acquaintance-core peel (see the
-	// package doc). The peel is not in the paper; it is exact by the k-plex
-	// degree argument — every member of a feasible group knows at least
-	// p − 1 − k others inside it — so answers are identical either way, and
-	// it is on by default. Disabling it gives the paper's own candidate
-	// sets: the reference the differential tests compare against, and the
-	// configuration in which Example 2's pruning narrative plays out.
-	DisableCorePeel bool
-
-	// DisableCoreCascade switches off the core cascade inside the search
-	// (see the package doc): VA members that a detach leaves with fewer
-	// than p − 1 − k neighbours in VS ∪ VA stay in VA. Like the peel, the
-	// cascade is not in the paper and is exact, so answers are identical
-	// either way; it is on by default.
-	DisableCoreCascade bool
 
 	// Deprecated: Runs is ignored. Pivot preparation reads each candidate's
 	// window straight from its calendar row as packed words; the field
@@ -145,10 +156,12 @@ type Stats struct {
 	// SolutionsFound counts incumbent improvements.
 	SolutionsFound int64
 
-	DistancePrunes     int64 // Lemma 2 firings
-	AcquaintancePrunes int64 // Lemma 3 firings
+	DistancePrunes int64 // Lemma 2 firings
+	// Deprecated: AcquaintancePrunes is always 0; the acquaintance core
+	// subsumes Lemma 3 (see CorePeeled and CoreCascaded). The field stays
+	// only while the benchmark's trace still reads it.
+	AcquaintancePrunes int64
 	AvailabilityPrunes int64 // Lemma 5 firings
-	ExteriorRejects    int64 // Lemma 1 / Definition 3 rejections
 	InteriorRejects    int64 // U > k permanent rejections
 	TemporalRejects    int64 // X < 0 permanent rejections
 	ThetaRelaxations   int64
@@ -156,10 +169,10 @@ type Stats struct {
 	PivotsProcessed    int64 // STGSelect only
 	PivotsSkipped      int64 // pivots whose feasible graph was too small
 	// CorePeeled counts vertices the acquaintance-core peel removed from
-	// the candidates, summed over pivots (see Options.DisableCorePeel).
+	// the candidates before the search, summed over pivots.
 	CorePeeled int64
 	// CoreCascaded counts VA members the core cascade removed inside the
-	// search (see Options.DisableCoreCascade).
+	// search.
 	CoreCascaded int64
 }
 

@@ -94,23 +94,24 @@ func TestSGSelectExample2(t *testing.T) {
 		t.Errorf("implausible stats: %+v", stats)
 	}
 	// Example 2's narrative implies both the distance and the acquaintance
-	// pruning fire on this instance. In our engine the frame-level distance
-	// check runs first and shadows the acquaintance check, and the core
-	// peel removes v8 (one neighbour, c = 2) before the search, which is
-	// what Lemma 3 prunes in the example; so the latter is asserted on the
-	// paper's own candidates with distance pruning ablated.
+	// pruning fire on this instance. The distance prune fires in the
+	// search; the vertex Lemma 3 prunes in the example, v8 (one
+	// neighbour, c = 2), is the one vertex the acquaintance core removes
+	// before the search.
 	if stats.DistancePrunes == 0 {
 		t.Errorf("expected at least one distance prune, stats %+v", stats)
 	}
-	noDist := DefaultOptions()
-	noDist.DisableDistancePruning = true
-	noDist.DisableCorePeel = true
-	grp2, stats2, err := SGSelect(rg, 4, 1, nil, noDist)
-	if err != nil || grp2.TotalDistance != 62 {
-		t.Fatalf("ablated run: %+v, %v", grp2, err)
+	if stats.CorePeeled != 1 {
+		t.Errorf("core peeled %d vertices, want 1 (v8)", stats.CorePeeled)
 	}
-	if stats2.AcquaintancePrunes == 0 {
-		t.Errorf("expected at least one acquaintance prune, stats %+v", stats2)
+	e := newEngine(rg, 4, 1, DefaultOptions())
+	if !e.reset(nil) {
+		t.Fatal("reset reports no search over the ball")
+	}
+	for v, label := range rg.Labels[1:] {
+		if in := e.va.Contains(v + 1); in != (label != "v8") {
+			t.Errorf("%s in the core: %v", label, in)
+		}
 	}
 }
 
@@ -530,11 +531,6 @@ func TestQuickAblationsPreserveOptimum(t *testing.T) {
 	}
 	{
 		o := DefaultOptions()
-		o.DisableAcquaintancePruning = true
-		variants = append(variants, o)
-	}
-	{
-		o := DefaultOptions()
 		o.DisableAccessOrdering = true
 		variants = append(variants, o)
 	}
@@ -546,9 +542,9 @@ func TestQuickAblationsPreserveOptimum(t *testing.T) {
 		variants = append(variants, o)
 	}
 
-	noPeel := DefaultOptions()
-	noPeel.DisableCorePeel = true
-	variants = append(variants, noPeel)
+	noCore := DefaultOptions()
+	noCore.DisableAcquaintancePruning = true
+	variants = append(variants, noCore)
 
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
@@ -566,11 +562,11 @@ func TestQuickAblationsPreserveOptimum(t *testing.T) {
 				t.Logf("seed %d: %v vs %v under %+v", seed, ref.TotalDistance, got.TotalDistance, opt)
 				return false
 			}
-			// The peel removes only vertices of no feasible group, so the
+			// The core removes only vertices of no feasible group, so the
 			// search meets the same groups in the same order: the whole
 			// answer, not just its distance, must match.
-			if opt == noPeel && err == nil && !reflect.DeepEqual(got, ref) {
-				t.Logf("seed %d: peeled answer %+v, unpeeled %+v", seed, ref, got)
+			if opt == noCore && err == nil && !reflect.DeepEqual(got, ref) {
+				t.Logf("seed %d: answer %+v, without the core %+v", seed, ref, got)
 				return false
 			}
 		}
@@ -602,12 +598,11 @@ func TestQuickSTGAblationsPreserveOptimum(t *testing.T) {
 		o.DisableDistancePruning = true
 		o.DisableAcquaintancePruning = true
 		o.DisableAccessOrdering = true
-		o.DisableCorePeel = true
 		variants = append(variants, o)
 	}
-	noPeel := DefaultOptions()
-	noPeel.DisableCorePeel = true
-	variants = append(variants, noPeel)
+	noCore := DefaultOptions()
+	noCore.DisableAcquaintancePruning = true
+	variants = append(variants, noCore)
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		rg := randomRadiusGraph(r, 5+r.Intn(5), 0.4, 1)
@@ -630,8 +625,8 @@ func TestQuickSTGAblationsPreserveOptimum(t *testing.T) {
 				return false
 			}
 			// Members, interval and pivot too (see the SG variant).
-			if opt == noPeel && err == nil && !reflect.DeepEqual(got, ref) {
-				t.Logf("seed %d: peeled answer %+v, unpeeled %+v", seed, ref, got)
+			if opt == noCore && err == nil && !reflect.DeepEqual(got, ref) {
+				t.Logf("seed %d: answer %+v, without the core %+v", seed, ref, got)
 				return false
 			}
 		}
@@ -663,15 +658,26 @@ func forEachGroup(n, p int, allowed *bitset.Set, fn func(members *bitset.Set)) {
 	rec(1, 1)
 }
 
+// coreOf resets an engine for SGQ(p, k) to the candidates cand (nil: the
+// whole graph) and returns the set it would search, VS ∪ VA, and whether
+// reset reports a search.
+func coreOf(rg *socialgraph.RadiusGraph, p, k int, cand *bitset.Set) (*bitset.Set, bool) {
+	e := newEngine(rg, p, k, DefaultOptions())
+	search := e.reset(cand)
+	core := e.va.Clone()
+	core.Add(0)
+	return core, search
+}
+
 // TestQuickPeelKeepsEveryFeasibleGroup: the acquaintance-core peel is
 // exact. Over seeded graphs and every k from 0 to p − 1, each group the
 // brute force finds feasible within a candidate set survives the peel of
-// that set; and SGSelect, given a restrict that omits the initiator as
-// the baseline passes it, leaves restrict untouched and returns exactly
-// the unpeeled answer.
+// that set, and reset reports a search; and SGSelect, given a restrict
+// that omits the initiator as the baseline passes it, leaves restrict
+// untouched and returns exactly the answer it returns without the core.
 func TestQuickPeelKeepsEveryFeasibleGroup(t *testing.T) {
-	noPeel := DefaultOptions()
-	noPeel.DisableCorePeel = true
+	noCore := DefaultOptions()
+	noCore.DisableAcquaintancePruning = true
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		rg := randomRadiusGraph(r, 5+r.Intn(6), 0.2+r.Float64()*0.6, 1+r.Intn(2))
@@ -684,13 +690,11 @@ func TestQuickPeelKeepsEveryFeasibleGroup(t *testing.T) {
 			}
 		}
 		for k := 0; k < p; k++ {
-			core := restrict.Clone()
-			core.Add(0)
-			newEngine(rg, p, k, DefaultOptions()).peel(core)
+			core, search := coreOf(rg, p, k, restrict)
 			ok := true
 			forEachGroup(n, p, restrict, func(members *bitset.Set) {
-				if ok && rg.GroupFeasible(members, k) && !members.IsSubsetOf(core) {
-					t.Logf("seed %d p=%d k=%d: feasible group %v not inside the core %v", seed, p, k, members, core)
+				if ok && rg.GroupFeasible(members, k) && (!search || !members.IsSubsetOf(core)) {
+					t.Logf("seed %d p=%d k=%d: feasible group %v not inside the core %v (search %v)", seed, p, k, members, core, search)
 					ok = false
 				}
 			})
@@ -700,13 +704,13 @@ func TestQuickPeelKeepsEveryFeasibleGroup(t *testing.T) {
 
 			before := restrict.Clone()
 			got, _, err := SGSelect(rg, p, k, restrict, DefaultOptions())
-			want, _, wantErr := SGSelect(rg, p, k, restrict, noPeel)
+			want, _, wantErr := SGSelect(rg, p, k, restrict, noCore)
 			if !restrict.Equal(before) {
 				t.Logf("seed %d: SGSelect modified restrict: %v → %v", seed, before, restrict)
 				return false
 			}
 			if !errors.Is(err, wantErr) || !reflect.DeepEqual(got, want) {
-				t.Logf("seed %d p=%d k=%d: peeled %+v (%v), unpeeled %+v (%v)", seed, p, k, got, err, want, wantErr)
+				t.Logf("seed %d p=%d k=%d: %+v (%v), without the core %+v (%v)", seed, p, k, got, err, want, wantErr)
 				return false
 			}
 		}

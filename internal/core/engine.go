@@ -19,16 +19,15 @@ type engine struct {
 	p, k int
 	opt  Options
 
-	n        int
-	vs       *bitset.Set // intermediate solution VS (always contains vertex 0)
-	va       *bitset.Set // remaining candidates VA
-	vsList   []int       // VS in insertion order
-	vsCount  int
-	vaCount  int
-	td       float64 // Σ_{v∈VS} d(v,q)
-	nbrInVS  []int   // per vertex: |N_v ∩ VS|
-	nbrInVA  []int   // per vertex: |N_v ∩ VA|
-	sumInner int     // Σ_{v∈VA} |N_v ∩ VA| (total inner degree, Lemma 3)
+	n       int
+	vs      *bitset.Set // intermediate solution VS (always contains vertex 0)
+	va      *bitset.Set // remaining candidates VA
+	vsList  []int       // VS in insertion order
+	vsCount int
+	vaCount int
+	td      float64 // Σ_{v∈VS} d(v,q)
+	nbrInVS []int   // per vertex: |N_v ∩ VS|
+	deg     []int   // per vertex: |N_v ∩ (VS ∪ VA)|, the core degree
 
 	bestDist float64
 	bestSet  *bitset.Set
@@ -55,15 +54,12 @@ type engine struct {
 
 	removedPool [][]int
 
-	// cascadeDeg is the core degree c = p − 1 − k that drop keeps every
-	// VS ∪ VA member at; 0 (no cascade) when c ≤ 0 or
-	// Options.DisableCoreCascade is set.
-	cascadeDeg int
-
-	// coreDeg and coreQueue are peel's scratch: per vertex, its neighbours
-	// still in the candidate set, and the vertices peeled so far.
-	coreDeg   []int
-	coreQueue []int
+	// coreDeg is the core degree c = p − 1 − k that reset and drop keep
+	// every VS ∪ VA member at; 0 (no core) when c ≤ 0 or
+	// Options.DisableAcquaintancePruning is set.
+	coreDeg int
+	// peeled is reset's scratch: the vertices its peel removed.
+	peeled []int
 
 	// interiorRHS[θ][|VS∪{u}|] = k·(|VS∪{u}|/p)^θ, precomputed so the hot
 	// admission path avoids math.Pow.
@@ -76,11 +72,13 @@ type engine struct {
 
 // witness, when non-nil, is called at every firing of a pruning rule: a
 // frame prune of pruneFrame (u = −1), a permanent reject of admit (u the
-// candidate) and a core-cascade removal in drop (u the vertex removed, or
-// −1 when a VS member falls below the core degree and ends the frame).
-// rule is the strategy the firing is counted under in
-// stgq_engine_prunes_total. Only tests set it: they check every firing
-// against the completions of the frame, enumerated by brute force.
+// candidate), and a core removal by reset's peel (rule "core") or by the
+// cascade inside the search (rule "cascade"), u the vertex removed, or −1
+// when vertex 0 or another VS member falls below the core degree. rule is
+// the strategy the firing is counted under in stgq_engine_prunes_total.
+// It is also called under rule "frame" (u = −1) at the top of every
+// pruneFrame, before any test runs. Only tests set it: they check every
+// firing against the completions of the frame, enumerated by brute force.
 var witness func(e *engine, rule string, u int)
 
 // fire reports one firing of rule to the witness, if one is set.
@@ -175,12 +173,12 @@ func newEngine(rg *socialgraph.RadiusGraph, p, k int, opt Options) *engine {
 		vs:       bitset.New(n),
 		va:       bitset.New(n),
 		nbrInVS:  make([]int, n),
-		nbrInVA:  make([]int, n),
+		deg:      make([]int, n),
 		bestDist: math.Inf(1),
 		bestSet:  bitset.New(n),
 	}
-	if c := p - 1 - k; c > 0 && !opt.DisableCoreCascade {
-		e.cascadeDeg = c
+	if c := p - 1 - k; c > 0 && !opt.DisableAcquaintancePruning {
+		e.coreDeg = c
 	}
 	depth := p + 1
 	e.removedPool = make([][]int, depth)
@@ -210,43 +208,71 @@ func (e *engine) initTemporalRHS(m int) {
 	}
 }
 
-// reset prepares the candidate state: VS = {0}, VA = eligible−{0}. eligible
-// may be nil (all vertices).
-func (e *engine) reset(eligible *bitset.Set) {
+// reset prepares the candidate state of one search: VS = {0} and VA the
+// acquaintance core of eligible ∪ {0}, less vertex 0 (eligible may be nil:
+// all vertices; it is read, never modified). It counts each candidate's
+// degree inside VS ∪ VA once and peels from the vertices below the core
+// degree with drop's cascade; the peel loses no feasible group (see the
+// package doc) and each removal is counted in Stats.CorePeeled. The
+// Lemma 5 unavailability counters are built over the candidates as they
+// are counted, and the peel's drops keep them over VA. It reports whether
+// a search is worth running: false when vertex 0 ends below the core
+// degree or fewer than p candidates remain.
+func (e *engine) reset(eligible *bitset.Set) bool {
 	e.vs.Clear()
 	e.va.Clear()
 	e.vs.Add(0)
 	e.vsList = append(e.vsList[:0], 0)
 	e.vsCount = 1
 	e.td = 0
-	for i := range e.nbrInVS {
-		e.nbrInVS[i] = 0
-		e.nbrInVA[i] = 0
-	}
 	for v := 1; v < e.n; v++ {
 		if eligible == nil || eligible.Contains(v) {
 			e.va.Add(v)
 		}
 	}
 	e.vaCount = e.va.Count()
-	e.sumInner = 0
-	for v := e.va.NextSet(0); v != -1; v = e.va.NextSet(v + 1) {
+	t := e.tmp
+	if t != nil {
+		clear(t.unavail)
+		t.curLo, t.curHi = t.runLo[0], t.runHi[0]
+		t.loStack = t.loStack[:0]
+		t.hiStack = t.hiStack[:0]
+	}
+	// Vertex 0, then each member of VA: its degree inside VS ∪ VA and, VS
+	// being {0}, its adjacency to vertex 0.
+	nbr0 := e.rg.Nbr[0]
+	e.nbrInVS[0] = 0
+	for v := 0; v != -1; v = e.va.NextSet(v + 1) {
+		d := 0
 		for _, w := range e.rg.Adj[v] {
-			if e.va.Contains(w) {
-				e.nbrInVA[v]++
-			}
-			if e.vs.Contains(w) {
-				e.nbrInVS[v]++
+			if w == 0 || e.va.Contains(w) {
+				d++
 			}
 		}
-		e.sumInner += e.nbrInVA[v]
-	}
-	// Vertex 0's counters.
-	for _, w := range e.rg.Adj[0] {
-		if e.va.Contains(w) {
-			e.nbrInVA[0]++
+		e.deg[v] = d
+		if v != 0 {
+			e.nbrInVS[v] = 0
+			if nbr0.Contains(v) {
+				e.nbrInVS[v] = 1
+			}
+			if t != nil {
+				t.addBusy(v, 1)
+			}
 		}
 	}
+	alive := e.deg[0] >= e.coreDeg
+	if !alive {
+		e.fire("core", -1)
+	}
+	peeled := e.peeled[:0]
+	for v := e.va.NextSet(1); alive && v != -1; v = e.va.NextSet(v + 1) {
+		if e.deg[v] < e.coreDeg {
+			e.fire("core", v)
+			e.stats.CorePeeled++
+			peeled, alive = e.drop(v, peeled, "core", &e.stats.CorePeeled)
+		}
+	}
+	e.peeled = peeled[:0]
 	if e.spat != nil {
 		e.minCost = math.Inf(1)
 		for v := e.va.NextSet(0); v != -1; v = e.va.NextSet(v + 1) {
@@ -255,6 +281,7 @@ func (e *engine) reset(eligible *bitset.Set) {
 			}
 		}
 	}
+	return alive && e.vsCount+e.vaCount >= e.p
 }
 
 // cost is the per-vertex contribution to the optimized total: the social
@@ -267,57 +294,13 @@ func (e *engine) cost(v int) float64 {
 	return e.rg.Dist[v] + e.spat[v]
 }
 
-// peel reduces cand to its acquaintance core: the largest subset in which
-// every vertex has at least c = p − 1 − k neighbours (rg.Adj) inside the
-// subset. A member of a feasible group has at most k strangers among the
-// other p − 1 members, so it knows at least c of them, all inside cand;
-// every feasible group within cand therefore lies inside its c-core, and
-// peeling loses no solution (the k-plex degree condition of Theorem 1).
-// It returns the number of vertices removed, which Stats.CorePeeled
-// accumulates. c ≤ 0 and Options.DisableCorePeel make it a no-op.
-func (e *engine) peel(cand *bitset.Set) int {
-	c := e.p - 1 - e.k
-	if c <= 0 || e.opt.DisableCorePeel {
-		return 0
-	}
-	if e.coreDeg == nil {
-		e.coreDeg = make([]int, e.n)
-	}
-	deg, queue := e.coreDeg, e.coreQueue[:0]
-	for v := cand.NextSet(0); v != -1; v = cand.NextSet(v + 1) {
-		deg[v] = 0
-		for _, w := range e.rg.Adj[v] {
-			if cand.Contains(w) {
-				deg[v]++
-			}
-		}
-		if deg[v] < c {
-			queue = append(queue, v)
-		}
-	}
-	for _, v := range queue {
-		cand.Remove(v)
-	}
-	for i := 0; i < len(queue); i++ {
-		for _, w := range e.rg.Adj[queue[i]] {
-			if cand.Contains(w) {
-				if deg[w]--; deg[w] < c {
-					cand.Remove(w)
-					queue = append(queue, w)
-				}
-			}
-		}
-	}
-	e.coreQueue = queue[:0]
-	e.stats.CorePeeled += int64(len(queue))
-	return len(queue)
-}
-
 // --- incremental state transitions -------------------------------------
 
-// moveToVS moves u from VA into VS.
+// moveToVS moves u from VA into VS. u stays in VS ∪ VA, so no core
+// degree changes.
 func (e *engine) moveToVS(u int) {
-	e.detachFromVA(u)
+	e.va.Remove(u)
+	e.vaCount--
 	e.vs.Add(u)
 	e.vsList = append(e.vsList, u)
 	e.vsCount++
@@ -326,6 +309,7 @@ func (e *engine) moveToVS(u int) {
 		e.nbrInVS[w]++
 	}
 	if t := e.tmp; t != nil {
+		t.addBusy(u, -1)
 		t.loStack = append(t.loStack, t.curLo)
 		t.hiStack = append(t.hiStack, t.curHi)
 		if t.runLo[u] > t.curLo {
@@ -344,6 +328,7 @@ func (e *engine) undoMoveToVS(u int) {
 		t.curHi = t.hiStack[len(t.hiStack)-1]
 		t.loStack = t.loStack[:len(t.loStack)-1]
 		t.hiStack = t.hiStack[:len(t.hiStack)-1]
+		t.addBusy(u, 1)
 	}
 	for _, w := range e.rg.Adj[u] {
 		e.nbrInVS[w]--
@@ -352,64 +337,51 @@ func (e *engine) undoMoveToVS(u int) {
 	e.vsList = e.vsList[:len(e.vsList)-1]
 	e.vsCount--
 	e.td -= e.cost(u)
-	e.attachToVA(u)
+	e.va.Add(u)
+	e.vaCount++
 }
 
-// detachFromVA removes u from VA, maintaining all incremental counters.
-func (e *engine) detachFromVA(u int) {
-	e.va.Remove(u)
-	e.vaCount--
-	e.sumInner -= 2 * e.nbrInVA[u]
-	for _, w := range e.rg.Adj[u] {
-		e.nbrInVA[w]--
-	}
-	if t := e.tmp; t != nil {
-		t.addBusy(u, -1)
-	}
-}
-
-// attachToVA re-inserts u into VA (inverse of detachFromVA).
+// attachToVA re-inserts a vertex that drop removed (its inverse, one
+// vertex at a time).
 func (e *engine) attachToVA(u int) {
 	for _, w := range e.rg.Adj[u] {
-		e.nbrInVA[w]++
+		e.deg[w]++
 	}
 	e.va.Add(u)
 	e.vaCount++
-	e.sumInner += 2 * e.nbrInVA[u]
 	if t := e.tmp; t != nil {
 		t.addBusy(u, 1)
 	}
 }
 
-// drop removes u from VA for the rest of the frame and appends it to
-// removed, which expand restores in reverse on return. It keeps VS ∪ VA
-// core-closed: a VA member left with fewer than cascadeDeg neighbours in
-// VS ∪ VA is in no feasible completion (a member of a feasible group
-// knows at least p − 1 − k others in it), so it leaves the va set at that
-// moment and joins removed, and its own neighbours' counters are updated
-// when the list reaches it. drop reports false when a VS member falls
-// below cascadeDeg: then no completion of VS is feasible and the frame is
-// dead. The list's detaches still all run, so removed restores everything.
-func (e *engine) drop(u int, removed []int) ([]int, bool) {
+// drop removes u from VA and appends it to removed, which the caller
+// restores in reverse (expand on return; reset's peel never does). It
+// keeps VS ∪ VA core-closed: a VA member left with fewer than coreDeg
+// neighbours in VS ∪ VA is in no feasible completion (a member of a
+// feasible group knows at least p − 1 − k others in it), so it leaves the
+// va set at that moment, joins removed and is counted in *n and reported
+// to the witness under rule; its own neighbours' degrees are updated when
+// the list reaches it. drop reports false when a VS member falls below
+// coreDeg: then no completion of VS is feasible and the frame is dead.
+// The list's detaches still all run, so removed restores everything.
+func (e *engine) drop(u int, removed []int, rule string, n *int64) ([]int, bool) {
 	removed = append(removed, u)
 	e.va.Remove(u)
 	alive := true
 	for i := len(removed) - 1; i < len(removed); i++ {
 		x := removed[i]
 		e.vaCount--
-		e.sumInner -= 2 * e.nbrInVA[x]
 		for _, w := range e.rg.Adj[x] {
-			e.nbrInVA[w]--
-			if !alive || e.nbrInVS[w]+e.nbrInVA[w] >= e.cascadeDeg {
+			if e.deg[w]--; !alive || e.deg[w] >= e.coreDeg {
 				continue
 			}
 			if e.va.Contains(w) {
-				e.fire("cascade", w)
+				e.fire(rule, w)
 				e.va.Remove(w)
 				removed = append(removed, w)
-				e.stats.CoreCascaded++
+				*n++
 			} else if e.vs.Contains(w) {
-				e.fire("cascade", -1)
+				e.fire(rule, -1)
 				alive = false
 			}
 		}
@@ -439,32 +411,6 @@ func (e *engine) interiorU(u int) int {
 	return max
 }
 
-// exteriorOK evaluates the exterior expansibility condition
-// A(VS∪{u}) ≥ p − |VS∪{u}| of Definition 3 / Lemma 1, with VA' = VA − {u}.
-func (e *engine) exteriorOK(u int) bool {
-	need := e.p - (e.vsCount + 1)
-	nbrU := e.rg.Nbr[u]
-	// Term for v = u: |VA'∩N_u| + (k − |VS − N_u|).
-	if e.nbrInVA[u]+(e.k-(e.vsCount-e.nbrInVS[u])) < need {
-		return false
-	}
-	for _, v := range e.vsList {
-		adj := nbrU.Contains(v)
-		nbrVA := e.nbrInVA[v]
-		if adj {
-			nbrVA-- // u leaves VA
-		}
-		nonNbr := e.vsCount - 1 - e.nbrInVS[v]
-		if !adj {
-			nonNbr++ // u joins VS as a non-neighbor of v
-		}
-		if nbrVA+(e.k-nonNbr) < need {
-			return false
-		}
-	}
-	return true
-}
-
 // temporalX computes X(VS∪{u}) of Definition 5: the length of the common
 // pivot-containing interval after adding u, minus m.
 func (e *engine) temporalX(u int) int {
@@ -480,22 +426,15 @@ func (e *engine) temporalX(u int) int {
 }
 
 // admit applies the admission conditions to candidate u in the paper's
-// order: exterior expansibility, interior unfamiliarity, temporal
-// extensibility.
+// order: interior unfamiliarity, then temporal extensibility. The paper's
+// first condition, exterior expansibility (Lemma 1), holds of every
+// candidate of a core-closed frame (see the package doc).
 func (e *engine) admit(u, theta, phi int) verdict {
 	e.stats.VerticesExamined++
 	if e.opt.MaxVertices > 0 && e.stats.VerticesExamined >= e.opt.MaxVertices {
 		e.budgetHit = true
 	}
 	vsNew := e.vsCount + 1
-
-	if !e.opt.DisableAccessOrdering {
-		if !e.exteriorOK(u) {
-			e.stats.ExteriorRejects++
-			e.fire("exterior", u)
-			return admitReject
-		}
-	}
 
 	u0 := e.interiorU(u)
 	if u0 > e.k {
@@ -531,17 +470,17 @@ func (e *engine) admit(u, theta, phi int) verdict {
 
 // --- frame-level pruning ------------------------------------------------
 
-// pruneFrame evaluates the Lemma 2 / Lemma 3 / Lemma 5 stop conditions for
-// the current (VS, VA) and reports whether the frame is dead.
+// pruneFrame evaluates the Lemma 2 and Lemma 5 stop conditions for the
+// current (VS, VA) and reports whether the frame is dead. The frames it
+// sees are core-closed — every member of VS ∪ VA knows at least
+// p − 1 − k others in it, which reset and drop maintain — so Lemma 3, the
+// paper's acquaintance prune, could never fire here (see the package doc).
 //
-// Beyond the paper's Lemma 3 correction explained below, two departures,
-// both exact: Lemma 2 bounds a completion by the sum of the need nearest
-// members of VA, not need × the nearest (Options.DisableDistancePruning
-// switches the lemma off), and the frames these tests see are
-// core-closed — every member of VS ∪ VA knows at least p − 1 − k others
-// in it, which drop maintains (Options.DisableCoreCascade switches it
-// off).
+// Lemma 2 departs from the paper, exactly: it bounds a completion by the
+// sum of the need nearest members of VA, not need × the nearest
+// (Options.DisableDistancePruning switches the lemma off).
 func (e *engine) pruneFrame() bool {
+	e.fire("frame", -1)
 	need := e.p - e.vsCount // ≥ 1 here
 
 	// Distance pruning (Lemma 2): no selection of need vertices from VA can
@@ -551,44 +490,6 @@ func (e *engine) pruneFrame() bool {
 		e.stats.DistancePrunes++
 		e.fire("distance", -1)
 		return true
-	}
-
-	// Acquaintance pruning (Lemma 3): upper-bound the total inner degree of
-	// the best need vertices of VA without sorting. Note: the paper states
-	// the lower bound as (p−|VS|)(p−|VS|−k), but a selected vertex has only
-	// p−|VS|−1 companions within the selection, of which k may be
-	// non-neighbors, so the sound per-vertex bound is p−|VS|−1−k; the
-	// paper's form over-prunes (e.g. a star graph with p=4, k=2 is feasible
-	// but has total inner degree 0 < 3·(3−2)). We use the sound bound.
-	if !e.opt.DisableAcquaintancePruning {
-		rhs := need * (need - 1 - e.k)
-		if rhs > 0 && e.vaCount >= need {
-			// Cheap form first: lhs ≤ sumInner, so sumInner < rhs already
-			// proves the prune. The min-refined form (the paper's
-			// improvement that avoids sorting) needs an O(|VA|) scan; apply
-			// it only when VA is small enough that the scan is cheaper than
-			// the search it might save.
-			if e.sumInner < rhs {
-				e.stats.AcquaintancePrunes++
-				e.fire("acquaintance", -1)
-				return true
-			}
-			if e.vaCount <= 64 {
-				minInner := math.MaxInt
-				e.va.ForEach(func(v int) bool {
-					if e.nbrInVA[v] < minInner {
-						minInner = e.nbrInVA[v]
-					}
-					return true
-				})
-				lhs := e.sumInner - (e.vaCount-need)*minInner
-				if lhs < rhs {
-					e.stats.AcquaintancePrunes++
-					e.fire("acquaintance", -1)
-					return true
-				}
-			}
-		}
 	}
 
 	// Availability pruning (Lemma 5).
@@ -746,7 +647,7 @@ func (e *engine) expand(depth int) {
 		// Rejected, recorded or explored: u is never reconsidered in this
 		// frame.
 		var alive bool
-		if removed, alive = e.drop(u, removed); !alive {
+		if removed, alive = e.drop(u, removed, "cascade", &e.stats.CoreCascaded); !alive {
 			break
 		}
 	}

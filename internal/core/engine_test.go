@@ -55,21 +55,20 @@ func TestEngineStateRestoredAfterSearch(t *testing.T) {
 	e.reset(nil)
 
 	type snapshot struct {
-		vs, va   string
-		vsCount  int
-		vaCount  int
-		td       float64
-		sumInner int
-		nbrVS    []int
-		nbrVA    []int
+		vs, va  string
+		vsCount int
+		vaCount int
+		td      float64
+		nbrVS   []int
+		deg     []int
 	}
 	take := func() snapshot {
 		return snapshot{
 			vs: e.vs.String(), va: e.va.String(),
 			vsCount: e.vsCount, vaCount: e.vaCount,
-			td: e.td, sumInner: e.sumInner,
+			td:    e.td,
 			nbrVS: append([]int(nil), e.nbrInVS...),
-			nbrVA: append([]int(nil), e.nbrInVA...),
+			deg:   append([]int(nil), e.deg...),
 		}
 	}
 	before := take()
@@ -82,11 +81,11 @@ func TestEngineStateRestoredAfterSearch(t *testing.T) {
 	if before.vsCount != after.vsCount || before.vaCount != after.vaCount {
 		t.Errorf("counts not restored")
 	}
-	if before.td != after.td || before.sumInner != after.sumInner {
-		t.Errorf("td/sumInner not restored: %v/%d vs %v/%d", before.td, before.sumInner, after.td, after.sumInner)
+	if before.td != after.td {
+		t.Errorf("td not restored: %v vs %v", before.td, after.td)
 	}
 	for i := range before.nbrVS {
-		if before.nbrVS[i] != after.nbrVS[i] || before.nbrVA[i] != after.nbrVA[i] {
+		if before.nbrVS[i] != after.nbrVS[i] || before.deg[i] != after.deg[i] {
 			t.Fatalf("degree counters not restored at vertex %d", i)
 		}
 	}
@@ -188,9 +187,10 @@ func TestPhiRelaxationOccurs(t *testing.T) {
 // deferred under θ>0; when the frame runs out of well-connected candidates
 // while still large enough to finish, θ is relaxed and the deferred pair is
 // re-examined — the Example 2 "reduce θ and mark unvisited" mechanics.
-// The core cascade is off: on this instance (p 4, k 1, so every member
-// must know 2 others) excluding d leaves a with one acquaintance, and the
-// cascade ends that frame before its deferred pair needs θ relaxed.
+// The acquaintance core is off: on this instance (p 4, k 1, so every
+// member must know 2 others) excluding d leaves a with one acquaintance,
+// and the core cascade ends that frame before its deferred pair needs θ
+// relaxed.
 func TestThetaRelaxationOccurs(t *testing.T) {
 	g := socialgraph.New()
 	q := g.MustAddVertex("q")
@@ -210,7 +210,7 @@ func TestThetaRelaxationOccurs(t *testing.T) {
 
 	opt := DefaultOptions()
 	opt.Theta0 = 2
-	opt.DisableCoreCascade = true
+	opt.DisableAcquaintancePruning = true
 	grp, stats, err := SGSelect(rg, 4, 1, nil, opt)
 	if err != nil {
 		t.Fatal(err)

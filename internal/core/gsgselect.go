@@ -61,26 +61,19 @@ func GSGSelect(rg *socialgraph.RadiusGraph, spat []float64, cal *schedule.Calend
 		return runPivots(e, cal, calUser, m, "gsg")
 	}
 
-	// Pure geo-social: one search over the spatially eligible vertices,
-	// peeled to their acquaintance core.
+	// Pure geo-social: one search over the acquaintance core of the
+	// spatially eligible vertices.
 	defer func() { recordStats("gsg", e.stats) }()
-	eligible := bitset.New(e.n)
-	count := 0
-	for v := 0; v < e.n; v++ {
-		if spat[v] >= 0 {
-			eligible.Add(v)
-			count++
-		}
-	}
-	count -= e.peel(eligible)
-	if !eligible.Contains(0) || count < p {
-		return nil, e.stats, ErrNoFeasibleGroup
-	}
 	if p == 1 {
 		return &STGroup{Group: Group{Members: []int{0}, TotalDistance: 0}, Pivot: -1}, e.stats, nil
 	}
-	e.reset(eligible)
-	if e.vsCount+e.vaCount >= p {
+	eligible := bitset.New(e.n)
+	for v := 0; v < e.n; v++ {
+		if spat[v] >= 0 {
+			eligible.Add(v)
+		}
+	}
+	if e.reset(eligible) {
 		searchStart := time.Now()
 		e.expand(0)
 		mSearchSeconds.ObserveSince(searchStart)

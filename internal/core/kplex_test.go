@@ -620,13 +620,9 @@ func TestQuickPeelKeepsMaximumKPlex(t *testing.T) {
 				continue
 			}
 			checked++
-			ball := bitset.New(n)
-			for v := 0; v < n; v++ {
-				ball.Add(v)
-			}
-			newEngine(rg, p, k, DefaultOptions()).peel(ball)
-			if !plex.IsSubsetOf(ball) {
-				t.Logf("seed %d p=%d k=%d: maximum %d-plex %v not inside the core %v", seed, p, k, k+1, plex, ball)
+			core, search := coreOf(rg, p, k, nil)
+			if !search || !plex.IsSubsetOf(core) {
+				t.Logf("seed %d p=%d k=%d: maximum %d-plex %v not inside the core %v (search %v)", seed, p, k, k+1, plex, core, search)
 				return false
 			}
 		}

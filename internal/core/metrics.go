@@ -27,9 +27,7 @@ func recordStats(kind string, st Stats) {
 		}
 	}
 	addPrune("distance", st.DistancePrunes)
-	addPrune("acquaintance", st.AcquaintancePrunes)
 	addPrune("availability", st.AvailabilityPrunes)
-	addPrune("exterior", st.ExteriorRejects)
 	addPrune("interior", st.InteriorRejects)
 	addPrune("temporal", st.TemporalRejects)
 	addPrune("core", st.CorePeeled)

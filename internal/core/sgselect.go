@@ -16,8 +16,8 @@ import (
 // restrict, when non-nil, confines the candidate attendees to the given
 // radius-graph vertices (the initiator, vertex 0, is always a member). The
 // sequential STGQ baseline uses this to solve per-activity-period SGQs.
-// restrict is read, never modified: the candidates restrict ∪ {0} are
-// peeled to their acquaintance core in a copy (see Options.DisableCorePeel).
+// restrict is read, never modified: the search runs over the acquaintance
+// core of restrict ∪ {0} (see engine.reset).
 func SGSelect(rg *socialgraph.RadiusGraph, p, k int, restrict *bitset.Set, opt Options) (*Group, Stats, error) {
 	if err := validateSG(rg, p, k); err != nil {
 		return nil, Stats{}, err
@@ -29,16 +29,7 @@ func SGSelect(rg *socialgraph.RadiusGraph, p, k int, restrict *bitset.Set, opt O
 		return &Group{Members: []int{0}, TotalDistance: 0}, Stats{}, nil
 	}
 	e := newEngine(rg, p, k, opt)
-	cand := bitset.New(e.n)
-	for v := 0; v < e.n; v++ {
-		if restrict == nil || restrict.Contains(v) {
-			cand.Add(v)
-		}
-	}
-	cand.Add(0)
-	e.peel(cand)
-	e.reset(cand)
-	if cand.Contains(0) && e.vsCount+e.vaCount >= p {
+	if e.reset(restrict) {
 		searchStart := time.Now()
 		e.expand(0)
 		mSearchSeconds.ObserveSince(searchStart)

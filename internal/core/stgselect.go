@@ -76,12 +76,9 @@ func runPivots(e *engine, cal *schedule.Calendar, calUser []int, m int, kind str
 			e.stats.SolutionsFound++
 			break
 		}
-		e.reset(eligible)
-		if e.vsCount+e.vaCount >= p {
-			searchStart := time.Now()
-			e.expand(0)
-			searchTime += time.Since(searchStart)
-		}
+		searchStart := time.Now()
+		e.expand(0)
+		searchTime += time.Since(searchStart)
 	}
 
 	if e.bestSet.Count() != p {
@@ -122,12 +119,12 @@ func widenInterval(cal *schedule.Calendar, calUser []int, members []int, pivot i
 // Calendar.UserQualifies reads the window slice of the calendar row as
 // packed words into the query's slab and from them tests Definition 4 (at
 // least m consecutive available slots inside the window; such a run always
-// covers the pivot); prepPivot records the run around the pivot. It then peels the eligible set to
-// its acquaintance core (engine.peel) and builds the per-slot
-// unavailability counters over the initial VA = core − {q}. It reports
-// false when the pivot cannot host any feasible solution: the initiator
-// does not qualify (tested first, before any other row is read) or is
-// peeled, or fewer than p vertices are left.
+// covers the pivot); prepPivot records the run around the pivot. It then
+// resets the engine to the acquaintance core of the eligible set
+// (engine.reset, which also builds the per-slot unavailability counters).
+// It reports false when the pivot cannot host any feasible solution: the
+// initiator does not qualify (tested first, before any other row is read)
+// or is peeled, or fewer than p vertices are left.
 func prepPivot(e *engine, cal *schedule.Calendar, calUser []int, eligible *bitset.Set, w schedule.Window) bool {
 	t := e.tmp
 	eligible.Clear()
@@ -158,23 +155,7 @@ func prepPivot(e *engine, cal *schedule.Calendar, calUser []int, eligible *bitse
 		t.runHi[v] = hi
 		count++
 	}
-	if count < e.p {
-		return false
-	}
-	count -= e.peel(eligible)
-	if !eligible.Contains(0) || count < e.p {
-		return false
-	}
-	for i := range t.unavail {
-		t.unavail[i] = 0
-	}
-	for v := eligible.NextSet(1); v != -1; v = eligible.NextSet(v + 1) {
-		t.addBusy(v, 1)
-	}
-	t.curLo, t.curHi = t.runLo[0], t.runHi[0]
-	t.loStack = t.loStack[:0]
-	t.hiStack = t.hiStack[:0]
-	return true
+	return count >= e.p && e.reset(eligible)
 }
 
 func validateSTG(rg *socialgraph.RadiusGraph, cal *schedule.Calendar, calUser []int, p, k, m int) error {

@@ -10,13 +10,14 @@ import (
 )
 
 // witnessRules is every rule the engine reports to the witness hook: the
-// frame prunes of Lemmas 2, 3 and 5, the permanent rejects of admission,
-// and the core cascade.
-var witnessRules = []string{"distance", "acquaintance", "availability", "exterior", "interior", "temporal", "cascade"}
+// frame prunes of Lemmas 2 and 5, the permanent rejects of admission, and
+// the acquaintance core's peel and cascade. The hook's "frame" call, at
+// the top of every pruneFrame, claims nothing and is not among them.
+var witnessRules = []string{"distance", "availability", "interior", "temporal", "core", "cascade"}
 
 // falsifyFiring checks one firing of rule against every completion of the
 // frame, enumerated by brute force: VS plus need members of VA, with u
-// forced in when the rule fired on a vertex (a reject or a cascade
+// forced in when the rule fired on a vertex (a reject or a core
 // removal). The distance rule claims that every completion costs strictly
 // more than the incumbent, so it drops no better group and no tie; every
 // other rule claims that no completion is feasible — an acquaintance
@@ -95,6 +96,9 @@ func falsifyFiring(e *engine, rule string, u int) string {
 func witnessRun(t testing.TB, tally map[string]int, label string, run func()) {
 	t.Helper()
 	witness = func(e *engine, rule string, u int) {
+		if rule == "frame" {
+			return
+		}
 		tally[rule]++
 		if broken := falsifyFiring(e, rule, u); broken != "" {
 			t.Fatalf("%s: rule %s (u=%d) at VS %v, VA %v dropped a %s", label, rule, u, e.vs, e.va, broken)
@@ -125,26 +129,11 @@ func integralSpat(r *rand.Rand, n int) []float64 {
 	return spat
 }
 
-// TestWitnessEveryFiring is the per-firing proof of every pruning rule:
-// over seeded SG, STG and GSG instances of up to 12 vertices, each firing
-// is checked against the completions it drops (falsifyFiring). A rule
-// can be unsound and still leave the optimum intact — a dropped group may
-// be tied or beaten elsewhere — so the brute-force differentials cannot
-// see what this test sees. Every rule must fire somewhere, or the test
-// proves nothing about it. With the peel and the cascade on, the frames
-// stay core-closed and Lemma 3 and exterior expansibility rarely have
-// anything left to reject, so a third of the instances run with both off,
-// and a third with the cascade alone, over candidates nobody peeled.
-func TestWitnessEveryFiring(t *testing.T) {
-	tally := map[string]map[string]int{"SG": {}, "STG": {}, "GSG": {}}
-	for seed := int64(0); seed < 4500; seed++ {
-		opt := DefaultOptions()
-		switch seed / 3 % 3 {
-		case 1:
-			opt.DisableCorePeel, opt.DisableCoreCascade = true, true
-		case 2:
-			opt.DisableCorePeel = true
-		}
+// witnessInstances calls fn with each of seeds seeded SG, STG and GSG
+// instances of up to 12 vertices (the kinds in turn): kind names it,
+// label describes it, and run solves it under opt.
+func witnessInstances(seeds int64, fn func(seed int64, kind, label string, run func(opt Options))) {
+	for seed := range seeds {
 		r := rand.New(rand.NewSource(seed))
 		n := 5 + r.Intn(8)
 		rg := randomRadiusGraph(r, n, 0.3+r.Float64()*0.5, 1+r.Intn(2))
@@ -154,12 +143,12 @@ func TestWitnessEveryFiring(t *testing.T) {
 		label := fmt.Sprintf("seed %d (n=%d p=%d k=%d)", seed, nn, p, k)
 		switch seed % 3 {
 		case 0:
-			witnessRun(t, tally["SG"], "SG "+label, func() {
+			fn(seed, "SG", label, func(opt Options) {
 				SGSelect(rg, p, k, nil, opt) //nolint:errcheck — infeasible instances fire rules too
 			})
 		case 1:
 			cal, m := randomSchedule(r, nn, 8+r.Intn(16), 0.75)
-			witnessRun(t, tally["STG"], fmt.Sprintf("STG %s m=%d", label, m), func() {
+			fn(seed, "STG", fmt.Sprintf("%s m=%d", label, m), func(opt Options) {
 				STGSelect(rg, cal, identityUsers(nn), p, k, m, opt) //nolint:errcheck
 			})
 		case 2:
@@ -169,11 +158,31 @@ func TestWitnessEveryFiring(t *testing.T) {
 			if r.Intn(2) == 0 {
 				cal, m = randomSchedule(r, nn, 8+r.Intn(16), 0.75)
 			}
-			witnessRun(t, tally["GSG"], fmt.Sprintf("GSG %s m=%d", label, m), func() {
+			fn(seed, "GSG", fmt.Sprintf("%s m=%d", label, m), func(opt Options) {
 				GSGSelect(rg, spat, cal, identityUsers(nn), p, k, m, opt) //nolint:errcheck
 			})
 		}
 	}
+}
+
+// TestWitnessEveryFiring is the per-firing proof of every pruning rule:
+// over seeded SG, STG and GSG instances of up to 12 vertices, each firing
+// is checked against the completions it drops (falsifyFiring). A rule
+// can be unsound and still leave the optimum intact — a dropped group may
+// be tied or beaten elsewhere — so the brute-force differentials cannot
+// see what this test sees. Every rule must fire somewhere, or the test
+// proves nothing about it. Half of the instances run with the
+// acquaintance core off, so that the other rules also meet frames that
+// are not core-closed.
+func TestWitnessEveryFiring(t *testing.T) {
+	tally := map[string]map[string]int{"SG": {}, "STG": {}, "GSG": {}}
+	witnessInstances(4500, func(seed int64, kind, label string, run func(Options)) {
+		opt := DefaultOptions()
+		if seed/3%2 == 1 {
+			opt.DisableAcquaintancePruning = true
+		}
+		witnessRun(t, tally[kind], kind+" "+label, func() { run(opt) })
+	})
 	for _, rule := range witnessRules {
 		total := 0
 		for _, kind := range []string{"SG", "STG", "GSG"} {
@@ -183,6 +192,140 @@ func TestWitnessEveryFiring(t *testing.T) {
 		if total == 0 {
 			t.Errorf("rule %s never fired: the witness proves nothing about it", rule)
 		}
+	}
+}
+
+// lemmaOracle is a frame of the engine with the two counters the paper's
+// acquaintance rules read, recounted from scratch: per vertex |N_v ∩ VA|,
+// and their sum over VA.
+type lemmaOracle struct {
+	*engine
+	nbrInVA  []int
+	sumInner int
+}
+
+// exteriorOK is the exterior-expansibility admission test the engine ran
+// until the acquaintance core subsumed it, kept verbatim as an oracle: it
+// evaluates A(VS∪{u}) ≥ p − |VS∪{u}| of Definition 3 / Lemma 1, with
+// VA' = VA − {u}.
+func (e lemmaOracle) exteriorOK(u int) bool {
+	need := e.p - (e.vsCount + 1)
+	nbrU := e.rg.Nbr[u]
+	// Term for v = u: |VA'∩N_u| + (k − |VS − N_u|).
+	if e.nbrInVA[u]+(e.k-(e.vsCount-e.nbrInVS[u])) < need {
+		return false
+	}
+	for _, v := range e.vsList {
+		adj := nbrU.Contains(v)
+		nbrVA := e.nbrInVA[v]
+		if adj {
+			nbrVA-- // u leaves VA
+		}
+		nonNbr := e.vsCount - 1 - e.nbrInVS[v]
+		if !adj {
+			nonNbr++ // u joins VS as a non-neighbor of v
+		}
+		if nbrVA+(e.k-nonNbr) < need {
+			return false
+		}
+	}
+	return true
+}
+
+// acquaintancePrune is the Lemma 3 block pruneFrame ran until the
+// acquaintance core subsumed it, kept verbatim as an oracle (its firing
+// now returns true): it upper-bounds the total inner degree of the best
+// need vertices of VA without sorting, against the sound right-hand side
+// need·(need − 1 − k).
+func (e lemmaOracle) acquaintancePrune() bool {
+	need := e.p - e.vsCount
+	if !e.opt.DisableAcquaintancePruning {
+		rhs := need * (need - 1 - e.k)
+		if rhs > 0 && e.vaCount >= need {
+			// Cheap form first: lhs ≤ sumInner, so sumInner < rhs already
+			// proves the prune. The min-refined form (the paper's
+			// improvement that avoids sorting) needs an O(|VA|) scan; apply
+			// it only when VA is small enough that the scan is cheaper than
+			// the search it might save.
+			if e.sumInner < rhs {
+				return true
+			}
+			if e.vaCount <= 64 {
+				minInner := math.MaxInt
+				e.va.ForEach(func(v int) bool {
+					if e.nbrInVA[v] < minInner {
+						minInner = e.nbrInVA[v]
+					}
+					return true
+				})
+				lhs := e.sumInner - (e.vaCount-need)*minInner
+				if lhs < rhs {
+					return true
+				}
+			}
+		}
+	}
+	return false
+}
+
+// TestCoreClosedFramesSubsumeLemmas1And3 is the package doc's proof run
+// at every frame: over the witness instances under default options, each
+// frame pruneFrame sees has VS ∪ VA core-closed (every member knows at
+// least p − 1 − k others in it) with the engine's degree counters equal
+// to a recount, exterior expansibility as the paper gives it admits every
+// VA member, and Lemma 3 prunes nothing.
+func TestCoreClosedFramesSubsumeLemmas1And3(t *testing.T) {
+	frames, closedBelow := 0, 0
+	witnessInstances(4500, func(_ int64, kind, label string, run func(Options)) {
+		witness = func(e *engine, rule string, _ int) {
+			if rule != "frame" {
+				return
+			}
+			frames++
+			live := e.va.Clone()
+			live.Or(e.vs)
+			c := e.p - 1 - e.k
+			o := lemmaOracle{engine: e, nbrInVA: make([]int, e.n)}
+			for v := live.NextSet(0); v != -1; v = live.NextSet(v + 1) {
+				inVS, deg := 0, 0
+				for _, w := range e.rg.Adj[v] {
+					switch {
+					case e.vs.Contains(w):
+						inVS++
+						deg++
+					case e.va.Contains(w):
+						o.nbrInVA[v]++
+						deg++
+					}
+				}
+				if deg < c {
+					t.Fatalf("%s %s: VS %v, VA %v not core-closed: vertex %d knows %d < %d", kind, label, e.vs, e.va, v, deg, c)
+				}
+				if e.deg[v] != deg || e.nbrInVS[v] != inVS {
+					t.Fatalf("%s %s: vertex %d counters deg %d, nbrInVS %d; recount %d, %d", kind, label, v, e.deg[v], e.nbrInVS[v], deg, inVS)
+				}
+				if e.va.Contains(v) {
+					o.sumInner += o.nbrInVA[v]
+				}
+			}
+			if c > 0 && live.Count() > e.vsCount {
+				closedBelow++
+			}
+			for u := e.va.NextSet(0); u != -1; u = e.va.NextSet(u + 1) {
+				if !o.exteriorOK(u) {
+					t.Fatalf("%s %s: exterior expansibility rejects %d at VS %v, VA %v", kind, label, u, e.vs, e.va)
+				}
+			}
+			if o.acquaintancePrune() {
+				t.Fatalf("%s %s: Lemma 3 prunes VS %v, VA %v", kind, label, e.vs, e.va)
+			}
+		}
+		defer func() { witness = nil }()
+		run(DefaultOptions())
+	})
+	t.Logf("%d frames checked, %d with a positive core degree and VA non-empty", frames, closedBelow)
+	if closedBelow == 0 {
+		t.Error("no frame had a positive core degree: the test proves nothing")
 	}
 }
 

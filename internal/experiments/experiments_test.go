@@ -265,12 +265,12 @@ func TestMedianTime(t *testing.T) {
 // TestAblationShape: the ablation has a row for the default options and
 // one per Disable* toggle, every row with all four series, and the same
 // optimum on every row (the strategies are exact). Switching distance
-// pruning off must cost search effort, and switching the core cascade off
-// must not save any.
+// pruning off must cost search effort, and switching the acquaintance
+// core off must not save any.
 func TestAblationShape(t *testing.T) {
 	fig := quickFigure(t, "ablation")
-	if len(fig.Rows) != 8 || fig.Rows[0].X != "none" {
-		t.Fatalf("rows %v: want none plus seven toggles", fig.Rows)
+	if len(fig.Rows) != 6 || fig.Rows[0].X != "none" {
+		t.Fatalf("rows %v: want none plus five toggles", fig.Rows)
 	}
 	byX := map[string]Row{}
 	for _, r := range fig.Rows {
@@ -287,7 +287,7 @@ func TestAblationShape(t *testing.T) {
 	if full, off := byX["none"].Values["NodesExpanded"], byX["DistancePruning"].Values["NodesExpanded"]; off <= full {
 		t.Errorf("distance pruning off expanded %v nodes, with it %v", off, full)
 	}
-	if full, off := byX["none"].Values["NodesExpanded"], byX["CoreCascade"].Values["NodesExpanded"]; off < full {
-		t.Errorf("core cascade off expanded %v nodes, with it %v", off, full)
+	if full, off := byX["none"].Values["NodesExpanded"], byX["AcquaintancePruning"].Values["NodesExpanded"]; off < full {
+		t.Errorf("acquaintance core off expanded %v nodes, with it %v", off, full)
 	}
 }
