@@ -1,10 +1,13 @@
-# Tier-1 gate: `make check` runs everything CI needs in one command.
+# Tier-1 gate: `make check` runs CI's static and unit gates in one
+# command: gofmt, lint, build, test, the serving binaries' dependency
+# check and the documentation check. CI runs the race, stress, smoke,
+# fuzz and e2e targets as separate steps.
 
 GO ?= go
 
 .PHONY: check build test vet lint fmt-check fmt bench bench-smoke bench-ab race batcher-stress fuzz-smoke e2e-failover e2e-ryw e2e-geo docs-check serving-deps
 
-check: fmt-check lint build test
+check: fmt-check lint build test serving-deps docs-check
 
 build:
 	$(GO) build ./...

@@ -7,6 +7,17 @@
 // expansibility and acquaintance pruning take the form of one degree
 // condition, the acquaintance core (see below).
 //
+// # One driver
+//
+// Every query runs through one driver, engine.solve. STGSelect is the
+// driver once per pivot time slot (Lemma 4), the incumbent shared across
+// pivots; SGSelect and the purely geo-social GSGSelect (m = 0) are its
+// no-window case, one search over the acquaintance core of the eligible
+// vertices. The driver answers p = 1, records the query's metrics and
+// turns the incumbent into the answer, or into ErrNoFeasibleGroup or
+// ErrBudgetExceeded, in one place; that is also where a deadline check
+// and a partial answer belong.
+//
 // # Search-space interpretation
 //
 // The paper's Algorithm 2/4 pseudo-code is written loosely (it mutates VS in

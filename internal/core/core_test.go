@@ -182,10 +182,21 @@ func TestSGSelectTrivialCases(t *testing.T) {
 	g, ids := figure3Graph(t)
 	rg, _ := g.ExtractRadiusGraph(ids["v7"], 1)
 
-	// p = 1: just the initiator.
-	grp, _, err := SGSelect(rg, 1, 0, nil, DefaultOptions())
+	// p = 1: just the initiator, reported as the one solution found, by
+	// SGSelect and by the purely geo-social GSGSelect alike.
+	grp, stats, err := SGSelect(rg, 1, 0, nil, DefaultOptions())
 	if err != nil || len(grp.Members) != 1 || grp.Members[0] != 0 || grp.TotalDistance != 0 {
 		t.Errorf("p=1: got %+v, %v", grp, err)
+	}
+	if want := (Stats{SolutionsFound: 1}); stats != want {
+		t.Errorf("p=1 stats %+v, want %+v", stats, want)
+	}
+	geo, stats, err := GSGSelect(rg, make([]float64, rg.N()), nil, nil, 1, 0, 0, DefaultOptions())
+	if err != nil || len(geo.Members) != 1 || geo.Pivot != -1 {
+		t.Errorf("GSG p=1: got %+v, %v", geo, err)
+	}
+	if want := (Stats{SolutionsFound: 1}); stats != want {
+		t.Errorf("GSG p=1 stats %+v, want %+v", stats, want)
 	}
 
 	// p = 2, large k: the closest friend.
@@ -307,7 +318,7 @@ func TestSTGSelectP1(t *testing.T) {
 	for i, o := range rg.Orig {
 		calUser[i] = o
 	}
-	got, _, err := STGSelect(rg, cal, calUser, 1, 0, 3, DefaultOptions())
+	got, stats, err := STGSelect(rg, cal, calUser, 1, 0, 3, DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -316,6 +327,16 @@ func TestSTGSelectP1(t *testing.T) {
 	}
 	if got.Interval.Len() < 3 {
 		t.Errorf("p=1 interval %+v shorter than m", got.Interval)
+	}
+	// The first pivot where v7 qualifies answers: one solution found, and
+	// no later pivot is prepared.
+	if want := (Stats{SolutionsFound: 1, PivotsProcessed: 1}); stats != want {
+		t.Errorf("p=1 stats %+v, want %+v", stats, want)
+	}
+	// GSGSelect with a temporal dimension answers p = 1 the same way.
+	geo, geoStats, err := GSGSelect(rg, make([]float64, rg.N()), cal, calUser, 1, 0, 3, DefaultOptions())
+	if err != nil || !reflect.DeepEqual(geo, got) || geoStats != stats {
+		t.Errorf("GSG p=1: %+v %+v %v, want %+v %+v", geo, geoStats, err, got, stats)
 	}
 }
 

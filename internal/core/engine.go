@@ -10,10 +10,10 @@ import (
 )
 
 // engine is the shared set-enumeration branch-and-bound machinery behind
-// SGSelect and STGSelect. One engine handles one radius graph; STGSelect
-// re-initializes the candidate state per pivot slot while keeping the
-// incumbent (bestDist) across pivots, which only strengthens the distance
-// pruning and cannot cost optimality.
+// SGSelect, STGSelect and GSGSelect, driven by solve. One engine handles
+// one radius graph; a temporal query re-initializes the candidate state
+// per pivot slot while keeping the incumbent (bestDist) across pivots,
+// which only strengthens the distance pruning and cannot cost optimality.
 type engine struct {
 	rg   *socialgraph.RadiusGraph
 	p, k int
@@ -31,8 +31,6 @@ type engine struct {
 
 	bestDist float64
 	bestSet  *bitset.Set
-	bestLo   int
-	bestHi   int
 	bestPiv  int
 
 	tmp *temporalState // nil when solving SGQ
@@ -566,14 +564,6 @@ func (e *engine) record(u int) {
 	e.bestSet.Add(u)
 	e.stats.SolutionsFound++
 	if t := e.tmp; t != nil {
-		lo, hi := t.curLo, t.curHi
-		if t.runLo[u] > lo {
-			lo = t.runLo[u]
-		}
-		if t.runHi[u] < hi {
-			hi = t.runHi[u]
-		}
-		e.bestLo, e.bestHi = lo, hi
 		e.bestPiv = t.win.Pivot
 	}
 }

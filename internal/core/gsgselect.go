@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"time"
 
 	"repro/internal/bitset"
 	"repro/internal/schedule"
@@ -33,14 +32,13 @@ import (
 // ignored (may be nil) and the returned STGroup carries no interval
 // (Pivot is -1, Interval is the zero Period).
 func GSGSelect(rg *socialgraph.RadiusGraph, spat []float64, cal *schedule.Calendar, calUser []int, p, k, m int, opt Options) (*STGroup, Stats, error) {
+	var err error
 	if m >= 1 {
-		if err := validateSTG(rg, cal, calUser, p, k, m); err != nil {
-			return nil, Stats{}, err
-		}
-	} else if err := validateSG(rg, p, k); err != nil {
-		return nil, Stats{}, err
+		err = validateSTG(rg, cal, calUser, p, k, m, opt)
+	} else {
+		err = validateSG(rg, p, k, opt)
 	}
-	if err := opt.validate(); err != nil {
+	if err != nil {
 		return nil, Stats{}, err
 	}
 	if m < 0 {
@@ -49,51 +47,18 @@ func GSGSelect(rg *socialgraph.RadiusGraph, spat []float64, cal *schedule.Calend
 	if len(spat) != rg.N() {
 		return nil, Stats{}, fmt.Errorf("%w: spat has %d entries for %d vertices", ErrBadParams, len(spat), rg.N())
 	}
-	if spat[0] < 0 {
-		// The initiator has no location or stands outside the activity
-		// radius: feasibility, not parameter validity.
-		return nil, Stats{}, ErrNoFeasibleGroup
-	}
-
 	e := newEngine(rg, p, k, opt)
 	e.spat = spat
-	if m >= 1 {
-		return runPivots(e, cal, calUser, m, "gsg")
-	}
-
-	// Pure geo-social: one search over the acquaintance core of the
-	// spatially eligible vertices.
-	defer func() { recordStats("gsg", e.stats) }()
-	if p == 1 {
-		return &STGroup{Group: Group{Members: []int{0}, TotalDistance: 0}, Pivot: -1}, e.stats, nil
-	}
-	eligible := bitset.New(e.n)
-	for v := 0; v < e.n; v++ {
-		if spat[v] >= 0 {
-			eligible.Add(v)
+	var eligible *bitset.Set
+	if m == 0 {
+		// Pure geo-social: one search over the spatially eligible
+		// vertices. With m ≥ 1 prepPivot tests spat itself.
+		eligible = bitset.New(e.n)
+		for v, d := range spat {
+			if d >= 0 {
+				eligible.Add(v)
+			}
 		}
 	}
-	if e.reset(eligible) {
-		searchStart := time.Now()
-		e.expand(0)
-		mSearchSeconds.ObserveSince(searchStart)
-	}
-	if e.bestSet.Count() != p {
-		if e.budgetHit {
-			return nil, e.stats, ErrBudgetExceeded
-		}
-		return nil, e.stats, ErrNoFeasibleGroup
-	}
-	ans := &STGroup{
-		Group: Group{
-			Members:       e.bestSet.Indices(),
-			TotalDistance: e.bestDist,
-		},
-		Pivot: -1,
-	}
-	if e.budgetHit {
-		// Anytime result: feasible but not proven optimal.
-		return ans, e.stats, ErrBudgetExceeded
-	}
-	return ans, e.stats, nil
+	return e.solve("gsg", eligible, cal, calUser, m)
 }

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"time"
 
 	"repro/internal/bitset"
 	"repro/internal/socialgraph"
@@ -19,40 +18,17 @@ import (
 // restrict is read, never modified: the search runs over the acquaintance
 // core of restrict ∪ {0} (see engine.reset).
 func SGSelect(rg *socialgraph.RadiusGraph, p, k int, restrict *bitset.Set, opt Options) (*Group, Stats, error) {
-	if err := validateSG(rg, p, k); err != nil {
+	if err := validateSG(rg, p, k, opt); err != nil {
 		return nil, Stats{}, err
 	}
-	if err := opt.validate(); err != nil {
-		return nil, Stats{}, err
+	ans, stats, err := newEngine(rg, p, k, opt).solve("sg", restrict, nil, nil, 0)
+	if ans == nil {
+		return nil, stats, err
 	}
-	if p == 1 {
-		return &Group{Members: []int{0}, TotalDistance: 0}, Stats{}, nil
-	}
-	e := newEngine(rg, p, k, opt)
-	if e.reset(restrict) {
-		searchStart := time.Now()
-		e.expand(0)
-		mSearchSeconds.ObserveSince(searchStart)
-	}
-	defer recordStats("sg", e.stats)
-	if e.bestSet.Count() != p {
-		if e.budgetHit {
-			return nil, e.stats, ErrBudgetExceeded
-		}
-		return nil, e.stats, ErrNoFeasibleGroup
-	}
-	grp := &Group{
-		Members:       e.bestSet.Indices(),
-		TotalDistance: e.bestDist,
-	}
-	if e.budgetHit {
-		// Anytime result: feasible but not proven optimal.
-		return grp, e.stats, ErrBudgetExceeded
-	}
-	return grp, e.stats, nil
+	return &ans.Group, stats, err
 }
 
-func validateSG(rg *socialgraph.RadiusGraph, p, k int) error {
+func validateSG(rg *socialgraph.RadiusGraph, p, k int, opt Options) error {
 	if rg == nil || rg.N() == 0 {
 		return fmt.Errorf("%w: empty radius graph", ErrBadParams)
 	}
@@ -62,5 +38,5 @@ func validateSG(rg *socialgraph.RadiusGraph, p, k int) error {
 	if k < 0 {
 		return fmt.Errorf("%w: acquaintance constraint k=%d < 0", ErrBadParams, k)
 	}
-	return nil
+	return opt.validate()
 }

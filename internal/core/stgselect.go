@@ -23,78 +23,87 @@ import (
 // inside the window participate. The incumbent distance is shared across
 // pivots, strengthening distance pruning without affecting optimality.
 func STGSelect(rg *socialgraph.RadiusGraph, cal *schedule.Calendar, calUser []int, p, k, m int, opt Options) (*STGroup, Stats, error) {
-	if err := validateSTG(rg, cal, calUser, p, k, m); err != nil {
+	if err := validateSTG(rg, cal, calUser, p, k, m, opt); err != nil {
 		return nil, Stats{}, err
 	}
-	if err := opt.validate(); err != nil {
-		return nil, Stats{}, err
-	}
-	return runPivots(newEngine(rg, p, k, opt), cal, calUser, m, "stg")
+	return newEngine(rg, p, k, opt).solve("stg", nil, cal, calUser, m)
 }
 
-// runPivots drives one engine through every pivot slot: per-pivot candidate
-// generation (prepPivot), the branch-and-bound search with the incumbent
-// shared across pivots, and the final interval widening. It is the body
-// shared by STGSelect and GSGSelect (the latter arrives with e.spat set, so
-// eligibility and the optimized cost carry the spatial dimension).
-func runPivots(e *engine, cal *schedule.Calendar, calUser []int, m int, kind string) (*STGroup, Stats, error) {
-	p := e.p
-	t := newTemporalState(e.n, m)
-	e.tmp = t
-	e.initTemporalRHS(m)
-
+// solve is the one driver of every query kind. With m = 0 it runs one
+// search over the acquaintance core of eligible (nil: every vertex); with
+// m ≥ 1 it runs one search per pivot slot (prepPivot), the incumbent
+// shared across pivots. p = 1 is answered here, by the initiator alone,
+// as soon as it qualifies. A GSGSelect engine (e.spat set) whose
+// initiator is spatially ineligible searches nothing. solve records the
+// query's metrics once, whatever the outcome, and returns the answer:
+// Pivot −1 and a zero Interval when m = 0.
+func (e *engine) solve(kind string, eligible *bitset.Set, cal *schedule.Calendar, calUser []int, m int) (*STGroup, Stats, error) {
 	// Candidate generation (prepPivot) vs. search time is the split the
-	// paper's evaluation reports; accumulate both across pivots and
-	// record once at return.
+	// paper's evaluation reports; accumulate both and record once.
 	var candidateTime, searchTime time.Duration
 	defer func() {
-		mCandidateSeconds.Observe(candidateTime.Seconds())
+		if m >= 1 {
+			mCandidateSeconds.Observe(candidateTime.Seconds())
+		}
 		mSearchSeconds.Observe(searchTime.Seconds())
 		recordStats(kind, e.stats)
 	}()
-
-	eligible := bitset.New(e.n)
-	for _, pivot := range cal.PivotSlots(m) {
-		if e.budgetHit {
-			break
-		}
-		prepStart := time.Now()
-		ok := prepPivot(e, cal, calUser, eligible, cal.NewWindow(pivot, m))
-		candidateTime += time.Since(prepStart)
-		if !ok {
-			e.stats.PivotsSkipped++
-			continue
-		}
-		e.stats.PivotsProcessed++
-		if p == 1 {
-			// The initiator alone: any pivot where q qualifies gives the
-			// optimal (distance-0) answer.
+	// search runs on the candidates reset left and reports whether the
+	// query is done: p = 1 answered, or the budget spent.
+	search := func(pivot int) bool {
+		if e.p == 1 {
 			e.bestDist = 0
-			e.bestSet.Clear()
 			e.bestSet.Add(0)
-			e.bestLo, e.bestHi, e.bestPiv = t.curLo, t.curHi, pivot
+			e.bestPiv = pivot
 			e.stats.SolutionsFound++
-			break
+			return true
 		}
 		searchStart := time.Now()
 		e.expand(0)
 		searchTime += time.Since(searchStart)
+		return e.budgetHit
 	}
 
-	if e.bestSet.Count() != p {
+	switch {
+	case e.spat != nil && e.spat[0] < 0:
+		// The initiator has no location or stands outside the activity
+		// radius: feasibility, not parameter validity.
+	case m == 0:
+		if e.reset(eligible) {
+			search(-1)
+		}
+	default:
+		e.tmp = newTemporalState(e.n, m)
+		e.initTemporalRHS(m)
+		candidates := bitset.New(e.n)
+		for _, pivot := range cal.PivotSlots(m) {
+			prepStart := time.Now()
+			ok := prepPivot(e, cal, calUser, candidates, cal.NewWindow(pivot, m))
+			candidateTime += time.Since(prepStart)
+			if !ok {
+				e.stats.PivotsSkipped++
+				continue
+			}
+			e.stats.PivotsProcessed++
+			if search(pivot) {
+				break
+			}
+		}
+	}
+
+	if e.bestSet.Count() != e.p {
 		if e.budgetHit {
 			return nil, e.stats, ErrBudgetExceeded
 		}
 		return nil, e.stats, ErrNoFeasibleGroup
 	}
-	members := e.bestSet.Indices()
 	ans := &STGroup{
-		Group: Group{
-			Members:       members,
-			TotalDistance: e.bestDist,
-		},
-		Interval: widenInterval(cal, calUser, members, e.bestPiv),
-		Pivot:    e.bestPiv,
+		Group: Group{Members: e.bestSet.Indices(), TotalDistance: e.bestDist},
+		Pivot: -1,
+	}
+	if m >= 1 {
+		ans.Interval = widenInterval(cal, calUser, ans.Members, e.bestPiv)
+		ans.Pivot = e.bestPiv
 	}
 	if e.budgetHit {
 		// Anytime result: feasible but not proven optimal.
@@ -158,8 +167,8 @@ func prepPivot(e *engine, cal *schedule.Calendar, calUser []int, eligible *bitse
 	return count >= e.p && e.reset(eligible)
 }
 
-func validateSTG(rg *socialgraph.RadiusGraph, cal *schedule.Calendar, calUser []int, p, k, m int) error {
-	if err := validateSG(rg, p, k); err != nil {
+func validateSTG(rg *socialgraph.RadiusGraph, cal *schedule.Calendar, calUser []int, p, k, m int, opt Options) error {
+	if err := validateSG(rg, p, k, opt); err != nil {
 		return err
 	}
 	if cal == nil {

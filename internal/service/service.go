@@ -29,7 +29,10 @@
 // The six mutating endpoints above are rows of one route table
 // (mutationRoutes) served by one handler: decode the request into a
 // stgq.Mutation, apply it with Planner.Apply, stamp the write's sequence
-// number, reply.
+// number, reply. The four query endpoints are rows of its twin
+// (queryRoutes), each built by one helper (query): hold the read barrier,
+// stamp the applied sequence number, decode, run the planner call, render
+// the answer or the error.
 //
 // # Read-your-writes headers
 //
@@ -163,11 +166,10 @@ func (s *Server) routes() {
 	for _, rt := range mutationRoutes {
 		s.handle(rt.pattern, s.mutationHandler(rt))
 	}
+	for _, rt := range queryRoutes {
+		s.handle(rt.pattern, rt.handler(s))
+	}
 	s.handle("POST /promote", s.handlePromote)
-	s.handle("POST /query/group", s.handleGroupQuery)
-	s.handle("POST /query/activity", s.handleActivityQuery)
-	s.handle("POST /query/gsgselect", s.handleGeoQuery)
-	s.handle("POST /query/manual", s.handleManualQuery)
 	s.handle("GET /status", s.handleStatus)
 	s.mux.Handle("GET /metrics", obsv.Handler(obsv.Default))
 	// The stream endpoint is routed unconditionally and resolved per
@@ -299,6 +301,11 @@ type QueryRequest struct {
 	K int `json:"k"`
 	// M is the activity length in slots (temporal queries only).
 	M int `json:"m,omitempty"`
+}
+
+// sg returns the social part of the request as the planner's query.
+func (q QueryRequest) sg() stgq.SGQuery {
+	return stgq.SGQuery{Initiator: stgq.PersonID(q.Initiator), P: q.P, S: q.S, K: q.K}
 }
 
 // MemberJSON is one attendee in a response.
@@ -514,129 +521,82 @@ func (s *Server) mutationHandler(rt mutationRoute) http.HandlerFunc {
 	}
 }
 
-func (s *Server) handleGroupQuery(w http.ResponseWriter, r *http.Request) {
-	if !s.awaitMinSeq(w, r) {
-		return
-	}
-	s.noteAppliedSeq(w)
-	var req QueryRequest
-	if !decode(w, r, &req) {
-		return
-	}
-	var res *stgq.GroupResult
-	var err error
-	timeEngine(obsv.StagesFrom(r.Context()), func() {
-		res, err = s.planner().FindGroup(stgq.SGQuery{
-			Initiator: stgq.PersonID(req.Initiator),
-			P:         req.P, S: req.S, K: req.K,
-		})
-	})
-	if err != nil {
-		writeErr(w, err)
-		return
-	}
-	reply(w, r, http.StatusOK, toGroupResponse(res))
+// queryRoute is one query endpoint; handler builds its handler for a
+// server (see query).
+type queryRoute struct {
+	pattern string
+	handler func(s *Server) http.HandlerFunc
 }
 
-func (s *Server) handleActivityQuery(w http.ResponseWriter, r *http.Request) {
-	if !s.awaitMinSeq(w, r) {
-		return
-	}
-	s.noteAppliedSeq(w)
-	var req QueryRequest
-	if !decode(w, r, &req) {
-		return
-	}
-	var plan *stgq.PlanResult
-	var err error
-	timeEngine(obsv.StagesFrom(r.Context()), func() {
-		plan, err = s.planner().PlanActivity(stgq.STGQuery{
-			SGQuery: stgq.SGQuery{
-				Initiator: stgq.PersonID(req.Initiator),
-				P:         req.P, S: req.S, K: req.K,
-			},
-			M: req.M,
-		})
-	})
-	if err != nil {
-		writeErr(w, err)
-		return
-	}
-	reply(w, r, http.StatusOK, PlanResponse{
-		GroupResponse: toGroupResponse(&plan.GroupResult),
-		WindowStart:   plan.Window.Start,
-		WindowEnd:     plan.Window.End,
-		WindowHuman:   plan.Window.Format(),
-	})
+// queryRoutes is the route table of every query the service answers, the
+// twin of mutationRoutes: each row names the planner call and renders its
+// answer, and query serves them all.
+var queryRoutes = []queryRoute{
+	{"POST /query/group", query(func(pl *stgq.Planner, req QueryRequest) (*stgq.GroupResult, error) {
+		return pl.FindGroup(req.sg())
+	}, func(_ QueryRequest, res *stgq.GroupResult) any {
+		return toGroupResponse(res.Members, res.TotalDistance)
+	})},
+	{"POST /query/activity", query(func(pl *stgq.Planner, req QueryRequest) (*stgq.PlanResult, error) {
+		return pl.PlanActivity(stgq.STGQuery{SGQuery: req.sg(), M: req.M})
+	}, func(_ QueryRequest, plan *stgq.PlanResult) any {
+		return PlanResponse{
+			GroupResponse: toGroupResponse(plan.Members, plan.TotalDistance),
+			WindowStart:   plan.Window.Start,
+			WindowEnd:     plan.Window.End,
+			WindowHuman:   plan.Window.Format(),
+		}
+	})},
+	{"POST /query/gsgselect", query(func(pl *stgq.Planner, req GeoQueryRequest) (*stgq.GeoPlanResult, error) {
+		return pl.PlanGeoActivity(stgq.GSGQuery{SGQuery: req.sg(), M: req.M, X: req.X, Y: req.Y, Radius: req.Radius})
+	}, func(req GeoQueryRequest, plan *stgq.GeoPlanResult) any {
+		resp := GeoPlanResponse{GroupResponse: toGroupResponse(plan.Members, plan.TotalDistance)}
+		if req.M >= 1 {
+			resp.WindowStart = plan.Window.Start
+			resp.WindowEnd = plan.Window.End
+			resp.WindowHuman = plan.Window.Format()
+		}
+		return resp
+	})},
+	{"POST /query/manual", query(func(pl *stgq.Planner, req QueryRequest) (*stgq.ManualPlan, error) {
+		return pl.PlanManually(stgq.STGQuery{SGQuery: req.sg(), M: req.M})
+	}, func(_ QueryRequest, plan *stgq.ManualPlan) any {
+		return ManualResponse{
+			GroupResponse: toGroupResponse(plan.Members, plan.TotalDistance),
+			WindowStart:   plan.Window.Start,
+			WindowEnd:     plan.Window.End,
+			ObservedK:     plan.ObservedK,
+		}
+	})},
 }
 
-func (s *Server) handleGeoQuery(w http.ResponseWriter, r *http.Request) {
-	if !s.awaitMinSeq(w, r) {
-		return
+// query builds the handler of one query route: hold the read barrier,
+// stamp the applied sequence number, decode the request into a Q, run the
+// planner call (timed as svc_engine; rendering is not), then reply with
+// the error or the rendered answer.
+func query[Q, R any](run func(*stgq.Planner, Q) (R, error), render func(Q, R) any) func(*Server) http.HandlerFunc {
+	return func(s *Server) http.HandlerFunc {
+		return func(w http.ResponseWriter, r *http.Request) {
+			if !s.awaitMinSeq(w, r) {
+				return
+			}
+			s.noteAppliedSeq(w)
+			var req Q
+			if !decode(w, r, &req) {
+				return
+			}
+			var res R
+			var err error
+			timeEngine(obsv.StagesFrom(r.Context()), func() {
+				res, err = run(s.planner(), req)
+			})
+			if err != nil {
+				writeErr(w, err)
+				return
+			}
+			reply(w, r, http.StatusOK, render(req, res))
+		}
 	}
-	s.noteAppliedSeq(w)
-	var req GeoQueryRequest
-	if !decode(w, r, &req) {
-		return
-	}
-	var plan *stgq.GeoPlanResult
-	var err error
-	timeEngine(obsv.StagesFrom(r.Context()), func() {
-		plan, err = s.planner().PlanGeoActivity(stgq.GSGQuery{
-			SGQuery: stgq.SGQuery{
-				Initiator: stgq.PersonID(req.Initiator),
-				P:         req.P, S: req.S, K: req.K,
-			},
-			M: req.M, X: req.X, Y: req.Y, Radius: req.Radius,
-		})
-	})
-	if err != nil {
-		writeErr(w, err)
-		return
-	}
-	resp := GeoPlanResponse{GroupResponse: toGroupResponse(&plan.GroupResult)}
-	if req.M >= 1 {
-		resp.WindowStart = plan.Window.Start
-		resp.WindowEnd = plan.Window.End
-		resp.WindowHuman = plan.Window.Format()
-	}
-	reply(w, r, http.StatusOK, resp)
-}
-
-func (s *Server) handleManualQuery(w http.ResponseWriter, r *http.Request) {
-	if !s.awaitMinSeq(w, r) {
-		return
-	}
-	s.noteAppliedSeq(w)
-	var req QueryRequest
-	if !decode(w, r, &req) {
-		return
-	}
-	var plan *stgq.ManualPlan
-	var err error
-	timeEngine(obsv.StagesFrom(r.Context()), func() {
-		plan, err = s.planner().PlanManually(stgq.STGQuery{
-			SGQuery: stgq.SGQuery{
-				Initiator: stgq.PersonID(req.Initiator),
-				P:         req.P, S: req.S, K: req.K,
-			},
-			M: req.M,
-		})
-	})
-	if err != nil {
-		writeErr(w, err)
-		return
-	}
-	members := make([]MemberJSON, len(plan.Members))
-	for i, m := range plan.Members {
-		members[i] = MemberJSON{ID: int(m.ID), Name: m.Name, Distance: m.Distance}
-	}
-	reply(w, r, http.StatusOK, ManualResponse{
-		GroupResponse: GroupResponse{Members: members, TotalDistance: plan.TotalDistance},
-		WindowStart:   plan.Window.Start,
-		WindowEnd:     plan.Window.End,
-		ObservedK:     plan.ObservedK,
-	})
 }
 
 func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
@@ -756,12 +716,12 @@ func (s *Server) CloseState() error {
 
 // --- helpers ---------------------------------------------------------------
 
-func toGroupResponse(res *stgq.GroupResult) GroupResponse {
-	members := make([]MemberJSON, len(res.Members))
-	for i, m := range res.Members {
-		members[i] = MemberJSON{ID: int(m.ID), Name: m.Name, Distance: m.Distance}
+func toGroupResponse(members []stgq.Member, total float64) GroupResponse {
+	out := make([]MemberJSON, len(members))
+	for i, m := range members {
+		out[i] = MemberJSON{ID: int(m.ID), Name: m.Name, Distance: m.Distance}
 	}
-	return GroupResponse{Members: members, TotalDistance: res.TotalDistance}
+	return GroupResponse{Members: out, TotalDistance: total}
 }
 
 // maxBodyBytes caps request bodies: no legitimate request here exceeds a

@@ -130,7 +130,7 @@ func (pl *Planner) PlanGeoActivity(q GSGQuery) (*GeoPlanResult, error) {
 		PivotSlot:   ans.Pivot,
 	}
 	if withCal {
-		res.Window = TimeWindow{Start: ans.Interval.Start, End: ans.Interval.End + 1}
+		res.Window = window(ans.Interval)
 	}
 	return res, nil
 }

@@ -718,7 +718,7 @@ func (pl *Planner) PlanActivity(q STGQuery) (*PlanResult, error) {
 	}
 	return &PlanResult{
 		GroupResult: *groupResult(rg, &ans.Group, stats),
-		Window:      TimeWindow{Start: ans.Interval.Start, End: ans.Interval.End + 1},
+		Window:      window(ans.Interval),
 		PivotSlot:   ans.Pivot,
 	}, nil
 }
@@ -742,7 +742,7 @@ func (pl *Planner) PlanManually(q STGQuery) (*ManualPlan, error) {
 	return &ManualPlan{
 		Members:       members,
 		TotalDistance: res.TotalDistance,
-		Window:        TimeWindow{Start: res.Period.Start, End: res.Period.End + 1},
+		Window:        window(res.Period),
 		ObservedK:     res.ObservedK,
 	}, nil
 }
@@ -761,9 +761,15 @@ func (pl *Planner) PlanWithSmallestK(q STGQuery, targetDistance float64) (int, *
 	}
 	return res.K, &PlanResult{
 		GroupResult: *groupResult(rg, &res.Answer.Group, core.Stats{}),
-		Window:      TimeWindow{Start: res.Answer.Interval.Start, End: res.Answer.Interval.End + 1},
+		Window:      window(res.Answer.Interval),
 		PivotSlot:   res.Answer.Pivot,
 	}, nil
+}
+
+// window turns the engine's inclusive slot period into the half-open
+// TimeWindow the API reports.
+func window(p core.Period) TimeWindow {
+	return TimeWindow{Start: p.Start, End: p.End + 1}
 }
 
 func groupResult(rg *socialgraph.RadiusGraph, grp *core.Group, stats core.Stats) *GroupResult {
